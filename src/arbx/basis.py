@@ -147,20 +147,7 @@ def is_basis(g: MarketGraph, entries: Sequence[tuple[int, int]]) -> bool:
         undirected.add(key)
     if len(undirected) != g.n - 1:
         return False
-    adj: dict[int, list[int]] = {}
-    for a, b in undirected:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    start = next(iter(undirected))[0] if undirected else 1
-    reach = {start}
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        for w in adj.get(u, ()):
-            if w not in reach:
-                reach.add(w)
-                frontier.append(w)
-    return len(reach) == g.n
+    return is_connected(MarketGraph(n=g.n, edges=frozenset(undirected)))
 
 
 def _require_basis(spec: BasisSpec) -> None:
@@ -172,16 +159,18 @@ def _require_basis(spec: BasisSpec) -> None:
         raise NotABasisError("entries do not form a spanning tree of the graph")
 
 
-def _potentials(spec: BasisSpec, values: Sequence[float]) -> list[float]:
-    # entry (i, j) = v pins p[j] - p[i] = v; traverse the basis tree from 1
-    g = spec.graph
-    signed: dict[int, list[tuple[int, float]]] = {v: [] for v in range(1, g.n + 1)}
-    for (i, j), val in zip(spec.entries, values):
-        signed[i].append((j, +val))
-        signed[j].append((i, -val))
-    p = [0.0] * (g.n + 1)
-    seen = {1}
-    queue = deque([1])
+def _potentials(
+    n: int, entries: Sequence[tuple[int, int]], values: Sequence[float]
+) -> list[float]:
+    # entry (i, j) = v of a spanning tree pins p[j-1] - p[i-1] = v; walk the
+    # tree from good 1, so each price sums its root-to-vertex path in order
+    signed: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (i, j), val in zip(entries, values):
+        signed[i - 1].append((j - 1, +val))
+        signed[j - 1].append((i - 1, -val))
+    p = [0.0] * n
+    seen = {0}
+    queue = deque([0])
     while queue:
         u = queue.popleft()
         for w, step in signed[u]:
@@ -192,14 +181,19 @@ def _potentials(spec: BasisSpec, values: Sequence[float]) -> list[float]:
     return p
 
 
-def _complete(spec: BasisSpec, values: Sequence[float]) -> LogRateMatrix:
-    g = spec.graph
-    p = _potentials(spec, values)
+def _differences(g: MarketGraph, prices: Sequence[float]) -> np.ndarray:
+    # entry (i, j) = prices[j-1] - prices[i-1] on every non-loop edge, else 0
     arr = np.zeros((g.n, g.n))
     for i, j in g.simple_edges:
-        d = p[j] - p[i]
+        d = prices[j - 1] - prices[i - 1]
         arr[i - 1, j - 1] = d
         arr[j - 1, i - 1] = -d
+    return arr
+
+
+def _complete(spec: BasisSpec, values: Sequence[float]) -> LogRateMatrix:
+    g = spec.graph
+    arr = _differences(g, _potentials(g.n, spec.entries, values))
     # basis coordinates carry the assigned values exactly, not via potentials
     for (i, j), val in zip(spec.entries, values):
         arr[i - 1, j - 1] = val
@@ -268,12 +262,11 @@ def dimension_by_rank(g: MarketGraph, *, max_n: int = ORACLE_MAX_VERTICES) -> in
     """
     if g.n > max_n:
         raise OracleSizeError(f"{g.n} vertices exceeds the oracle limit of {max_n}")
-    if not is_connected(g):
-        raise NotConnectedError("graph is not connected")
+    tree = spanning_tree(g)
     edges = g.simple_edges
     index = {e: k for k, e in enumerate(edges)}
     rows: list[list[Fraction]] = []
-    for fc in fundamental_cycles(g, spanning_tree(g)):
+    for fc in fundamental_cycles(g, tree):
         row = [Fraction(0)] * len(edges)
         for u, v in zip(fc.cycle, fc.cycle[1:]):
             if u < v:
@@ -320,11 +313,10 @@ def price_vector(e: LogRateMatrix, ref: int, tol: float = DEFAULT_TOL) -> PriceV
         raise GraphIndexError(f"reference vertex {ref} out of range 1..{g.n}")
     if not check_no_arbitrage(e, tol).ok:
         raise NotArbitrageFreeError("matrix fails the arbitrage check")
-    q = [0.0] * (g.n + 1)
-    for u, v in spanning_tree(g).tree_edges:  # parents resolve before children
-        q[v] = q[u] + float(e.entries[u - 1, v - 1])
-    shift = q[ref]
-    return PriceVector(reference=ref, prices=tuple(q[v] - shift for v in range(1, g.n + 1)))
+    edges = spanning_tree(g).tree_edges
+    q = _potentials(g.n, edges, [float(e.entries[u - 1, v - 1]) for u, v in edges])
+    shift = q[ref - 1]
+    return PriceVector(reference=ref, prices=tuple(x - shift for x in q))
 
 
 def matrix_from_prices(
@@ -339,9 +331,4 @@ def matrix_from_prices(
     prices = tuple(p.prices) if isinstance(p, PriceVector) else tuple(float(x) for x in p)
     if len(prices) != g.n:
         raise LengthMismatchError(f"expected {g.n} prices, got {len(prices)}")
-    arr = np.zeros((g.n, g.n))
-    for i, j in g.simple_edges:
-        d = prices[j - 1] - prices[i - 1]
-        arr[i - 1, j - 1] = d
-        arr[j - 1, i - 1] = -d
-    return LogRateMatrix(g, arr)
+    return LogRateMatrix(g, _differences(g, prices))

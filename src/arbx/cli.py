@@ -38,6 +38,7 @@ from .io import (
     load_graph,
     load_perturbation,
     load_rates,
+    rate_rows,
     save_graph,
     save_rates,
 )
@@ -51,17 +52,6 @@ def _ms(t0: float) -> float:
 
 def _index_labels(g: MarketGraph) -> tuple[str, ...]:
     return tuple(str(i) for i in range(1, g.n + 1))
-
-
-def _rate_rows(entries: np.ndarray, g: MarketGraph, labels: tuple[str, ...]) -> list[list[object]]:
-    rows: list[list[object]] = []
-    for i, j in sorted(g.edges):
-        if i == j:
-            rows.append([labels[i - 1], labels[i - 1], float(entries[i - 1, i - 1])])
-        else:
-            rows.append([labels[i - 1], labels[j - 1], float(entries[i - 1, j - 1])])
-            rows.append([labels[j - 1], labels[i - 1], float(entries[j - 1, i - 1])])
-    return rows
 
 
 def _check_report(command: str, result: CheckResult, rates_path: str, labels, filled, t0) -> RunReport:
@@ -186,7 +176,7 @@ def cmd_perturb(args: argparse.Namespace) -> RunReport:
         },
         inputs={"rates": file_digest(args.rates), "delta": file_digest(args.delta)},
         labels=rates.labels,
-        data={"mode": mode, "rates": _rate_rows(updated, rates.matrix.graph, rates.labels)},
+        data={"mode": mode, "rates": rate_rows(updated, rates.matrix.graph, rates.labels)},
     )
 
 

@@ -2,18 +2,19 @@
 
 Perturbations are always expressed against a declared basis, never as raw
 entry edits: which entries move directly is exactly the information a basis
-encodes, and the linear map from basis deltas to a full matrix delta is the
-stack of unit-response matrices.
+encodes. Completion is linear, so the map from basis deltas to a full matrix
+delta is completion of the deltas themselves: the delta-weighted sum of the
+unit responses, computed in O(n + edge count) without forming any of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, epsilon_matrices
+from .basis import BasisSpec, _complete, _require_basis
 from .errors import (
     BadParamsError,
     GraphMismatchError,
@@ -46,37 +47,28 @@ class PerturbationVector:
 class PerturbationOperator:
     """Linear map from basis-coordinate deltas to a full matrix delta.
 
-    ``response[k]`` is the unit response of coordinate k; applying the map is
-    a delta-weighted sum of these, so the k-th unit vector maps to the k-th
-    response exactly.
+    The map is completion over ``spec``, so the k-th unit vector maps to the
+    k-th unit-response matrix exactly; no response matrix is stored.
     """
 
     spec: BasisSpec
-    response: np.ndarray = field(repr=False)  # (t, n, n), read-only
 
 
 def build_operator(spec: BasisSpec) -> PerturbationOperator:
-    """Stack the spec's unit-response matrices into a perturbation operator."""
-    eps = epsilon_matrices(spec)
-    n = spec.graph.n
-    if eps.matrices:
-        stack = np.stack([m.entries for m in eps.matrices])
-    else:
-        stack = np.zeros((0, n, n))
-    stack.setflags(write=False)
-    return PerturbationOperator(spec=spec, response=stack)
+    """Perturbation operator of a basis; raises if ``spec`` is not a basis."""
+    _require_basis(spec)
+    return PerturbationOperator(spec=spec)
 
 
 def propagate_log(op: PerturbationOperator, d: PerturbationVector) -> LogRateMatrix:
     """Full log-domain delta for the given basis deltas.
 
-    The result is itself arbitrage-free: the unit responses are, and the
-    space is closed under linear combination.
+    The result is itself arbitrage-free: it is the completion of the deltas
+    over the operator's basis.
     """
     if d.spec != op.spec:
         raise SpecMismatchError("perturbation and operator use different bases")
-    delta = np.tensordot(np.asarray(d.deltas, dtype=float), op.response, axes=1)
-    return LogRateMatrix(op.spec.graph, delta)
+    return _complete(op.spec, d.deltas)
 
 
 def propagate_multiplicative_first_order(

@@ -40,6 +40,13 @@ DEFAULT_TOL = 1e-9
 _LOG_MAX = math.log(float(np.finfo(np.float64).max))
 
 
+def require_tol(tol: float) -> None:
+    """Reject a tolerance that is not positive and finite; under NaN or
+    infinity every ``abs(gain) > tol`` test passes, whatever the input."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise BadParamsError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def _check_vertex(g: MarketGraph, v: int) -> None:
     if not 1 <= v <= g.n:
         raise GraphIndexError(f"vertex {v} out of range 1..{g.n}")
@@ -203,7 +210,10 @@ class PairViolation:
 
 @dataclass(frozen=True)
 class ArbitrageWitness:
-    """A closed walk whose log gain exceeds the tolerance of the check that found it."""
+    """A closed walk whose log gain exceeds the tolerance of the check that found it.
+
+    ``multiplicative_gain`` is ``math.inf`` when the gain exceeds the float range.
+    """
 
     cycle: tuple[int, ...]
     log_gain: float
@@ -211,9 +221,8 @@ class ArbitrageWitness:
 
 
 def _witness(cycle: Sequence[int], gain: float) -> ArbitrageWitness:
-    return ArbitrageWitness(
-        cycle=tuple(cycle), log_gain=float(gain), multiplicative_gain=math.exp(float(gain))
-    )
+    mult = math.exp(gain) if gain <= _LOG_MAX else math.inf
+    return ArbitrageWitness(cycle=tuple(cycle), log_gain=float(gain), multiplicative_gain=mult)
 
 
 @dataclass(frozen=True)
@@ -236,8 +245,7 @@ def check_antisymmetry(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> list[PairV
     coordinates are re-verified to be exactly zero (the constructors already
     enforce this).
     """
-    if tol <= 0.0:
-        raise BadParamsError("tolerance must be positive")
+    require_tol(tol)
     arr = e.entries
     bad: list[PairViolation] = []
     for i, j in np.argwhere(~e.graph.edge_mask & (arr != 0.0)):
@@ -275,10 +283,8 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
     violation the witness is the failing condition with the largest
     |log gain|, ties broken by lowest chord.
     """
-    if tol <= 0.0:
-        raise BadParamsError("tolerance must be positive")
-    if not is_connected(e.graph):
-        raise NotConnectedError("graph is not connected")
+    require_tol(tol)
+    tree = spanning_tree(e.graph)
     arr = e.entries
     conditions: list[Condition] = []
     for v in e.graph.loops:
@@ -286,7 +292,6 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
     for i, j in e.graph.simple_edges:
         s = float(arr[i - 1, j - 1] + arr[j - 1, i - 1])
         conditions.append(((i, j), (i, j, i), s))
-    tree = spanning_tree(e.graph)
     for fc in fundamental_cycles(e.graph, tree):
         conditions.append((fc.chord, fc.cycle, cycle_log_gain(e, fc.cycle)))
     return _verdict(conditions, tol)
@@ -301,8 +306,7 @@ def check_no_arbitrage_oracle(
     fundamental set. Ground truth for differential tests; refuses graphs
     beyond ``max_n`` vertices.
     """
-    if tol <= 0.0:
-        raise BadParamsError("tolerance must be positive")
+    require_tol(tol)
     if e.graph.n > max_n:
         raise OracleSizeError(f"{e.graph.n} vertices exceeds the oracle limit of {max_n}")
     if not is_connected(e.graph):

@@ -13,7 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index as _int
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -72,6 +73,22 @@ class MarketGraph:
         return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
 
     @cached_property
+    def _bfs(self) -> "SpanningTree":
+        # breadth-first from vertex 1, neighbors ascending; spans only vertex
+        # 1's component when the graph is disconnected
+        parent: dict[int, int] = {}
+        tree_edges: list[Edge] = []
+        queue = deque([1])
+        while queue:
+            u = queue.popleft()
+            for w in self._adjacency[u]:
+                if w != 1 and w not in parent:
+                    parent[w] = u
+                    tree_edges.append((u, w))
+                    queue.append(w)
+        return SpanningTree(root=1, parent=parent, tree_edges=tuple(tree_edges))
+
+    @cached_property
     def edge_mask(self) -> np.ndarray:
         """Boolean (n, n) array, True exactly at edge coordinates (loops included)."""
         mask = np.zeros((self.n, self.n), dtype=bool)
@@ -94,11 +111,21 @@ class MarketGraph:
 
 @dataclass(frozen=True, eq=False)
 class SpanningTree:
-    """Rooted spanning tree; ``tree_edges`` are (parent, child) in discovery order."""
+    """Rooted spanning tree; ``tree_edges`` are (parent, child) in discovery order.
+
+    ``parent`` is a read-only copy of the mapping passed in.
+    """
 
     root: int
-    parent: dict[int, int]
+    parent: Mapping[int, int]
     tree_edges: tuple[Edge, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled; rebuild from a plain copy
+        return (SpanningTree, (self.root, dict(self.parent), self.tree_edges))
 
     def path_to_root(self, v: int) -> list[int]:
         """Vertices from ``v`` up to the root, both inclusive."""
@@ -170,15 +197,7 @@ def new_graph(n: int, edges: Iterable[object], *, strict: bool = False) -> Marke
 
 def is_connected(g: MarketGraph) -> bool:
     """True iff every vertex is reachable from vertex 1, ignoring loops."""
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+    return len(g._bfs.parent) == g.n - 1
 
 
 def spanning_tree(g: MarketGraph) -> SpanningTree:
@@ -186,23 +205,12 @@ def spanning_tree(g: MarketGraph) -> SpanningTree:
 
     Breadth-first from vertex 1 with neighbors visited in ascending index
     order, so identical graphs always yield the identical tree (and hence
-    reproducible bases downstream).
+    reproducible bases downstream). The tree is computed once per graph and
+    shared; its parent map is read-only.
     """
     if not is_connected(g):
         raise NotConnectedError("graph is not connected")
-    parent: dict[int, int] = {}
-    tree_edges: list[Edge] = []
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                tree_edges.append((u, w))
-                queue.append(w)
-    return SpanningTree(root=1, parent=parent, tree_edges=tuple(tree_edges))
+    return g._bfs
 
 
 def _validate_tree(g: MarketGraph, t: SpanningTree) -> set[Edge]:

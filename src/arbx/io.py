@@ -20,11 +20,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .basis import BasisAssignment, BasisSpec
 from .dynamics import PerturbationVector
-from .errors import ParseError, ReciprocalConflictError
-from .exchange import DEFAULT_TOL, ArbitrageWitness, RateMatrix
-from .graph import MarketGraph, new_graph
+from .errors import NotConnectedError, ParseError, ReciprocalConflictError
+from .exchange import DEFAULT_TOL, ArbitrageWitness, RateMatrix, require_tol
+from .graph import MarketGraph, is_connected, new_graph
 
 _INDEX_TOKEN = re.compile(r"[1-9][0-9]*")
 _DIGIT_TOKEN = re.compile(r"[0-9]+")
@@ -132,8 +134,11 @@ def load_rates(path: str | Path, tol: float = DEFAULT_TOL) -> RatesFile:
     Missing reciprocals are filled as exact inverses and flagged. Explicitly
     quoted reciprocals whose product strays from 1 beyond ``tol`` (log
     domain) raise :class:`~arbx.errors.ReciprocalConflictError`; a duplicated
-    directed row is a :class:`~arbx.errors.ParseError`.
+    directed row is a :class:`~arbx.errors.ParseError`. A disconnected
+    quote graph raises :class:`~arbx.errors.NotConnectedError` before any
+    dense matrix is allocated.
     """
+    require_tol(tol)
     rows = _read_rate_rows(path)
     labels, to_index = _label_table(path, {t for _, (s, d, _) in rows for t in (s, d)})
 
@@ -169,11 +174,26 @@ def load_rates(path: str | Path, tol: float = DEFAULT_TOL) -> RatesFile:
         quotes[(j, i)] = 1.0 / quotes[(i, j)]
 
     graph = new_graph(len(labels), {(min(i, j), max(i, j)) for i, j in quotes})
+    if not is_connected(graph):
+        raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
     return RatesFile(
         matrix=RateMatrix.from_quotes(graph, quotes),
         labels=labels,
         filled=tuple(filled),
     )
+
+
+def rate_rows(
+    entries: np.ndarray, graph: MarketGraph, labels: Sequence[str]
+) -> list[list[object]]:
+    """Every edge's quotes as [src, dst, rate] rows: both directions per
+    pair, loops once, in ascending edge order."""
+    rows: list[list[object]] = []
+    for i, j in sorted(graph.edges):
+        rows.append([labels[i - 1], labels[j - 1], float(entries[i - 1, j - 1])])
+        if i != j:
+            rows.append([labels[j - 1], labels[i - 1], float(entries[j - 1, i - 1])])
+    return rows
 
 
 def save_rates(path: str | Path, r: RateMatrix, labels: Sequence[str] | None = None) -> None:
@@ -182,12 +202,7 @@ def save_rates(path: str | Path, r: RateMatrix, labels: Sequence[str] | None = N
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["src", "dst", "rate"])
-        for i, j in sorted(r.graph.edges):
-            if i == j:
-                writer.writerow([names[i - 1], names[i - 1], repr(float(r.entries[i - 1, i - 1]))])
-            else:
-                writer.writerow([names[i - 1], names[j - 1], repr(float(r.entries[i - 1, j - 1]))])
-                writer.writerow([names[j - 1], names[i - 1], repr(float(r.entries[j - 1, i - 1]))])
+        writer.writerows(rate_rows(r.entries, r.graph, names))
 
 
 def load_basis(
@@ -260,10 +275,12 @@ class RunReport:
     def to_dict(self) -> dict:
         witness = None
         if self.witness is not None:
+            gain = self.witness.multiplicative_gain
             witness = {
                 "cycle": list(self.witness.cycle),
                 "log_gain": self.witness.log_gain,
-                "multiplicative_gain": self.witness.multiplicative_gain,
+                # JSON has no infinity; null marks a gain beyond the float range
+                "multiplicative_gain": gain if math.isfinite(gain) else None,
             }
         return {
             "command": self.command,

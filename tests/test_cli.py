@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import arbx
+from arbx import BadParamsError
 from arbx.cli import main
 from arbx.io import RunReport, load_graph, load_rates, save_rates
 
@@ -78,6 +83,51 @@ class TestCheck:
         code, doc = run_json(capsys, "check", "--rates", str(f))
         assert code == 1
         assert doc["data"]["error"] == "NotConnectedError"
+
+    @pytest.mark.parametrize("command", [["check"], ["price", "--ref", "1"]])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_error(self, capsys, command, tol):
+        code, doc = run_json(
+            capsys, *command, "--rates", str(DATA / "triangle_bad.csv"), "--tol", tol
+        )
+        assert code == 1
+        assert doc["data"]["error"] == "BadParamsError"
+
+    def test_gain_beyond_float_range_is_violation(self, capsys, tmp_path):
+        f = tmp_path / "r.csv"
+        f.write_text("src,dst,rate\n1,2,1e308\n2,3,1e308\n3,1,1e308\n")
+        code, out = run(capsys, "check", "--rates", str(f), "--format", "json")
+        assert code == 2
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["verdict"] == "violation"
+        assert doc["witness"]["cycle"] == [2, 3, 1, 2]
+        assert doc["witness"]["log_gain"] == pytest.approx(3 * math.log(1e308))
+        assert doc["witness"]["multiplicative_gain"] is None
+
+    def test_disconnected_rates_allocate_nothing_dense(self, tmp_path):
+        # a dense 50000 x 50000 matrix would need 18.6 GiB; the cap is 2 GiB
+        f = tmp_path / "r.csv"
+        f.write_text("src,dst,rate\n1,50000,2\n")
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from arbx.cli import main\n"
+            "raise SystemExit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(arbx.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "check", "--rates", str(f), "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["data"]["error"] == "NotConnectedError"
+        assert proc.returncode == 1
 
 
 class TestCompleteCommand:
@@ -345,6 +395,11 @@ class TestRatesFileRoundTrip:
         assert again.labels == rates.labels
         assert (again.matrix.entries == rates.matrix.entries).all()
         assert again.filled == ()
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(BadParamsError):
+            load_rates(DATA / "triangle_ok.csv", tol=tol)
 
     def test_header_required(self, tmp_path):
         f = tmp_path / "r.csv"

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,19 @@ class TestOperator:
         d = PerturbationVector(spec=spec, deltas=tuple(rng.uniform(-1, 1) for _ in range(spec.size)))
         out = propagate_log(build_operator(spec), d)
         assert check_no_arbitrage_oracle(out).ok
+
+    def test_memory_linear_in_graph(self):
+        # a dense (t, n, n) response stack would take about 215 MB here
+        g = generate_graph("pa", 300, m=3, seed=1)
+        spec = canonical_basis(g)
+        d = PerturbationVector(spec=spec, deltas=tuple(0.001 * k for k in range(spec.size)))
+        tracemalloc.start()
+        try:
+            propagate_log(build_operator(spec), d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_spec_mismatch(self):
         g = generate_graph("complete", 4)

@@ -185,6 +185,13 @@ class TestAntisymmetry:
         with pytest.raises(BadParamsError):
             check_antisymmetry(e, tol=0.0)
 
+    @pytest.mark.parametrize("check", [check_antisymmetry, check_no_arbitrage, check_no_arbitrage_oracle])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_tolerance_must_be_finite_and_positive(self, check, tol):
+        e = k3_log(1.0, 1.0, 1.0)
+        with pytest.raises(BadParamsError):
+            check(e, tol=tol)
+
 
 class TestCheckNoArbitrage:
     def test_consistent_triangle(self):

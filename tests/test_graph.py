@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from arbx import (
@@ -105,6 +107,28 @@ class TestSpanningTree:
     def test_disconnected_rejected(self):
         with pytest.raises(NotConnectedError):
             spanning_tree(new_graph(4, [(1, 2), (3, 4)]))
+
+    def test_parent_map_is_read_only(self):
+        g = generate_graph("pa", 30, m=2, seed=1)
+        with pytest.raises(TypeError):
+            spanning_tree(g).parent[2] = 5
+        assert spanning_tree(g).path_to_root(2)[-1] == 1
+
+    def test_computed_once_per_graph(self):
+        g = generate_graph("pa", 30, m=2, seed=1)
+        first, second = spanning_tree(g), spanning_tree(g)
+        assert first.tree_edges == second.tree_edges
+        assert first is second
+
+    def test_graph_and_tree_survive_pickling(self):
+        g = generate_graph("pa", 30, m=2, seed=1)
+        t = spanning_tree(g)
+        g2, t2 = pickle.loads(pickle.dumps((g, t)))
+        assert g2 == g
+        assert spanning_tree(g2).tree_edges == t2.tree_edges == t.tree_edges
+        assert dict(t2.parent) == dict(t.parent)
+        with pytest.raises(TypeError):
+            t2.parent[2] = 5
 
 
 class TestFundamentalCycles:
