@@ -164,6 +164,8 @@ def cmd_perturb(args: argparse.Namespace) -> RunReport:
         mode = "exact"
     else:
         updated = rates.matrix.entries + propagate_multiplicative_first_order(rates.matrix, d_log)
+        if not np.all(np.isfinite(updated)):
+            raise OverflowError("first-order rate update exceeds the float range")
         mode = "first-order"
     return RunReport(
         command="perturb",

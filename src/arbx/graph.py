@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import index as _int
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -89,6 +89,24 @@ class MarketGraph:
         return SpanningTree(root=1, parent=parent, tree_edges=tuple(tree_edges))
 
     @cached_property
+    def _tree_arrays(self) -> "TreeArrays":
+        # the BFS tree as 0-based numpy arrays; meaningful for connected graphs
+        tree = self._bfs
+        parent = list(range(self.n))
+        depth = [0] * self.n
+        for u, w in tree.tree_edges:  # discovery order: parents come first
+            parent[w - 1] = u - 1
+            depth[w - 1] = depth[u - 1] + 1
+        jump = [np.array(parent, dtype=np.intp)]
+        for _ in range(1, max(1, max(depth).bit_length())):
+            jump.append(jump[-1][jump[-1]])
+        edges = np.array(self.simple_edges, dtype=np.intp).reshape(-1, 2) - 1
+        arrays = TreeArrays(jump[0], np.array(depth, dtype=np.intp), np.stack(jump), edges)
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
+
+    @cached_property
     def edge_mask(self) -> np.ndarray:
         """Boolean (n, n) array, True exactly at edge coordinates (loops included)."""
         mask = np.zeros((self.n, self.n), dtype=bool)
@@ -136,6 +154,40 @@ class SpanningTree:
                 raise TreeMismatchError(f"no tree path from {v} to root {self.root}")
             path.append(nxt)
         return path
+
+
+class TreeArrays(NamedTuple):
+    """The deterministic spanning tree as read-only arrays, vertices 0-based.
+
+    ``jump[b][v]`` is the ancestor 2**b levels above ``v``, clamped at the
+    root, whose parent is itself; ``jump[0]`` is ``parent``. ``edges`` holds
+    :attr:`MarketGraph.simple_edges` in the same order.
+    """
+
+    parent: np.ndarray
+    depth: np.ndarray
+    jump: np.ndarray
+    edges: np.ndarray
+
+
+def _lift(jump: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Ancestor ``d[i]`` levels above ``v[i]``, for every i at once."""
+    for b in range(jump.shape[0]):
+        v = np.where((d >> b) & 1 == 1, jump[b][v], v)
+    return v
+
+
+def _lca(t: TreeArrays, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lowest common ancestors of the pairs (a[i], b[i]) by binary lifting
+    (Bender and Farach-Colton, "The LCA Problem Revisited", 2000)."""
+    da, db = t.depth[a], t.depth[b]
+    a = _lift(t.jump, a, np.maximum(da - db, 0))
+    b = _lift(t.jump, b, np.maximum(db - da, 0))
+    for level in t.jump[::-1]:
+        ja, jb = level[a], level[b]
+        apart = ja != jb
+        a, b = np.where(apart, ja, a), np.where(apart, jb, b)
+    return np.where(a == b, a, t.parent[a])
 
 
 @dataclass(frozen=True)
@@ -196,7 +248,13 @@ def new_graph(n: int, edges: Iterable[object], *, strict: bool = False) -> Marke
 
 
 def is_connected(g: MarketGraph) -> bool:
-    """True iff every vertex is reachable from vertex 1, ignoring loops."""
+    """True iff every vertex is reachable from vertex 1, ignoring loops.
+
+    Fewer than n - 1 non-loop edges cannot connect n vertices; that answer
+    costs no traversal and no storage sized by n.
+    """
+    if len(g.simple_edges) < g.n - 1:
+        return False
     return len(g._bfs.parent) == g.n - 1
 
 

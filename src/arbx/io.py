@@ -122,6 +122,10 @@ def _label_table(path: str | Path, tokens: set[str]) -> tuple[tuple[str, ...], C
         if not all(_INDEX_TOKEN.fullmatch(t) for t in tokens):
             raise ParseError(f"{path}: integer vertex indices are 1-based")
         n = max(int(t) for t in tokens)
+        # an index beyond the count of distinct tokens names a good that is
+        # never quoted; say so before building a label per index
+        if n > len(tokens):
+            raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
         return tuple(str(i) for i in range(1, n + 1)), int
     labels = tuple(sorted(tokens))
     position = {lab: k + 1 for k, lab in enumerate(labels)}

@@ -277,6 +277,21 @@ class TestPerturb:
         assert code == 1
         assert doc["data"]["error"] == "NotABasisError"
 
+    def test_first_order_overflow_is_error(self, capsys, tmp_path):
+        # rate * delta = 2e308 has no float; JSON has no infinity to print
+        delta = self.write_delta(tmp_path, [1e308, 0.0])
+        code, out = run(
+            capsys,
+            "perturb", "--rates", str(DATA / "triangle_ok.csv"), "--delta", str(delta),
+            "--format", "json",
+        )
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        assert json.loads(out, parse_constant=reject)["data"]["error"] == "OverflowError"
+
 
 class TestGen:
     @pytest.mark.parametrize("kind,extra", [
@@ -412,3 +427,42 @@ class TestRatesFileRoundTrip:
         f.write_text("src,dst,rate\n0,1,2\n")
         with pytest.raises(Exception):
             load_rates(f)
+
+
+def _run_capped(*argv):
+    """Run the CLI in a child whose address space is capped at 2 GiB."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from arbx.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(arbx.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv, "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+class TestTokenSizedAllocation:
+    """One large integer in an input must not size an allocation."""
+
+    def test_huge_rates_index_allocates_no_labels(self, tmp_path):
+        # a label per index up to 1e9 would need far more than the 2 GiB cap
+        f = tmp_path / "r.csv"
+        f.write_text("src,dst,rate\n1,1000000000,2\n")
+        proc = _run_capped("check", "--rates", str(f))
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["data"]["error"] == "NotConnectedError"
+        assert proc.returncode == 1
+
+    @pytest.mark.parametrize("command", ["dim", "basis"])
+    def test_huge_graph_n_allocates_no_adjacency(self, tmp_path, command):
+        f = tmp_path / "g.json"
+        f.write_text('{"n": 1000000000, "edges": [[1, 2]]}')
+        proc = _run_capped(command, "--graph", str(f))
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["data"]["error"] == "NotConnectedError"
+        assert proc.returncode == 1
