@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     fmt = getattr(args, "format", "text")
     try:
         report = args.func(args)
-    except (ArbxError, OverflowError, OSError) as exc:
+    except (ArbxError, OverflowError, OSError, MemoryError) as exc:
         report = RunReport(
             command=args.command,
             verdict="error",
@@ -274,7 +274,8 @@ def main(argv: list[str] | None = None) -> int:
             metrics={},
             inputs={},
             labels=(),
-            data={"error": type(exc).__name__, "message": str(exc)},
+            # MemoryError() carries no text; the type name stands in for it
+            data={"error": type(exc).__name__, "message": str(exc) or type(exc).__name__},
         )
     print(report.to_json() if fmt == "json" else report.to_text())
     return _EXIT[report.verdict]

@@ -17,6 +17,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -38,7 +39,7 @@ def file_digest(path: str | Path) -> str:
 
 def _read_json(path: str | Path) -> object:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
@@ -94,27 +95,57 @@ class RatesFile:
             raise ParseError(f"unknown label {label!r}") from None
 
 
-def _read_rate_rows(path: str | Path) -> list[tuple[int, tuple[str, str, str]]]:
+def _first_bad_row(path: str | Path, lines: np.ndarray, quotes: list[list[str]]) -> None:
+    """Raise for the first quote row of another width or with an empty src
+    or dst; run only once a column check has found one."""
+    for lineno, row in zip(lines.tolist(), quotes):
+        if len(row) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        if not row[0].strip() or not row[1].strip():
+            raise ParseError(f"{path}:{lineno}: empty src or dst")
+
+
+def _rate_columns(path: str | Path) -> tuple[np.ndarray, list[str], list[str], list[str]]:
+    """The quote rows as stripped src, dst and rate columns, plus each row's
+    line in the file. Blank rows are skipped but still counted; the first
+    row of another width, or with an empty src or dst, is an error."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     rows = list(csv.reader(text.splitlines()))
     if not rows or [c.strip().lower() for c in rows[0]] != ["src", "dst", "rate"]:
         raise ParseError(f"{path}: first line must be the header 'src,dst,rate'")
-    out = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        src, dst, rate = (c.strip() for c in row)
-        if not src or not dst:
-            raise ParseError(f"{path}:{lineno}: empty src or dst")
-        out.append((lineno, (src, dst, rate)))
-    if not out:
+    body = rows[1:]
+    # a row is blank when its cells, joined, are only whitespace
+    filled = list(map(bool, map(str.strip, map("".join, body))))
+    lines = np.flatnonzero(filled) + 2
+    quotes = list(compress(body, filled))
+    if not quotes:
         raise ParseError(f"{path}: no rate rows")
-    return out
+    if set(map(len, quotes)) != {3}:
+        _first_bad_row(path, lines, quotes)
+    src, dst, rate = (list(map(str.strip, col)) for col in zip(*quotes))
+    if not (all(src) and all(dst)):
+        _first_bad_row(path, lines, quotes)
+    return lines, src, dst, rate
+
+
+def _parse_rates(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Every rate text as a float, plus a mask of the texts that are not
+    numbers (their value reads 1.0)."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts)), np.zeros(len(texts), bool)
+    except ValueError:
+        pass
+    # some text is not a number: find every such row, for the error's line
+    values, junk = np.ones(len(texts)), np.zeros(len(texts), bool)
+    for k, text in enumerate(texts):
+        try:
+            values[k] = float(text)
+        except ValueError:
+            junk[k] = True
+    return values, junk
 
 
 def _label_table(path: str | Path, tokens: set[str]) -> tuple[tuple[str, ...], Callable[[str], int]]:
@@ -141,49 +172,69 @@ def load_rates(path: str | Path, tol: float = DEFAULT_TOL) -> RatesFile:
     directed row is a :class:`~arbx.errors.ParseError`. A disconnected
     quote graph raises :class:`~arbx.errors.NotConnectedError` before any
     dense matrix is allocated.
+
+    Errors come in a fixed order: the row layout, the label table, then the
+    earliest line with a bad rate or a repeated quote (the rate first on one
+    line), then the first conflicting pair in ascending (i, j) order, then
+    connectivity. Each check runs over whole columns.
     """
     require_tol(tol)
-    rows = _read_rate_rows(path)
-    labels, to_index = _label_table(path, {t for _, (s, d, _) in rows for t in (s, d)})
+    lines, src, dst, rate_text = _rate_columns(path)
+    labels, to_index = _label_table(path, {*src, *dst})
+    # _label_table bounds n by the distinct tokens, so i * n + j cannot overflow
+    n, count = len(labels), len(lines)
+    i = np.fromiter(map(to_index, src), np.int64, count) - 1
+    j = np.fromiter(map(to_index, dst), np.int64, count) - 1
+    rates, junk = _parse_rates(rate_text)
 
-    quotes: dict[tuple[int, int], float] = {}
-    for lineno, (src, dst, rate_text) in rows:
-        try:
-            rate = float(rate_text)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: rate {rate_text!r} is not a number") from None
-        if not math.isfinite(rate) or rate <= 0.0:
-            raise ParseError(f"{path}:{lineno}: rate must be positive and finite, got {rate_text}")
-        key = (to_index(src), to_index(dst))
-        if key in quotes:
-            raise ParseError(f"{path}:{lineno}: duplicate quote {src}->{dst}")
-        quotes[key] = rate
+    key = i * n + j
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    repeat = np.zeros(count, bool)
+    repeat[order[1:][keys[1:] == keys[:-1]]] = True
+    bad_rate = junk | ~np.isfinite(rates) | (rates <= 0.0)
+    bad = bad_rate | repeat
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f"{path}:{lines[k]}"
+        if junk[k]:
+            raise ParseError(f"{where}: rate {rate_text[k]!r} is not a number")
+        if bad_rate[k]:
+            raise ParseError(f"{where}: rate must be positive and finite, got {rate_text[k]}")
+        raise ParseError(f"{where}: duplicate quote {src[k]}->{dst[k]}")
 
-    for (i, j), rate in sorted(quotes.items()):
-        if i >= j or (j, i) not in quotes:
-            continue
-        drift = math.log(rate) + math.log(quotes[(j, i)])
-        if abs(drift) > tol:
-            raise ReciprocalConflictError(
-                f"{path}: quotes {labels[i - 1]}->{labels[j - 1]} and "
-                f"{labels[j - 1]}->{labels[i - 1]} multiply to "
-                f"{rate * quotes[(j, i)]:.12g}, not 1"
-            )
+    # the quotes in ascending (i, j) order, each with its reverse quote if any
+    rates, qi, qj = rates[order], keys // n, keys % n
+    reverse = qj * n + qi
+    back = np.minimum(np.searchsorted(keys, reverse), count - 1)
+    paired = keys[back] == reverse
+    up = np.flatnonzero(paired & (qi < qj))
+    there, home = rates[up].tolist(), rates[back[up]].tolist()
+    # math.log, not np.log: numpy's log may differ from it in the last bit,
+    # which would move a drift lying right at tol across the line
+    drift = np.fromiter(map(math.log, there), float, len(up)) + np.fromiter(
+        map(math.log, home), float, len(up)
+    )
+    conflict = np.flatnonzero(np.abs(drift) > tol)
+    if conflict.size:
+        k = int(conflict[0])
+        a, b = labels[qi[up[k]]], labels[qj[up[k]]]
+        raise ReciprocalConflictError(
+            f"{path}: quotes {a}->{b} and {b}->{a} multiply to {there[k] * home[k]:.12g}, not 1"
+        )
 
-    filled = []
-    for (i, j), rate in sorted(quotes.items()):
-        if i != j and (j, i) not in quotes:
-            filled.append((j, i))
-    for j, i in filled:
-        quotes[(j, i)] = 1.0 / quotes[(i, j)]
-
-    graph = new_graph(len(labels), {(min(i, j), max(i, j)) for i, j in quotes})
+    fill = ~paired & (qi != qj)
+    lo, hi = np.minimum(i, j) + 1, np.maximum(i, j) + 1
+    graph = MarketGraph(n, frozenset(zip(lo.tolist(), hi.tolist())))
     if not is_connected(graph):
         raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
+    entries = np.ones((n, n))
+    entries[qi, qj] = rates
+    entries[qj[fill], qi[fill]] = 1.0 / rates[fill]
     return RatesFile(
-        matrix=RateMatrix.from_quotes(graph, quotes),
+        matrix=RateMatrix(graph, entries),
         labels=labels,
-        filled=tuple(filled),
+        filled=tuple(zip((qj[fill] + 1).tolist(), (qi[fill] + 1).tolist())),
     )
 
 

@@ -4,9 +4,11 @@ Everything is seeded: the same seed always yields the same graph, assignment,
 or matrix, so failures reproduce.
 """
 
+import csv
 import math
 import random
 import sys
+from pathlib import Path
 
 from arbx import (
     ArbitrageWitness,
@@ -20,7 +22,10 @@ from arbx import (
     generate_graph,
     spanning_tree,
 )
-from arbx.exchange import require_tol
+from arbx.errors import NotConnectedError, ParseError, ReciprocalConflictError
+from arbx.exchange import RateMatrix, require_tol
+from arbx.graph import is_connected, new_graph
+from arbx.io import RatesFile, _label_table
 
 KINDS = ("tree", "gnp-connected", "preferential-attachment", "complete")
 CYCLIC_KINDS = ("gnp-connected", "preferential-attachment", "complete")
@@ -86,3 +91,68 @@ def reference_check_no_arbitrage(e, tol=1e-9):
     mult = math.exp(gain) if gain <= math.log(sys.float_info.max) else math.inf
     witness = ArbitrageWitness(cycle=tuple(cycle), log_gain=gain, multiplicative_gain=mult)
     return CheckResult(False, witness, len(conditions), max_abs)
+
+
+def reference_load_rates(path, tol=1e-9):
+    """The per-quote rates loader, kept as the reference for the column
+    version: one row at a time into a dict of quotes, then reciprocal pairs,
+    fills, ``new_graph`` and ``RateMatrix.from_quotes``."""
+    require_tol(tol)
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    table = list(csv.reader(text.splitlines()))
+    if not table or [c.strip().lower() for c in table[0]] != ["src", "dst", "rate"]:
+        raise ParseError(f"{path}: first line must be the header 'src,dst,rate'")
+    rows = []
+    for lineno, row in enumerate(table[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        src, dst, rate = (c.strip() for c in row)
+        if not src or not dst:
+            raise ParseError(f"{path}:{lineno}: empty src or dst")
+        rows.append((lineno, (src, dst, rate)))
+    if not rows:
+        raise ParseError(f"{path}: no rate rows")
+    labels, to_index = _label_table(path, {t for _, (s, d, _) in rows for t in (s, d)})
+
+    quotes = {}
+    for lineno, (src, dst, rate_text) in rows:
+        try:
+            rate = float(rate_text)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: rate {rate_text!r} is not a number") from None
+        if not math.isfinite(rate) or rate <= 0.0:
+            raise ParseError(f"{path}:{lineno}: rate must be positive and finite, got {rate_text}")
+        key = (to_index(src), to_index(dst))
+        if key in quotes:
+            raise ParseError(f"{path}:{lineno}: duplicate quote {src}->{dst}")
+        quotes[key] = rate
+
+    for (i, j), rate in sorted(quotes.items()):
+        if i >= j or (j, i) not in quotes:
+            continue
+        drift = math.log(rate) + math.log(quotes[(j, i)])
+        if abs(drift) > tol:
+            raise ReciprocalConflictError(
+                f"{path}: quotes {labels[i - 1]}->{labels[j - 1]} and "
+                f"{labels[j - 1]}->{labels[i - 1]} multiply to "
+                f"{rate * quotes[(j, i)]:.12g}, not 1"
+            )
+
+    filled = []
+    for (i, j), rate in sorted(quotes.items()):
+        if i != j and (j, i) not in quotes:
+            filled.append((j, i))
+    for j, i in filled:
+        quotes[(j, i)] = 1.0 / quotes[(i, j)]
+
+    graph = new_graph(len(labels), {(min(i, j), max(i, j)) for i, j in quotes})
+    if not is_connected(graph):
+        raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
+    return RatesFile(
+        matrix=RateMatrix.from_quotes(graph, quotes), labels=labels, filled=tuple(filled)
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -429,11 +430,49 @@ class TestRatesFileRoundTrip:
             load_rates(f)
 
 
-def _run_capped(*argv):
-    """Run the CLI in a child whose address space is capped at 2 GiB."""
+class TestByteOrderMark:
+    """Spreadsheet exports may start with a UTF-8 byte-order mark; it is
+    not part of the first field, and the digest still covers it."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def _with_bom(self, tmp_path, name):
+        f = tmp_path / name
+        f.write_bytes(self.BOM + (DATA / name).read_bytes())
+        return f
+
+    def test_rates_csv(self, capsys, tmp_path):
+        f = self._with_bom(tmp_path, "triangle_labeled.csv")
+        code, doc = run_json(capsys, "check", "--rates", str(f))
+        _, plain = run_json(capsys, "check", "--rates", str(DATA / "triangle_labeled.csv"))
+        assert code == 0
+        assert doc["labels"] == plain["labels"] == ["EUR", "GBP", "USD"]
+        assert doc["data"] == plain["data"]
+        assert doc["inputs"]["rates"] == "sha256:" + hashlib.sha256(f.read_bytes()).hexdigest()
+
+    def test_json(self, capsys, tmp_path):
+        graph = self._with_bom(tmp_path, "k3.json")
+        basis = self._with_bom(tmp_path, "k3_basis_mult.json")
+        out, plain = tmp_path / "bom.csv", tmp_path / "plain.csv"
+        code, doc = run_json(
+            capsys, "complete", "--graph", str(graph), "--basis", str(basis),
+            "--multiplicative", "--out", str(out),
+        )
+        run_json(
+            capsys, "complete", "--graph", str(DATA / "k3.json"),
+            "--basis", str(DATA / "k3_basis_mult.json"), "--multiplicative", "--out", str(plain),
+        )
+        assert code == 0
+        assert out.read_bytes() == plain.read_bytes()
+        assert doc["inputs"]["graph"] == "sha256:" + hashlib.sha256(graph.read_bytes()).hexdigest()
+
+
+def _run_capped(*argv, cap=2 << 30):
+    """Run the CLI in a child whose address space is capped at ``cap`` bytes
+    (2 GiB by default)."""
     script = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
         "from arbx.cli import main\n"
         "raise SystemExit(main(sys.argv[1:]))\n"
     )
@@ -466,3 +505,27 @@ class TestTokenSizedAllocation:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["data"]["error"] == "NotConnectedError"
         assert proc.returncode == 1
+
+    def test_huge_tree_gen_reports_memory_error(self, tmp_path):
+        # an edge list for 1e9 goods does not fit under the cap; the run
+        # still ends in a report (512 MiB fills in seconds, 2 GiB in ~15 s)
+        out = tmp_path / "g.json"
+        proc = _run_capped(
+            "gen", "--kind", "tree", "--n", "1000000000", "--seed", "1", "--out", str(out),
+            cap=512 << 20,
+        )
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["data"]["error"] == "MemoryError"
+        assert proc.returncode == 1
+
+    def test_memory_error_is_reported(self, capsys, monkeypatch, tmp_path):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr("arbx.cli.cmd_gen", exhausted)
+        code, doc = run_json(
+            capsys, "gen", "--kind", "tree", "--n", "4", "--seed", "1", "--out", str(tmp_path / "g.json")
+        )
+        assert code == 1
+        assert doc["verdict"] == "error"
+        assert doc["data"] == {"error": "MemoryError", "message": "MemoryError"}

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,21 @@ class TestMatrixTypes:
     def test_from_values_rejects_non_edge(self):
         with pytest.raises(NotAnEdgeError):
             LogRateMatrix.from_values(new_graph(3, [(1, 2)]), {(2, 3): 1.0})
+
+    @pytest.mark.parametrize("bad", [(1, 3), (3, 1), (0, 1), (1, 4), (-1, 2), (10**30, 1), (1.5, 2)])
+    @pytest.mark.parametrize("build", [RateMatrix.from_quotes, LogRateMatrix.from_values])
+    def test_first_non_edge_in_order_is_named(self, build, bad):
+        g = new_graph(3, [(1, 2), (2, 3), (2, 2)])
+        keyed = {(1, 2): 1.0, (2, 2): 1.0, bad: 1.0, (2, 3): 1.0, (3, 3): 1.0}
+        with pytest.raises(NotAnEdgeError, match=re.escape(f"{bad} is not an edge")):
+            build(g, keyed)
+
+    @pytest.mark.parametrize("keyed", [{(1, 2, 2, 3): 2.0}, {(1, 2, 3): 2.0, (1,): 3.0}])
+    @pytest.mark.parametrize("build", [RateMatrix.from_quotes, LogRateMatrix.from_values])
+    def test_key_that_is_not_a_pair_is_rejected(self, build, keyed):
+        g = new_graph(3, [(1, 2), (2, 3), (1, 3)])
+        with pytest.raises(ValueError, match="values to unpack"):
+            build(g, keyed)
 
     def test_entries_are_read_only(self):
         e = LogRateMatrix.from_values(K2, {(1, 2): 1.0})
