@@ -163,7 +163,9 @@ def cmd_perturb(args: argparse.Namespace) -> RunReport:
         updated = updated_rates.entries
         mode = "exact"
     else:
-        updated = rates.matrix.entries + propagate_multiplicative_first_order(rates.matrix, d_log)
+        with np.errstate(over="ignore"):  # reported below, not as a warning
+            step = propagate_multiplicative_first_order(rates.matrix, d_log)
+            updated = rates.matrix.entries + step
         if not np.all(np.isfinite(updated)):
             raise OverflowError("first-order rate update exceeds the float range")
         mode = "first-order"

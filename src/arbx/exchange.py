@@ -29,8 +29,6 @@ from .graph import (
     ORACLE_MAX_VERTICES,
     MarketGraph,
     TreeArrays,
-    _lca,
-    _lift,
     _tree_path,
     enumerate_simple_cycles,
     is_connected,
@@ -63,6 +61,26 @@ def _as_matrix(g: MarketGraph, entries) -> np.ndarray:
     return arr
 
 
+def _stray(g: MarketGraph, arr: np.ndarray, fill: float) -> np.ndarray:
+    """Mask of the coordinates without an edge whose entry is not ``fill``."""
+    stray = arr != fill
+    a, b = g._edge_array.T
+    stray[a, b] = stray[b, a] = False
+    loops = np.array(g.loops, dtype=np.intp) - 1
+    stray[loops, loops] = False
+    return stray
+
+
+def _require_fill(g: MarketGraph, arr: np.ndarray, fill: float) -> None:
+    stray = _stray(g, arr, fill)
+    if stray.any():
+        i, j = np.unravel_index(np.argmax(stray), stray.shape)
+        raise BadParamsError(
+            f"coordinates without an edge must hold exactly {fill:g}; "
+            f"({i + 1}, {j + 1}) holds {float(arr[i, j])!r}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Multiplicative exchange matrix over a market graph.
@@ -78,8 +96,7 @@ class RateMatrix:
         arr = _as_matrix(self.graph, self.entries)
         if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
             raise BadParamsError("exchange rates must be finite and strictly positive")
-        if not np.all(arr[~self.graph.edge_mask] == 1.0):
-            raise BadParamsError("coordinates without an edge must hold exactly 1")
+        _require_fill(self.graph, arr, 1.0)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -120,8 +137,7 @@ class LogRateMatrix:
         arr = _as_matrix(self.graph, self.entries)
         if not np.all(np.isfinite(arr)):
             raise BadParamsError("log rates must be finite")
-        if not np.all(arr[~self.graph.edge_mask] == 0.0):
-            raise BadParamsError("coordinates without an edge must hold exactly 0")
+        _require_fill(self.graph, arr, 0.0)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -251,7 +267,7 @@ def check_antisymmetry(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> list[PairV
     require_tol(tol)
     arr = e.entries
     bad: list[PairViolation] = []
-    for i, j in np.argwhere(~e.graph.edge_mask & (arr != 0.0)):
+    for i, j in np.argwhere(_stray(e.graph, arr, 0.0)):
         bad.append(PairViolation(pair=(int(i) + 1, int(j) + 1), residual=float(arr[i, j])))
     for v in e.graph.loops:
         d = float(arr[v - 1, v - 1])
@@ -277,25 +293,27 @@ def _verdict(conditions: list[Condition], tol: float) -> CheckResult:
 
 
 def _chord_gains(arr: np.ndarray, t: TreeArrays, k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    # log gain of each fundamental cycle (k, m, ..., lca, ..., k), summed in
-    # walk order from 0.0 like cycle_log_gain, all chords in lock-step
-    top = _lca(t, k, m)
+    # log gain of each fundamental cycle (k, m, ..., top, ..., k), summed in
+    # walk order from 0.0 like cycle_log_gain, all chords in lock-step. In a
+    # BFS tree the ends of an edge differ in depth by at most one: the deeper
+    # end steps once, then both climb together until they meet. m's up-steps
+    # are added as they are climbed; k's steps are recorded and added
+    # afterwards in reverse, top first.
     gains = 0.0 + arr[k, m]
-    live = np.flatnonzero(t.depth[m] > t.depth[top])
-    v = m[live]
-    while live.size:  # one up-step m -> lca per pass
-        p = t.parent[v]
-        gains[live] += arr[v, p]
-        keep = p != top[live]
-        live, v = live[keep], p[keep]
-    down = t.depth[k] - t.depth[top]
-    live = np.flatnonzero(down > 0)
-    step = 1
-    while live.size:  # down-step j reaches k lifted by (down - j)
-        v = _lift(t.jump, k[live], down[live] - step)
-        gains[live] += arr[t.parent[v], v]
-        step += 1
-        live = live[down[live] >= step]
+    up, down = t.depth[m] > t.depth[k], t.depth[k] > t.depth[m]
+    x, y = np.where(up, t.parent[m], m), np.where(down, t.parent[k], k)
+    gains[up] += arr[m[up], x[up]]
+    steps = [(down, arr[y[down], k[down]])]
+    live = np.flatnonzero(x != y)
+    x, y = x[live], y[live]
+    while live.size:  # one step of both ends per pass
+        px, py = t.parent[x], t.parent[y]
+        gains[live] += arr[x, px]
+        steps.append((live, arr[py, y]))
+        keep = px != py
+        live, x, y = live[keep], px[keep], py[keep]
+    for chords, values in reversed(steps):
+        gains[chords] += values
     return gains
 
 
@@ -311,18 +329,18 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
     antisymmetry condition ahead of its chord's cycle.
 
     All conditions are evaluated as array operations over the cached tree:
-    each chord's lowest common ancestor by binary lifting in O(m log n), then
-    every cycle gain in O(total cycle length) element work, one tree step per
-    numpy pass. Each gain is summed in the order of its walk, starting from
-    0.0, so it equals :func:`cycle_log_gain` of the fundamental cycle bit for
-    bit. Only the witness cycle is built in Python.
+    both ends of every chord climb it in lock-step, one tree step per numpy
+    pass, until they meet, which is O(total cycle length) element work. Each
+    gain is summed in the order of its walk, starting from 0.0, so it equals
+    :func:`cycle_log_gain` of the fundamental cycle bit for bit. Only the
+    witness cycle is built in Python.
     """
     require_tol(tol)
     g = e.graph
     tree = spanning_tree(g)
     t = g._tree_arrays
     arr = e.entries
-    a, b = t.edges[:, 0], t.edges[:, 1]
+    a, b = g._edge_array.T
     is_chord = (t.parent[a] != b) & (t.parent[b] != a)
     k, m = a[is_chord], b[is_chord]
     loops = np.array(g.loops, dtype=np.intp) - 1

@@ -12,6 +12,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import index as _int
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -97,24 +98,20 @@ class MarketGraph:
         for u, w in tree.tree_edges:  # discovery order: parents come first
             parent[w - 1] = u - 1
             depth[w - 1] = depth[u - 1] + 1
-        jump = [np.array(parent, dtype=np.intp)]
-        for _ in range(1, max(1, max(depth).bit_length())):
-            jump.append(jump[-1][jump[-1]])
-        edges = np.array(self.simple_edges, dtype=np.intp).reshape(-1, 2) - 1
-        arrays = TreeArrays(jump[0], np.array(depth, dtype=np.intp), np.stack(jump), edges)
+        arrays = TreeArrays(np.array(parent, dtype=np.intp), np.array(depth, dtype=np.intp))
         for arr in arrays:
             arr.setflags(write=False)
         return arrays
 
     @cached_property
-    def edge_mask(self) -> np.ndarray:
-        """Boolean (n, n) array, True exactly at edge coordinates (loops included)."""
-        mask = np.zeros((self.n, self.n), dtype=bool)
-        for i, j in self.edges:
-            mask[i - 1, j - 1] = True
-            mask[j - 1, i - 1] = True
-        mask.setflags(write=False)
-        return mask
+    def _edge_array(self) -> np.ndarray:
+        # simple_edges as a read-only (edges, 2) array of 0-based vertices;
+        # fromiter allocates only the result, np.array(tuples) three times it
+        flat = chain.from_iterable(self.simple_edges)
+        edges = np.fromiter(flat, dtype=np.intp, count=2 * len(self.simple_edges)).reshape(-1, 2)
+        edges -= 1
+        edges.setflags(write=False)
+        return edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Non-loop neighbors of ``v`` in ascending order."""
@@ -159,35 +156,11 @@ class SpanningTree:
 class TreeArrays(NamedTuple):
     """The deterministic spanning tree as read-only arrays, vertices 0-based.
 
-    ``jump[b][v]`` is the ancestor 2**b levels above ``v``, clamped at the
-    root, whose parent is itself; ``jump[0]`` is ``parent``. ``edges`` holds
-    :attr:`MarketGraph.simple_edges` in the same order.
+    ``parent`` maps the root to itself; ``depth`` counts tree steps to the root.
     """
 
     parent: np.ndarray
     depth: np.ndarray
-    jump: np.ndarray
-    edges: np.ndarray
-
-
-def _lift(jump: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Ancestor ``d[i]`` levels above ``v[i]``, for every i at once."""
-    for b in range(jump.shape[0]):
-        v = np.where((d >> b) & 1 == 1, jump[b][v], v)
-    return v
-
-
-def _lca(t: TreeArrays, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lowest common ancestors of the pairs (a[i], b[i]) by binary lifting
-    (Bender and Farach-Colton, "The LCA Problem Revisited", 2000)."""
-    da, db = t.depth[a], t.depth[b]
-    a = _lift(t.jump, a, np.maximum(da - db, 0))
-    b = _lift(t.jump, b, np.maximum(db - da, 0))
-    for level in t.jump[::-1]:
-        ja, jb = level[a], level[b]
-        apart = ja != jb
-        a, b = np.where(apart, ja, a), np.where(apart, jb, b)
-    return np.where(a == b, a, t.parent[a])
 
 
 @dataclass(frozen=True)

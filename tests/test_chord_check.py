@@ -116,8 +116,11 @@ def test_equals_reference_on_graph_corpus(name, seed):
         generate_graph("complete", 60),
         generate_graph("pa", 300, m=3, seed=5),
         new_graph(300, [(v, v % 300 + 1) for v in range(1, 301)] + [(7, 151), (40, 260)]),
+        # 30x30 grid: BFS tree 58 deep, 841 chords with cycles of many lengths
+        new_graph(900, [(v, v + 1) for v in range(1, 901) if v % 30]
+                  + [(v, v + 30) for v in range(1, 871)]),
     ],
-    ids=["K60", "pa300", "ring300"],
+    ids=["K60", "pa300", "ring300", "grid30"],
 )
 def test_equals_reference_on_larger_graphs(g):
     arr = np.array(random_log_matrix(g, 3).entries)
