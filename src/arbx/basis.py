@@ -182,23 +182,28 @@ def _potentials(
 
 
 def _differences(g: MarketGraph, prices: Sequence[float]) -> np.ndarray:
-    # entry (i, j) = prices[j-1] - prices[i-1] on every non-loop edge, else 0
-    arr = np.zeros((g.n, g.n))
-    for i, j in g.simple_edges:
-        d = prices[j - 1] - prices[i - 1]
-        arr[i - 1, j - 1] = d
-        arr[j - 1, i - 1] = -d
-    return arr
+    # edge values in edge-id order: prices[j-1] - prices[i-1] for (i, j), 0 on loops
+    p = np.array(prices, dtype=float)
+    lo, hi = g._edge_array.T
+    with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects non-finite
+        forward = p[hi] - p[lo]
+    return np.concatenate([forward, -forward, np.zeros(len(g.loops))])
+
+
+def _basis_ids(spec: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
+    # edge ids of the basis coordinates (i, j) and of their reverses (j, i)
+    i, j = np.array(spec.entries, dtype=np.int64).reshape(-1, 2).T - 1
+    return spec.graph._edge_ids(i, j), spec.graph._edge_ids(j, i)
 
 
 def _complete(spec: BasisSpec, values: Sequence[float]) -> LogRateMatrix:
     g = spec.graph
-    arr = _differences(g, _potentials(g.n, spec.entries, values))
+    out = _differences(g, _potentials(g.n, spec.entries, values))
     # basis coordinates carry the assigned values exactly, not via potentials
-    for (i, j), val in zip(spec.entries, values):
-        arr[i - 1, j - 1] = val
-        arr[j - 1, i - 1] = -val
-    return LogRateMatrix(g, arr)
+    there, back = _basis_ids(spec)
+    basis = np.array(values, dtype=float)
+    out[there], out[back] = basis, -basis
+    return LogRateMatrix._of(g, out)
 
 
 def complete(a: BasisAssignment) -> LogRateMatrix:
@@ -242,7 +247,7 @@ def decompose(
         raise GraphMismatchError("matrix and basis live on different graphs")
     if not check_no_arbitrage(e, tol).ok:
         raise NotArbitrageFreeError("matrix fails the arbitrage check")
-    return [e.value(i, j) for i, j in spec.entries]
+    return e.values[_basis_ids(spec)[0]].tolist()
 
 
 def dimension(g: MarketGraph) -> int:
@@ -314,7 +319,8 @@ def price_vector(e: LogRateMatrix, ref: int, tol: float = DEFAULT_TOL) -> PriceV
     if not check_no_arbitrage(e, tol).ok:
         raise NotArbitrageFreeError("matrix fails the arbitrage check")
     edges = spanning_tree(g).tree_edges
-    q = _potentials(g.n, edges, [float(e.entries[u - 1, v - 1]) for u, v in edges])
+    child = np.fromiter((w for _, w in edges), np.intp, len(edges)) - 1
+    q = _potentials(g.n, edges, e.values[g._tree_arrays.from_parent[child]].tolist())
     shift = q[ref - 1]
     return PriceVector(reference=ref, prices=tuple(x - shift for x in q))
 
@@ -331,4 +337,4 @@ def matrix_from_prices(
     prices = tuple(p.prices) if isinstance(p, PriceVector) else tuple(float(x) for x in p)
     if len(prices) != g.n:
         raise LengthMismatchError(f"expected {g.n} prices, got {len(prices)}")
-    return LogRateMatrix(g, _differences(g, prices))
+    return LogRateMatrix._of(g, _differences(g, prices))

@@ -7,7 +7,6 @@ Exit codes: 0 consistent / success, 1 usage, parse, or structural error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from typing import Callable
@@ -19,12 +18,12 @@ from .dynamics import (
     apply_exact,
     build_operator,
     propagate_log,
-    propagate_multiplicative_first_order,
 )
 from .errors import ArbxError
 from .exchange import (
     DEFAULT_TOL,
     CheckResult,
+    _exp_or_inf,
     check_no_arbitrage,
     check_no_arbitrage_oracle,
     exp_of,
@@ -147,7 +146,8 @@ def cmd_price(args: argparse.Namespace) -> RunReport:
         data={
             "reference": args.ref,
             "prices_log": [p for p in prices.prices],
-            "prices_multiplicative": [math.exp(p) for p in prices.prices],
+            # inf past the float range, written as null in JSON
+            "prices_multiplicative": [_exp_or_inf(p) for p in prices.prices],
         },
     )
 
@@ -160,12 +160,13 @@ def cmd_perturb(args: argparse.Namespace) -> RunReport:
     d_log = propagate_log(build_operator(pert.spec), pert)
     if args.exact:
         _, updated_rates = apply_exact(state, d_log, tol=args.tol)
-        updated = updated_rates.entries
+        updated = updated_rates.values
         mode = "exact"
     else:
+        r = rates.matrix.values
+        # the first-order update, rate + rate * delta, per directed edge
         with np.errstate(over="ignore"):  # reported below, not as a warning
-            step = propagate_multiplicative_first_order(rates.matrix, d_log)
-            updated = rates.matrix.entries + step
+            updated = r + r * d_log.values
         if not np.all(np.isfinite(updated)):
             raise OverflowError("first-order rate update exceeds the float range")
         mode = "first-order"
@@ -175,7 +176,7 @@ def cmd_perturb(args: argparse.Namespace) -> RunReport:
         witness=None,
         metrics={
             "basis_size": pert.spec.size,
-            "max_abs_log_delta": float(np.max(np.abs(d_log.entries))) if d_log.n else 0.0,
+            "max_abs_log_delta": float(np.max(np.abs(d_log.values), initial=0.0)),
             "elapsed_ms": _ms(t0),
         },
         inputs={"rates": file_digest(args.rates), "delta": file_digest(args.delta)},

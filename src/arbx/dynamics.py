@@ -22,7 +22,7 @@ from .errors import (
     NotArbitrageFreeError,
     SpecMismatchError,
 )
-from .exchange import DEFAULT_TOL, LogRateMatrix, RateMatrix, check_no_arbitrage, exp_of
+from .exchange import DEFAULT_TOL, LogRateMatrix, RateMatrix, _dense, check_no_arbitrage, exp_of
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,12 @@ def propagate_multiplicative_first_order(
     """First-order rate delta: each entry times its log delta.
 
     The multiplicative response to a log shift d is rate * (exp(d) - 1);
-    to first order that is rate * d. Non-edge coordinates come out 0.
+    to first order that is rate * d. The result is a dense read-only n x n
+    array; non-edge coordinates come out 0.
     """
     if r.graph != d_log.graph:
         raise GraphMismatchError("rates and delta live on different graphs")
-    out = r.entries * d_log.entries
-    out.setflags(write=False)
-    return out
+    return _dense(r.graph, r.values * d_log.values, 0.0)
 
 
 def apply_exact(
@@ -100,5 +99,5 @@ def apply_exact(
     for name, m in (("state", e), ("delta", d_log)):
         if not check_no_arbitrage(m, tol).ok:
             raise NotArbitrageFreeError(f"{name} matrix fails the arbitrage check")
-    updated = LogRateMatrix(e.graph, e.entries + d_log.entries)
+    updated = LogRateMatrix._of(e.graph, e.values + d_log.values)
     return updated, exp_of(updated)

@@ -3,15 +3,20 @@ arbitrage checks.
 
 Index convention, used everywhere: entry (i, j) is the price of good i in
 units of good j, so one unit of good i buys entry-(i, j) units of good j.
-Coordinates without an edge carry fixed bookkeeping values, 1 for rates and
-0 for logs; they keep the log-domain matrices closed under linear
-combination and never enter any cycle condition.
+
+A matrix stores one value per directed edge of its graph, in the graph's
+edge-id order (see :class:`~arbx.graph.MarketGraph`), so its memory is
+O(n + edges). Coordinates without an edge have no storage: they read 1 for
+rates and 0 for logs, which keeps the log-domain matrices closed under
+linear combination, and they never enter any cycle condition. ``entries``
+is the dense n x n view, built only when a caller asks for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,31 +53,20 @@ def require_tol(tol: float) -> None:
         raise BadParamsError(f"tolerance must be positive and finite, got {tol!r}")
 
 
+def _exp_or_inf(x: float) -> float:
+    """``math.exp(x)``, or ``math.inf`` where that exceeds the float range."""
+    return math.exp(x) if x <= _LOG_MAX else math.inf
+
+
 def _check_vertex(g: MarketGraph, v: int) -> None:
     if not 1 <= v <= g.n:
         raise GraphIndexError(f"vertex {v} out of range 1..{g.n}")
 
 
-def _as_matrix(g: MarketGraph, entries) -> np.ndarray:
-    arr = np.array(entries, dtype=float)
-    if arr.shape != (g.n, g.n):
-        raise BadParamsError(f"entries must be {g.n}x{g.n}, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
-def _stray(g: MarketGraph, arr: np.ndarray, fill: float) -> np.ndarray:
-    """Mask of the coordinates without an edge whose entry is not ``fill``."""
-    stray = arr != fill
-    a, b = g._edge_array.T
-    stray[a, b] = stray[b, a] = False
-    loops = np.array(g.loops, dtype=np.intp) - 1
-    stray[loops, loops] = False
-    return stray
-
-
 def _require_fill(g: MarketGraph, arr: np.ndarray, fill: float) -> None:
-    stray = _stray(g, arr, fill)
+    stray = arr != fill
+    src, dst = g._edge_ends
+    stray[src, dst] = False
     if stray.any():
         i, j = np.unravel_index(np.argmax(stray), stray.shape)
         raise BadParamsError(
@@ -81,99 +75,142 @@ def _require_fill(g: MarketGraph, arr: np.ndarray, fill: float) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class RateMatrix:
-    """Multiplicative exchange matrix over a market graph.
+def _dense(g: MarketGraph, values: np.ndarray, fill: float) -> np.ndarray:
+    """Read-only n x n array: ``values`` at the edge coordinates, ``fill``
+    everywhere else."""
+    arr = np.full((g.n, g.n), fill)
+    src, dst = g._edge_ends
+    arr[src, dst] = values
+    arr.setflags(write=False)
+    return arr
 
-    All entries are finite and strictly positive; coordinates that are not
-    edges hold exactly 1.
-    """
+
+@dataclass(frozen=True, eq=False, init=False)
+class _EdgeMatrix:
+    """One value per directed edge of ``graph``, in edge-id order, in a
+    read-only array the matrix owns."""
 
     graph: MarketGraph
-    entries: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        arr = _as_matrix(self.graph, self.entries)
-        if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
-            raise BadParamsError("exchange rates must be finite and strictly positive")
-        _require_fill(self.graph, arr, 1.0)
-        object.__setattr__(self, "entries", arr)
+    # each subclass sets _FILL, what a coordinate without an edge reads, and
+    # _check(arr), which rejects values the matrix may not hold
+
+    def __init__(self, graph: MarketGraph, entries) -> None:
+        arr = np.asarray(entries, dtype=float)
+        if arr.shape != (graph.n, graph.n):
+            raise BadParamsError(f"entries must be {graph.n}x{graph.n}, got shape {arr.shape}")
+        self._check(arr)
+        _require_fill(graph, arr, self._FILL)
+        src, dst = graph._edge_ends
+        self._adopt(graph, arr[src, dst])
+
+    @classmethod
+    def _of(cls, graph: MarketGraph, values: np.ndarray):
+        """Matrix that takes ownership of ``values``, a fresh float array in
+        edge-id order; every internal path builds matrices this way."""
+        m = cls.__new__(cls)
+        m._adopt(graph, values)
+        return m
+
+    def _adopt(self, graph: MarketGraph, values: np.ndarray) -> None:
+        self._check(values)
+        values.setflags(write=False)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _from_mapping(cls, graph: MarketGraph, mapping: Mapping[tuple[int, int], float]):
+        values = np.full(len(graph._edge_ends[0]), cls._FILL)
+        for (i, j), val in mapping.items():
+            if not graph.has_edge(i, j):
+                raise NotAnEdgeError(f"({i}, {j}) is not an edge of the graph")
+            values[graph._edge_index[i, j]] = val
+        return cls._of(graph, values)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    def rate(self, i: int, j: int) -> float:
-        """Entry (i, j): units of good j bought by one unit of good i."""
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Dense read-only n x n view, built on first access and kept."""
+        return _dense(self.graph, self.values, self._FILL)
+
+    def _at(self, i: int, j: int) -> float:
         _check_vertex(self.graph, i)
         _check_vertex(self.graph, j)
-        return float(self.entries[i - 1, j - 1])
+        k = self.graph._edge_index.get((i, j))
+        return self._FILL if k is None else float(self.values[k])
+
+
+class RateMatrix(_EdgeMatrix):
+    """Multiplicative exchange matrix over a market graph.
+
+    ``RateMatrix(graph, entries)`` takes a dense n x n array: all entries
+    finite and strictly positive, exactly 1 at coordinates that are not
+    edges. Only the edge coordinates are kept.
+    """
+
+    _FILL = 1.0
+
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
+        if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
+            raise BadParamsError("exchange rates must be finite and strictly positive")
+
+    def rate(self, i: int, j: int) -> float:
+        """Entry (i, j): units of good j bought by one unit of good i."""
+        return self._at(i, j)
 
     @classmethod
     def from_quotes(
         cls, graph: MarketGraph, quotes: Mapping[tuple[int, int], float]
     ) -> "RateMatrix":
-        """Dense matrix from directed edge quotes; unquoted directions stay at 1."""
-        arr = np.ones((graph.n, graph.n))
-        for (i, j), rate in quotes.items():
-            if not graph.has_edge(i, j):
-                raise NotAnEdgeError(f"({i}, {j}) is not an edge of the graph")
-            arr[i - 1, j - 1] = rate
-        return cls(graph, arr)
+        """Matrix from directed edge quotes; unquoted directions stay at 1."""
+        return cls._from_mapping(graph, quotes)
 
 
-@dataclass(frozen=True, eq=False)
-class LogRateMatrix:
-    """Additive (log-domain) exchange matrix; non-edge coordinates hold exactly 0.
+class LogRateMatrix(_EdgeMatrix):
+    """Additive (log-domain) exchange matrix.
 
-    Whether the matrix is actually arbitrage-free is a property to check
-    (:func:`check_no_arbitrage`), not a construction invariant.
+    ``LogRateMatrix(graph, entries)`` takes a dense n x n array: all entries
+    finite, exactly 0 at coordinates that are not edges. Only the edge
+    coordinates are kept. Whether the matrix is actually arbitrage-free is a
+    property to check (:func:`check_no_arbitrage`), not a construction
+    invariant.
     """
 
-    graph: MarketGraph
-    entries: np.ndarray = field(repr=False)
+    _FILL = 0.0
 
-    def __post_init__(self) -> None:
-        arr = _as_matrix(self.graph, self.entries)
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
         if not np.all(np.isfinite(arr)):
             raise BadParamsError("log rates must be finite")
-        _require_fill(self.graph, arr, 0.0)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
 
     def value(self, i: int, j: int) -> float:
         """Entry (i, j) of the log matrix."""
-        _check_vertex(self.graph, i)
-        _check_vertex(self.graph, j)
-        return float(self.entries[i - 1, j - 1])
+        return self._at(i, j)
 
     def with_entry(self, i: int, j: int, value: float) -> "LogRateMatrix":
         """Copy of this matrix with one directed edge coordinate replaced."""
         if not self.graph.has_edge(i, j):
             raise NotAnEdgeError(f"({i}, {j}) is not an edge of the graph")
-        arr = np.array(self.entries)
-        arr[i - 1, j - 1] = value
-        return LogRateMatrix(self.graph, arr)
+        values = self.values.copy()
+        values[self.graph._edge_index[i, j]] = value
+        return LogRateMatrix._of(self.graph, values)
 
     @classmethod
     def from_values(
         cls, graph: MarketGraph, values: Mapping[tuple[int, int], float]
     ) -> "LogRateMatrix":
-        """Dense log matrix from directed edge values; unset directions stay at 0."""
-        arr = np.zeros((graph.n, graph.n))
-        for (i, j), val in values.items():
-            if not graph.has_edge(i, j):
-                raise NotAnEdgeError(f"({i}, {j}) is not an edge of the graph")
-            arr[i - 1, j - 1] = val
-        return cls(graph, arr)
+        """Log matrix from directed edge values; unset directions stay at 0."""
+        return cls._from_mapping(graph, values)
 
 
 def log_of(r: RateMatrix) -> LogRateMatrix:
     """Entrywise natural log; non-edge coordinates map from 1 to exactly 0."""
-    return LogRateMatrix(r.graph, np.log(r.entries))
+    return LogRateMatrix._of(r.graph, np.log(r.values))
 
 
 def exp_of(e: LogRateMatrix) -> RateMatrix:
@@ -183,39 +220,46 @@ def exp_of(e: LogRateMatrix) -> RateMatrix:
     the representable range; such inputs signal pathological data, not a
     market state.
     """
-    if np.any(np.abs(e.entries) > _LOG_MAX):
+    if np.any(np.abs(e.values) > _LOG_MAX):
         raise OverflowError("log rate magnitude exceeds the representable range")
-    return RateMatrix(e.graph, np.exp(e.entries))
+    return RateMatrix._of(e.graph, np.exp(e.values))
 
 
-def _walk_steps(g: MarketGraph, walk: Sequence[int]) -> list[int]:
+def _walk_values(m: _EdgeMatrix, walk: Sequence[int]) -> list[float]:
+    # the matrix value of each step of a closed walk, in order
     seq = [int(v) for v in walk]
     if len(seq) < 2:
         raise NotAWalkError("a closed walk needs at least one step")
     if seq[0] != seq[-1]:
         raise NotClosedError(f"walk {seq} does not end where it starts")
-    for u, v in zip(seq, seq[1:]):
-        if not g.has_edge(u, v):
-            raise NotAWalkError(f"({u}, {v}) is not an edge of the graph")
-    return seq
+    index, values = m.graph._edge_index, m.values
+    out = []
+    for step in zip(seq, seq[1:]):
+        if step not in index:
+            raise NotAWalkError(f"{step} is not an edge of the graph")
+        out.append(float(values[index[step]]))
+    return out
 
 
 def cycle_log_gain(e: LogRateMatrix, walk: Sequence[int]) -> float:
     """Log gain of a closed walk: the sum of entry (u, v) over its steps.
 
     The walk is given as a closed vertex sequence (v1, ..., vt, v1). Zero for
-    every closed walk is exactly the arbitrage-free condition.
+    every closed walk is exactly the arbitrage-free condition. The steps are
+    added one by one from 0.0, in walk order, as Python floats: a gain
+    beyond the float range is infinite, without a warning.
     """
-    seq = _walk_steps(e.graph, walk)
-    return float(sum((e.entries[u - 1, v - 1] for u, v in zip(seq, seq[1:])), 0.0))
+    gain = 0.0
+    for value in _walk_values(e, walk):
+        gain += value
+    return gain
 
 
 def cycle_gain(r: RateMatrix, walk: Sequence[int]) -> float:
     """Multiplicative round-trip gain of a closed walk; 1 when consistent."""
-    seq = _walk_steps(r.graph, walk)
     gain = 1.0
-    for u, v in zip(seq, seq[1:]):
-        gain *= float(r.entries[u - 1, v - 1])
+    for rate in _walk_values(r, walk):
+        gain *= rate
     return gain
 
 
@@ -240,8 +284,9 @@ class ArbitrageWitness:
 
 
 def _witness(cycle: Sequence[int], gain: float) -> ArbitrageWitness:
-    mult = math.exp(gain) if gain <= _LOG_MAX else math.inf
-    return ArbitrageWitness(cycle=tuple(cycle), log_gain=float(gain), multiplicative_gain=mult)
+    return ArbitrageWitness(
+        cycle=tuple(cycle), log_gain=float(gain), multiplicative_gain=_exp_or_inf(gain)
+    )
 
 
 @dataclass(frozen=True)
@@ -260,24 +305,27 @@ class CheckResult:
 def check_antisymmetry(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> list[PairViolation]:
     """Violations of E[i, j] == -E[j, i] on edges and E[i, i] == 0 on loops.
 
-    An empty list means the matrix is antisymmetric within ``tol``. Non-edge
-    coordinates are re-verified to be exactly zero (the constructors already
-    enforce this).
+    An empty list means the matrix is antisymmetric within ``tol``. Loops
+    come first, then edges, each in ascending order. Coordinates without an
+    edge hold nothing and cannot fail.
     """
     require_tol(tol)
-    arr = e.entries
-    bad: list[PairViolation] = []
-    for i, j in np.argwhere(_stray(e.graph, arr, 0.0)):
-        bad.append(PairViolation(pair=(int(i) + 1, int(j) + 1), residual=float(arr[i, j])))
-    for v in e.graph.loops:
-        d = float(arr[v - 1, v - 1])
-        if abs(d) > tol:
-            bad.append(PairViolation(pair=(v, v), residual=d))
-    for i, j in e.graph.simple_edges:
-        s = float(arr[i - 1, j - 1] + arr[j - 1, i - 1])
-        if abs(s) > tol:
-            bad.append(PairViolation(pair=(i, j), residual=s))
-    return bad
+    g = e.graph
+    loops, sums = _antisymmetry_gains(e)
+    bad = [PairViolation((g.loops[k],) * 2, float(loops[k])) for k in _above(loops, tol)]
+    return bad + [PairViolation(g.simple_edges[k], float(sums[k])) for k in _above(sums, tol)]
+
+
+def _above(values: np.ndarray, tol: float) -> list[int]:
+    return np.flatnonzero(np.abs(values) > tol).tolist()
+
+
+def _antisymmetry_gains(e: LogRateMatrix) -> tuple[np.ndarray, np.ndarray]:
+    # each loop's value, and E[i, j] + E[j, i] for each simple edge in order;
+    # a sum beyond the float range is infinite, without a warning
+    v, edges = e.values, len(e.graph.simple_edges)
+    with np.errstate(over="ignore"):
+        return v[2 * edges :], v[:edges] + v[edges : 2 * edges]
 
 
 Condition = tuple[tuple[int, int], tuple[int, ...], float]
@@ -292,28 +340,35 @@ def _verdict(conditions: list[Condition], tol: float) -> CheckResult:
     return CheckResult(False, _witness(cycle, gain), len(conditions), max_abs)
 
 
-def _chord_gains(arr: np.ndarray, t: TreeArrays, k: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _chord_gains(
+    v: np.ndarray, t: TreeArrays, chords: np.ndarray, k: np.ndarray, m: np.ndarray
+) -> np.ndarray:
     # log gain of each fundamental cycle (k, m, ..., top, ..., k), summed in
-    # walk order from 0.0 like cycle_log_gain, all chords in lock-step. In a
-    # BFS tree the ends of an edge differ in depth by at most one: the deeper
-    # end steps once, then both climb together until they meet. m's up-steps
-    # are added as they are climbed; k's steps are recorded and added
-    # afterwards in reverse, top first.
-    gains = 0.0 + arr[k, m]
-    up, down = t.depth[m] > t.depth[k], t.depth[k] > t.depth[m]
-    x, y = np.where(up, t.parent[m], m), np.where(down, t.parent[k], k)
-    gains[up] += arr[m[up], x[up]]
-    steps = [(down, arr[y[down], k[down]])]
+    # walk order from 0.0 like cycle_log_gain, all chords in lock-step. The
+    # first step is the chord's own forward value v[chord]. In a BFS tree the
+    # ends of an edge differ in depth by at most one: the deeper end steps
+    # once, then both climb together until they meet. m's up-steps are added
+    # as they are climbed; k's steps are recorded and added afterwards in
+    # reverse, top first.
+    gains = 0.0 + v[chords]
+    if not chords.size:
+        return gains
+    # per vertex, the values of its steps to and from its parent
+    up, down = v[t.to_parent], v[t.from_parent]
+    m_deeper, k_deeper = t.depth[m] > t.depth[k], t.depth[k] > t.depth[m]
+    x, y = np.where(m_deeper, t.parent[m], m), np.where(k_deeper, t.parent[k], k)
+    gains[m_deeper] += up[m[m_deeper]]
+    steps = [(k_deeper, down[k[k_deeper]])]
     live = np.flatnonzero(x != y)
     x, y = x[live], y[live]
     while live.size:  # one step of both ends per pass
+        gains[live] += up[x]
+        steps.append((live, down[y]))
         px, py = t.parent[x], t.parent[y]
-        gains[live] += arr[x, px]
-        steps.append((live, arr[py, y]))
         keep = px != py
         live, x, y = live[keep], px[keep], py[keep]
-    for chords, values in reversed(steps):
-        gains[chords] += values
+    for rows, values in reversed(steps):
+        gains[rows] += values
     return gains
 
 
@@ -328,23 +383,24 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
     |log gain|, ties broken by lowest key (loop, then edge), an edge's
     antisymmetry condition ahead of its chord's cycle.
 
-    All conditions are evaluated as array operations over the cached tree:
-    both ends of every chord climb it in lock-step, one tree step per numpy
-    pass, until they meet, which is O(total cycle length) element work. Each
-    gain is summed in the order of its walk, starting from 0.0, so it equals
-    :func:`cycle_log_gain` of the fundamental cycle bit for bit. Only the
-    witness cycle is built in Python.
+    All conditions are evaluated as array operations over the cached tree
+    and the edge values: both ends of every chord climb the tree in
+    lock-step, one tree step per numpy pass, until they meet, which is
+    O(total cycle length) element work. Each gain is summed in the order of
+    its walk, starting from 0.0, so it equals :func:`cycle_log_gain` of the
+    fundamental cycle bit for bit; a gain beyond the float range is
+    infinite, without a warning. Only the witness cycle is built in Python.
     """
     require_tol(tol)
     g = e.graph
     tree = spanning_tree(g)
     t = g._tree_arrays
-    arr = e.entries
     a, b = g._edge_array.T
-    is_chord = (t.parent[a] != b) & (t.parent[b] != a)
-    k, m = a[is_chord], b[is_chord]
-    loops = np.array(g.loops, dtype=np.intp) - 1
-    gains = np.concatenate([arr[loops, loops], arr[a, b] + arr[b, a], _chord_gains(arr, t, k, m)])
+    chords = np.flatnonzero((t.parent[a] != b) & (t.parent[b] != a))
+    k, m = a[chords], b[chords]
+    loops = g._loop_array
+    with np.errstate(over="ignore"):
+        gains = np.concatenate([*_antisymmetry_gains(e), _chord_gains(e.values, t, chords, k, m)])
     abs_gains = np.abs(gains)
     max_abs = float(abs_gains.max(initial=0.0))
     bad = np.flatnonzero(abs_gains > tol)
@@ -379,11 +435,10 @@ def check_no_arbitrage_oracle(
         raise OracleSizeError(f"{e.graph.n} vertices exceeds the oracle limit of {max_n}")
     if not is_connected(e.graph):
         raise NotConnectedError("graph is not connected")
-    arr = e.entries
-    conditions: list[Condition] = []
-    for i, j in e.graph.simple_edges:
-        s = float(arr[i - 1, j - 1] + arr[j - 1, i - 1])
-        conditions.append(((i, j), (i, j, i), s))
+    _, sums = _antisymmetry_gains(e)
+    conditions: list[Condition] = [
+        ((i, j), (i, j, i), s) for (i, j), s in zip(e.graph.simple_edges, sums.tolist())
+    ]
     for cycle in enumerate_simple_cycles(e.graph, max_n=max_n):
         conditions.append(((cycle[0], cycle[1]), cycle, cycle_log_gain(e, cycle)))
     return _verdict(conditions, tol)

@@ -31,6 +31,15 @@ from .errors import (
 ORACLE_MAX_VERTICES = 8
 """Vertex cap for brute-force cycle enumeration and the checks built on it."""
 
+MAX_GENERATED_EDGES = 2_000_000
+"""Largest edge list :func:`generate_graph` builds: n(n - 1)/2 candidate
+pairs for ``complete`` and ``gnp-connected``, m(n - m) + m(m - 1)/2 edges
+for ``preferential-attachment``, n - 1 for ``tree``. Larger requests are
+refused before anything is allocated; K2000 and pa n=10^5, m=3 fit."""
+
+_MAX_KEYED_N = 3_037_000_499
+"""Largest n whose edge keys i * n + j fit in int64."""
+
 Edge = tuple[int, int]
 
 
@@ -41,6 +50,11 @@ class MarketGraph:
     ``edges`` holds normalized pairs (i, j) with i <= j; a pair with i == j
     is a reflexive loop. Connectivity is not a construction invariant; it is
     a precondition of the algorithms that need it (see :func:`is_connected`).
+
+    Every directed edge has an id, the index of its value in a rate or log
+    matrix: with E simple edges, id k < E is (i, j) of ``simple_edges[k]``
+    (i < j), id E + k its reverse (j, i), and id 2E + l the loop at
+    ``loops[l]``.
     """
 
     n: int
@@ -98,7 +112,15 @@ class MarketGraph:
         for u, w in tree.tree_edges:  # discovery order: parents come first
             parent[w - 1] = u - 1
             depth[w - 1] = depth[u - 1] + 1
-        arrays = TreeArrays(np.array(parent, dtype=np.intp), np.array(depth, dtype=np.intp))
+        parents = np.array(parent, dtype=np.intp)
+        a, b = self._edge_array.T
+        k = np.arange(a.size)
+        down = parents[b] == a  # edge k runs from parent a down to child b
+        up = parents[a] == b  # edge k runs from child a up to parent b
+        to_parent, from_parent = np.zeros(self.n, np.intp), np.zeros(self.n, np.intp)
+        to_parent[b[down]], from_parent[b[down]] = k[down] + a.size, k[down]
+        to_parent[a[up]], from_parent[a[up]] = k[up], k[up] + a.size
+        arrays = TreeArrays(parents, np.array(depth, dtype=np.intp), to_parent, from_parent)
         for arr in arrays:
             arr.setflags(write=False)
         return arrays
@@ -112,6 +134,52 @@ class MarketGraph:
         edges -= 1
         edges.setflags(write=False)
         return edges
+
+    @cached_property
+    def _loop_array(self) -> np.ndarray:
+        # loops as a read-only array of 0-based vertices, ascending
+        loops = np.array(self.loops, dtype=np.intp) - 1
+        loops.setflags(write=False)
+        return loops
+
+    @cached_property
+    def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        # 0-based (source, target) of every directed edge, in edge-id order
+        lo, hi = self._edge_array.T
+        loops = self._loop_array
+        ends = (np.concatenate([lo, hi, loops]), np.concatenate([hi, lo, loops]))
+        for arr in ends:
+            arr.setflags(write=False)
+        return ends
+
+    @cached_property
+    def _edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        # i * n + j of every directed edge (i, j), ascending, and their ids
+        if self.n > _MAX_KEYED_N:
+            raise BadParamsError(f"edge lookup supports at most {_MAX_KEYED_N} goods, got {self.n}")
+        src, dst = self._edge_ends
+        keys = src.astype(np.int64) * self.n + dst
+        ids = np.argsort(keys)
+        keys = keys[ids]
+        for arr in (keys, ids):
+            arr.setflags(write=False)
+        return keys, ids
+
+    @cached_property
+    def _edge_index(self) -> dict[Edge, int]:
+        # 1-based directed edge (i, j) -> its id, for one-coordinate lookups
+        src, dst = self._edge_ends
+        return dict(zip(zip((src + 1).tolist(), (dst + 1).tolist()), range(src.size)))
+
+    def _edge_ids(self, i, j) -> np.ndarray:
+        """Directed edge ids of the 0-based coordinate arrays (i, j), -1
+        where (i, j) is not an edge; vertices must lie in 0..n-1."""
+        keys, ids = self._edge_keys
+        key = np.asarray(i, dtype=np.int64) * self.n + np.asarray(j, dtype=np.int64)
+        if not keys.size:
+            return np.full(key.shape, -1)
+        k = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+        return np.where(keys[k] == key, ids[k], -1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Non-loop neighbors of ``v`` in ascending order."""
@@ -157,10 +225,14 @@ class TreeArrays(NamedTuple):
     """The deterministic spanning tree as read-only arrays, vertices 0-based.
 
     ``parent`` maps the root to itself; ``depth`` counts tree steps to the root.
+    ``to_parent`` and ``from_parent`` are the directed edge ids of each
+    vertex's steps to and from its parent (0 at the root, never read).
     """
 
     parent: np.ndarray
     depth: np.ndarray
+    to_parent: np.ndarray
+    from_parent: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -346,7 +418,9 @@ def generate_graph(
         to m distinct degree-weighted targets, for exactly
         m(n - m) + m(m - 1)/2 edges and a power-tailed degree distribution.
 
-    The same (kind, n, params, seed) always reproduces the same graph.
+    The same (kind, n, params, seed) always reproduces the same graph. A
+    request for more than :data:`MAX_GENERATED_EDGES` edges (or candidate
+    pairs) raises :class:`~arbx.errors.BadParamsError`.
     """
     if n < 1:
         raise BadParamsError(f"vertex count must be >= 1, got {n}")
@@ -354,14 +428,17 @@ def generate_graph(
     kind = {"gnp": "gnp-connected", "pa": "preferential-attachment"}.get(kind, kind)
 
     if kind == "complete":
+        _require_generable(kind, n, n * (n - 1) // 2)
         return new_graph(n, [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
 
     if kind == "tree":
+        _require_generable(kind, n, n - 1)
         return new_graph(n, [(rng.randint(1, v - 1), v) for v in range(2, n + 1)])
 
     if kind == "gnp-connected":
         if p is None or not 0.0 < p <= 1.0:
             raise BadParamsError("gnp-connected requires 0 < p <= 1")
+        _require_generable(kind, n, n * (n - 1) // 2)
         pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
         for _ in range(1000):
             g = new_graph(n, [e for e in pairs if rng.random() < p])
@@ -372,6 +449,7 @@ def generate_graph(
     if kind == "preferential-attachment":
         if m is None or m < 1 or m >= n:
             raise BadParamsError("preferential-attachment requires 1 <= m < n")
+        _require_generable(kind, n, m * (n - m) + m * (m - 1) // 2)
         edges = [(i, j) for i in range(1, m) for j in range(i + 1, m + 1)]
         # one entry per unit of degree; seed vertices start at degree m - 1
         weighted = [v for v in range(1, m + 1) for _ in range(m - 1)]
@@ -387,3 +465,11 @@ def generate_graph(
         return new_graph(n, edges)
 
     raise BadParamsError(f"unknown graph kind {kind!r}")
+
+
+def _require_generable(kind: str, n: int, count: int) -> None:
+    if count > MAX_GENERATED_EDGES:
+        raise BadParamsError(
+            f"{kind} on {n} goods needs {count} edges or candidate pairs, "
+            f"above the limit of {MAX_GENERATED_EDGES}"
+        )

@@ -164,14 +164,14 @@ def _label_table(path: str | Path, tokens: set[str]) -> tuple[tuple[str, ...], C
 
 
 def load_rates(path: str | Path, tol: float = DEFAULT_TOL) -> RatesFile:
-    """Parse a rates CSV into a dense matrix over the graph its pairs imply.
+    """Parse a rates CSV into a rate matrix over the graph its pairs imply.
 
     Missing reciprocals are filled as exact inverses and flagged. Explicitly
     quoted reciprocals whose product strays from 1 beyond ``tol`` (log
     domain) raise :class:`~arbx.errors.ReciprocalConflictError`; a duplicated
     directed row is a :class:`~arbx.errors.ParseError`. A disconnected
     quote graph raises :class:`~arbx.errors.NotConnectedError` before any
-    dense matrix is allocated.
+    rate is stored. Memory is O(n + quotes): no n x n array is built.
 
     Errors come in a fixed order: the row layout, the label table, then the
     earliest line with a bad rate or a repeated quote (the rate first on one
@@ -223,32 +223,34 @@ def load_rates(path: str | Path, tol: float = DEFAULT_TOL) -> RatesFile:
             f"{path}: quotes {a}->{b} and {b}->{a} multiply to {there[k] * home[k]:.12g}, not 1"
         )
 
+    del src, dst, rate_text  # only errors read them; free them before the graph is built
     fill = ~paired & (qi != qj)
     lo, hi = np.minimum(i, j) + 1, np.maximum(i, j) + 1
     graph = MarketGraph(n, frozenset(zip(lo.tolist(), hi.tolist())))
     if not is_connected(graph):
         raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
-    entries = np.ones((n, n))
-    entries[qi, qj] = rates
-    entries[qj[fill], qi[fill]] = 1.0 / rates[fill]
+    # every directed edge is quoted or is the reverse of a filled quote
+    values = np.empty(len(graph._edge_ends[0]))
+    values[graph._edge_ids(qi, qj)] = rates
+    values[graph._edge_ids(qj[fill], qi[fill])] = 1.0 / rates[fill]
     return RatesFile(
-        matrix=RateMatrix(graph, entries),
+        matrix=RateMatrix._of(graph, values),
         labels=labels,
         filled=tuple(zip((qj[fill] + 1).tolist(), (qi[fill] + 1).tolist())),
     )
 
 
 def rate_rows(
-    entries: np.ndarray, graph: MarketGraph, labels: Sequence[str]
+    values: np.ndarray, graph: MarketGraph, labels: Sequence[str]
 ) -> list[list[object]]:
     """Every edge's quotes as [src, dst, rate] rows: both directions per
-    pair, loops once, in ascending edge order."""
-    rows: list[list[object]] = []
-    for i, j in sorted(graph.edges):
-        rows.append([labels[i - 1], labels[j - 1], float(entries[i - 1, j - 1])])
-        if i != j:
-            rows.append([labels[j - 1], labels[i - 1], float(entries[j - 1, i - 1])])
-    return rows
+    pair, loops once, in ascending edge order. ``values`` holds one rate per
+    directed edge in edge-id order, like :attr:`RateMatrix.values`."""
+    src, dst = graph._edge_ends
+    # by undirected edge (lo, hi), then (lo, hi) ahead of (hi, lo)
+    order = np.lexsort((src > dst, np.maximum(src, dst), np.minimum(src, dst)))
+    rows = zip(src[order].tolist(), dst[order].tolist(), values[order].tolist())
+    return [[labels[i], labels[j], rate] for i, j, rate in rows]
 
 
 def save_rates(path: str | Path, r: RateMatrix, labels: Sequence[str] | None = None) -> None:
@@ -257,7 +259,7 @@ def save_rates(path: str | Path, r: RateMatrix, labels: Sequence[str] | None = N
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["src", "dst", "rate"])
-        writer.writerows(rate_rows(r.entries, r.graph, names))
+        writer.writerows(rate_rows(r.values, r.graph, names))
 
 
 def load_basis(
@@ -328,6 +330,8 @@ class RunReport:
                 raise ValueError(f"metric {key} must be non-negative")
 
     def to_dict(self) -> dict:
+        """The report as plain JSON values; a float beyond the float range
+        (JSON has no infinity) is written as None."""
         witness = None
         if self.witness is not None:
             gain = self.witness.multiplicative_gain
@@ -344,7 +348,7 @@ class RunReport:
             "metrics": dict(self.metrics),
             "inputs": dict(self.inputs),
             "labels": list(self.labels),
-            "data": self.data,
+            "data": {key: _finite_or_none(value) for key, value in self.data.items()},
         }
 
     def to_json(self) -> str:
@@ -377,6 +381,14 @@ class RunReport:
         if 1 <= v <= len(self.labels):
             return self.labels[v - 1]
         return str(v)
+
+
+def _finite_or_none(value: object) -> object:
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, list):
+        return [_finite_or_none(item) for item in value]
+    return value
 
 
 def _num(v: object) -> str:

@@ -10,6 +10,8 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from arbx import (
     ArbitrageWitness,
     BasisAssignment,
@@ -25,6 +27,7 @@ from arbx import (
 from arbx.errors import NotConnectedError, ParseError, ReciprocalConflictError
 from arbx.exchange import RateMatrix, require_tol
 from arbx.graph import is_connected, new_graph
+from arbx.basis import _potentials
 from arbx.io import RatesFile, _label_table
 
 KINDS = ("tree", "gnp-connected", "preferential-attachment", "complete")
@@ -80,7 +83,8 @@ def reference_check_no_arbitrage(e, tol=1e-9):
     for v in g.loops:
         conditions.append(((v, v), (v, v), float(arr[v - 1, v - 1])))
     for i, j in g.simple_edges:
-        conditions.append(((i, j), (i, j, i), float(arr[i - 1, j - 1] + arr[j - 1, i - 1])))
+        # Python floats: the same sum, and infinite past the range without a warning
+        conditions.append(((i, j), (i, j, i), float(arr[i - 1, j - 1]) + float(arr[j - 1, i - 1])))
     for fc in fundamental_cycles(g, spanning_tree(g)):
         conditions.append((fc.chord, fc.cycle, cycle_log_gain(e, fc.cycle)))
     max_abs = max((abs(gain) for _, _, gain in conditions), default=0.0)
@@ -156,3 +160,54 @@ def reference_load_rates(path, tol=1e-9):
     return RatesFile(
         matrix=RateMatrix.from_quotes(graph, quotes), labels=labels, filled=tuple(filled)
     )
+
+
+# --- the dense n x n implementations, kept as references for the edge-value ones
+
+
+def reference_differences(g, prices):
+    """Dense log matrix: entry (i, j) = prices[j-1] - prices[i-1] on every
+    non-loop edge, else 0."""
+    arr = np.zeros((g.n, g.n))
+    for i, j in g.simple_edges:
+        d = prices[j - 1] - prices[i - 1]
+        arr[i - 1, j - 1] = d
+        arr[j - 1, i - 1] = -d
+    return arr
+
+
+def reference_complete(spec, values):
+    """Dense completion: potential differences, then the basis values exactly."""
+    g = spec.graph
+    arr = reference_differences(g, _potentials(g.n, spec.entries, values))
+    for (i, j), val in zip(spec.entries, values):
+        arr[i - 1, j - 1] = val
+        arr[j - 1, i - 1] = -val
+    return arr
+
+
+def reference_log_of(r):
+    """Dense entrywise log of a rate matrix."""
+    return np.log(r.entries)
+
+
+def reference_exp_of(e):
+    """Dense entrywise exp of a log matrix."""
+    return np.exp(e.entries)
+
+
+def reference_rate_rows(entries, graph, labels):
+    """[src, dst, rate] rows read off a dense matrix: both directions per
+    pair, loops once, in ascending edge order."""
+    rows = []
+    for i, j in sorted(graph.edges):
+        rows.append([labels[i - 1], labels[j - 1], float(entries[i - 1, j - 1])])
+        if i != j:
+            rows.append([labels[j - 1], labels[i - 1], float(entries[j - 1, i - 1])])
+    return rows
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape and equal float64 bit patterns (so 0.0 differs from -0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()

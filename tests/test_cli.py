@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import arbx
-from arbx import BadParamsError
+from arbx import BadParamsError, canonical_basis, generate_graph, log_of, price_vector
 from arbx.cli import main
-from arbx.io import RunReport, load_graph, load_rates, save_rates
+from arbx.io import RunReport, load_graph, load_rates, save_graph, save_rates
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -228,6 +229,24 @@ class TestBasisDimPrice:
         )
         assert code == 1
         assert doc["data"]["error"] == "NotArbitrageFreeError"
+
+    def test_price_beyond_float_range(self, capsys, tmp_path):
+        # consistent rates whose third price, e^1381.55, exceeds the float range
+        f = tmp_path / "r.csv"
+        f.write_text("src,dst,rate\n1,2,1e300\n2,3,1e300\n")
+        code, out = run(capsys, "price", "--rates", str(f), "--ref", "1", "--format", "json")
+
+        def no_constants(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        doc = json.loads(out, parse_constant=no_constants)
+        assert code == 0
+        prices = price_vector(log_of(load_rates(f).matrix), 1).prices
+        assert doc["data"]["prices_log"] == list(prices)
+        assert doc["data"]["prices_multiplicative"] == [1.0, math.exp(prices[1]), None]
+        code, text = run(capsys, "price", "--rates", str(f), "--ref", "1")
+        assert code == 0
+        assert "prices_multiplicative: 1 1e+300 inf" in text.splitlines()
 
 
 class TestPerturb:
@@ -507,16 +526,29 @@ class TestTokenSizedAllocation:
         assert proc.returncode == 1
 
     def test_huge_tree_gen_reports_memory_error(self, tmp_path):
-        # an edge list for 1e9 goods does not fit under the cap; the run
-        # still ends in a report (512 MiB fills in seconds, 2 GiB in ~15 s)
+        # an edge list for 1e9 goods is refused before it is built; the run
+        # ends in an error report (MemoryError reports: the test below)
         out = tmp_path / "g.json"
         proc = _run_capped(
             "gen", "--kind", "tree", "--n", "1000000000", "--seed", "1", "--out", str(out),
             cap=512 << 20,
         )
         assert "Traceback" not in proc.stderr
-        assert json.loads(proc.stdout)["data"]["error"] == "MemoryError"
+        assert json.loads(proc.stdout)["data"]["error"] == "BadParamsError"
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("kind,extra", [("complete", []), ("gnp", ["--p", "0.5"])])
+    def test_gen_pair_list_is_bounded(self, tmp_path, kind, extra):
+        # 100000 goods have about 5e9 pairs, far beyond the cap
+        out = tmp_path / "g.json"
+        proc = _run_capped(
+            "gen", "--kind", kind, "--n", "100000", *extra, "--seed", "1", "--out", str(out),
+            cap=512 << 20,
+        )
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["data"]["error"] == "BadParamsError"
+        assert proc.returncode == 1
+        assert not out.exists()
 
     def test_memory_error_is_reported(self, capsys, monkeypatch, tmp_path):
         def exhausted(args):
@@ -529,3 +561,38 @@ class TestTokenSizedAllocation:
         assert code == 1
         assert doc["verdict"] == "error"
         assert doc["data"] == {"error": "MemoryError", "message": "MemoryError"}
+
+
+class TestSparseMarketMemory:
+    """A sparse market runs in memory linear in its size: on pa n=20000 a
+    dense n x n matrix alone would take 3.2 GB, over three times the cap."""
+
+    CAP = 1 << 30
+
+    @pytest.fixture(scope="class")
+    def market(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("pa20000")
+        g = generate_graph("pa", 20000, m=3, seed=3)
+        rng = random.Random(3)
+        p = [0.0] + [rng.uniform(-2.0, 2.0) for _ in range(g.n)]  # log rate (i, j) = p[j] - p[i]
+        save_graph(d / "graph.json", g)
+        entries = canonical_basis(g).entries
+        (d / "basis.json").write_text(json.dumps(
+            {"entries": [list(e) for e in entries], "values": [p[j] - p[i] for i, j in entries]}
+        ))
+        directed = [d for i, j in g.simple_edges for d in ((i, j), (j, i))]
+        rows = [f"{a},{b},{math.exp(p[b] - p[a])!r}" for a, b in directed]
+        (d / "rates.csv").write_text("src,dst,rate\n" + "\n".join(rows) + "\n")
+        return d
+
+    @pytest.mark.parametrize("argv", [
+        ("complete", "--graph", "{d}/graph.json", "--basis", "{d}/basis.json",
+         "--out", "{d}/out.csv"),
+        ("check", "--rates", "{d}/rates.csv"),
+        ("price", "--rates", "{d}/rates.csv", "--ref", "1"),
+    ], ids=["complete", "check", "price"])
+    def test_runs_under_one_gib(self, market, argv):
+        proc = _run_capped(*(a.format(d=market) for a in argv), cap=self.CAP)
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == "ok"
+        assert proc.returncode == 0
