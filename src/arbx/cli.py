@@ -15,6 +15,7 @@ import numpy as np
 
 from .basis import canonical_basis, complete, dimension, price_vector
 from .dynamics import (
+    _first_order_delta,
     apply_exact,
     build_operator,
     propagate_log,
@@ -163,10 +164,9 @@ def cmd_perturb(args: argparse.Namespace) -> RunReport:
         updated = updated_rates.values
         mode = "exact"
     else:
-        r = rates.matrix.values
         # the first-order update, rate + rate * delta, per directed edge
         with np.errstate(over="ignore"):  # reported below, not as a warning
-            updated = r + r * d_log.values
+            updated = rates.matrix.values + _first_order_delta(rates.matrix, d_log)
         if not np.all(np.isfinite(updated)):
             raise OverflowError("first-order rate update exceeds the float range")
         mode = "first-order"

@@ -80,9 +80,14 @@ def propagate_multiplicative_first_order(
     to first order that is rate * d. The result is a dense read-only n x n
     array; non-edge coordinates come out 0.
     """
+    return _dense(r.graph, _first_order_delta(r, d_log), 0.0)
+
+
+def _first_order_delta(r: RateMatrix, d_log: LogRateMatrix) -> np.ndarray:
+    # rate * log delta per directed edge, in edge-id order
     if r.graph != d_log.graph:
         raise GraphMismatchError("rates and delta live on different graphs")
-    return _dense(r.graph, r.values * d_log.values, 0.0)
+    return r.values * d_log.values
 
 
 def apply_exact(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,6 +75,22 @@ def _require_fill(g: MarketGraph, arr: np.ndarray, fill: float) -> None:
         )
 
 
+def _ids_of(g: MarketGraph, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    # directed edge ids of 1-based (i, j) pairs, -1 where (i, j) is not an
+    # edge; a key that is not a pair fails to unpack (ValueError)
+    ij = np.array(
+        [(i - 1, j - 1) if _is_vertex(g, i) and _is_vertex(g, j) else (-1, -1) for i, j in pairs],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    ids = g._edge_ids(np.maximum(ij[:, 0], 0), np.maximum(ij[:, 1], 0))
+    return np.where(ij[:, 0] >= 0, ids, -1)
+
+
+def _is_vertex(g: MarketGraph, v: object) -> bool:
+    # an integer in 1..n: 1.5 and 10**30 are not vertices
+    return isinstance(v, (int, np.integer)) and 1 <= v <= g.n
+
+
 def _dense(g: MarketGraph, values: np.ndarray, fill: float) -> np.ndarray:
     """Read-only n x n array: ``values`` at the edge coordinates, ``fill``
     everywhere else."""
@@ -121,11 +137,13 @@ class _EdgeMatrix:
 
     @classmethod
     def _from_mapping(cls, graph: MarketGraph, mapping: Mapping[tuple[int, int], float]):
-        values = np.full(len(graph._edge_ends[0]), cls._FILL)
-        for (i, j), val in mapping.items():
-            if not graph.has_edge(i, j):
-                raise NotAnEdgeError(f"({i}, {j}) is not an edge of the graph")
-            values[graph._edge_index[i, j]] = val
+        pairs = list(mapping)
+        ids = _ids_of(graph, pairs)
+        if np.any(ids < 0):
+            i, j = pairs[int(np.argmax(ids < 0))]
+            raise NotAnEdgeError(f"({i}, {j}) is not an edge of the graph")
+        values = np.full(graph._edge_count, cls._FILL)
+        values[ids] = np.fromiter(mapping.values(), dtype=float, count=len(pairs))
         return cls._of(graph, values)
 
     @property
@@ -140,8 +158,8 @@ class _EdgeMatrix:
     def _at(self, i: int, j: int) -> float:
         _check_vertex(self.graph, i)
         _check_vertex(self.graph, j)
-        k = self.graph._edge_index.get((i, j))
-        return self._FILL if k is None else float(self.values[k])
+        k = int(_ids_of(self.graph, [(i, j)])[0])
+        return self._FILL if k < 0 else float(self.values[k])
 
 
 class RateMatrix(_EdgeMatrix):
@@ -194,10 +212,11 @@ class LogRateMatrix(_EdgeMatrix):
 
     def with_entry(self, i: int, j: int, value: float) -> "LogRateMatrix":
         """Copy of this matrix with one directed edge coordinate replaced."""
-        if not self.graph.has_edge(i, j):
+        k = int(_ids_of(self.graph, [(i, j)])[0])
+        if k < 0:
             raise NotAnEdgeError(f"({i}, {j}) is not an edge of the graph")
         values = self.values.copy()
-        values[self.graph._edge_index[i, j]] = value
+        values[k] = value
         return LogRateMatrix._of(self.graph, values)
 
     @classmethod
@@ -232,13 +251,11 @@ def _walk_values(m: _EdgeMatrix, walk: Sequence[int]) -> list[float]:
         raise NotAWalkError("a closed walk needs at least one step")
     if seq[0] != seq[-1]:
         raise NotClosedError(f"walk {seq} does not end where it starts")
-    index, values = m.graph._edge_index, m.values
-    out = []
-    for step in zip(seq, seq[1:]):
-        if step not in index:
-            raise NotAWalkError(f"{step} is not an edge of the graph")
-        out.append(float(values[index[step]]))
-    return out
+    steps = list(zip(seq, seq[1:]))
+    ids = _ids_of(m.graph, steps)
+    if np.any(ids < 0):
+        raise NotAWalkError(f"{steps[int(np.argmax(ids < 0))]} is not an edge of the graph")
+    return m.values[ids].tolist()
 
 
 def cycle_log_gain(e: LogRateMatrix, walk: Sequence[int]) -> float:

@@ -152,34 +152,35 @@ class MarketGraph:
             arr.setflags(write=False)
         return ends
 
-    @cached_property
-    def _edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        # i * n + j of every directed edge (i, j), ascending, and their ids
-        if self.n > _MAX_KEYED_N:
-            raise BadParamsError(f"edge lookup supports at most {_MAX_KEYED_N} goods, got {self.n}")
-        src, dst = self._edge_ends
-        keys = src.astype(np.int64) * self.n + dst
-        ids = np.argsort(keys)
-        keys = keys[ids]
-        for arr in (keys, ids):
-            arr.setflags(write=False)
-        return keys, ids
+    @property
+    def _edge_count(self) -> int:
+        # directed edges, the length of a value vector
+        return 2 * len(self.simple_edges) + len(self.loops)
 
     @cached_property
-    def _edge_index(self) -> dict[Edge, int]:
-        # 1-based directed edge (i, j) -> its id, for one-coordinate lookups
-        src, dst = self._edge_ends
-        return dict(zip(zip((src + 1).tolist(), (dst + 1).tolist()), range(src.size)))
+    def _forward_keys(self) -> np.ndarray:
+        # lo * n + hi of every simple edge, ascending since simple_edges is sorted
+        if self.n > _MAX_KEYED_N:
+            raise BadParamsError(f"edge lookup supports at most {_MAX_KEYED_N} goods, got {self.n}")
+        lo, hi = self._edge_array.T
+        keys = lo.astype(np.int64) * self.n + hi
+        keys.setflags(write=False)
+        return keys
 
     def _edge_ids(self, i, j) -> np.ndarray:
         """Directed edge ids of the 0-based coordinate arrays (i, j), -1
         where (i, j) is not an edge; vertices must lie in 0..n-1."""
-        keys, ids = self._edge_keys
-        key = np.asarray(i, dtype=np.int64) * self.n + np.asarray(j, dtype=np.int64)
-        if not keys.size:
-            return np.full(key.shape, -1)
-        k = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-        return np.where(keys[k] == key, ids[k], -1)
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        ids = np.full(np.broadcast(i, j).shape, -1, dtype=np.intp)
+        keys, loops = self._forward_keys, self._loop_array
+        if keys.size:
+            key = np.minimum(i, j) * self.n + np.maximum(i, j)
+            k = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+            ids = np.where(keys[k] == key, np.where(i > j, k + keys.size, k), ids)
+        if loops.size:
+            k = np.minimum(np.searchsorted(loops, i), loops.size - 1)
+            ids = np.where((i == j) & (loops[k] == i), k + 2 * keys.size, ids)
+        return ids
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Non-loop neighbors of ``v`` in ascending order."""

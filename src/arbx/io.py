@@ -230,7 +230,7 @@ def load_rates(path: str | Path, tol: float = DEFAULT_TOL) -> RatesFile:
     if not is_connected(graph):
         raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
     # every directed edge is quoted or is the reverse of a filled quote
-    values = np.empty(len(graph._edge_ends[0]))
+    values = np.empty(graph._edge_count)
     values[graph._edge_ids(qi, qj)] = rates
     values[graph._edge_ids(qj[fill], qi[fill])] = 1.0 / rates[fill]
     return RatesFile(
@@ -348,7 +348,7 @@ class RunReport:
             "metrics": dict(self.metrics),
             "inputs": dict(self.inputs),
             "labels": list(self.labels),
-            "data": {key: _finite_or_none(value) for key, value in self.data.items()},
+            "data": {key: _inf_to_none(value) for key, value in self.data.items()},
         }
 
     def to_json(self) -> str:
@@ -383,11 +383,12 @@ class RunReport:
         return str(v)
 
 
-def _finite_or_none(value: object) -> object:
+def _inf_to_none(value: object) -> object:
+    # NaN is left as it is: it marks a fault, not a value past the float range
     if isinstance(value, float):
-        return value if math.isfinite(value) else None
+        return None if math.isinf(value) else value
     if isinstance(value, list):
-        return [_finite_or_none(item) for item in value]
+        return [_inf_to_none(item) for item in value]
     return value
 
 

@@ -420,6 +420,15 @@ class TestReports:
                 metrics={"elapsed_ms": -1.0}, inputs={}, labels=(), data={},
             )
 
+    def test_only_infinite_data_is_written_as_null(self):
+        report = RunReport(
+            command="price", verdict="ok", witness=None, metrics={}, inputs={}, labels=(),
+            data={"x": [1.5, math.inf, [-math.inf, math.nan]], "y": math.nan},
+        )
+        data = report.to_dict()["data"]
+        assert data["x"][:2] == [1.5, None] and data["x"][2][0] is None
+        assert math.isnan(data["x"][2][1]) and math.isnan(data["y"])
+
 
 class TestRatesFileRoundTrip:
     def test_save_then_load_is_identity(self, tmp_path):
