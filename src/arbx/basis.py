@@ -11,7 +11,6 @@ the resulting dimension count independently, by exact rational elimination.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,10 +29,12 @@ from .errors import (
     NotConnectedError,
     OracleSizeError,
 )
-from .exchange import DEFAULT_TOL, LogRateMatrix, check_no_arbitrage
+from .exchange import DEFAULT_TOL, LogRateMatrix, _ids_of, check_no_arbitrage
 from .graph import (
     ORACLE_MAX_VERTICES,
     MarketGraph,
+    TreeArrays,
+    _bfs_tree,
     fundamental_cycles,
     is_connected,
     spanning_tree,
@@ -113,16 +114,17 @@ def canonical_basis(g: MarketGraph) -> BasisSpec:
     Entries are oriented (parent, child) and ordered by child index, so a
     given graph always gets the same basis.
     """
-    tree = spanning_tree(g)
-    entries = tuple((tree.parent[c], c) for c in sorted(tree.parent))
-    return BasisSpec(graph=g, entries=entries)
+    if not is_connected(g):
+        raise NotConnectedError("graph is not connected")
+    parents = (g._tree_arrays.parent[1:] + 1).tolist()
+    return BasisSpec(graph=g, entries=tuple(zip(parents, range(2, g.n + 1))))
 
 
 def row_basis(g: MarketGraph, k: int) -> BasisSpec:
     """Star basis (k, j) for every j != k; complete graphs only."""
     if not 1 <= k <= g.n:
         raise GraphIndexError(f"vertex {k} out of range 1..{g.n}")
-    if len(g.simple_edges) != g.n * (g.n - 1) // 2:
+    if g._lo.size != g.n * (g.n - 1) // 2:
         raise NotCompleteError("row bases need every pair of goods to trade")
     return BasisSpec(graph=g, entries=tuple((k, j) for j in range(1, g.n + 1) if j != k))
 
@@ -133,76 +135,77 @@ def is_basis(g: MarketGraph, entries: Sequence[tuple[int, int]]) -> bool:
     Loop coordinates are pinned to zero and can never belong to a basis;
     repeating an undirected edge (in either orientation) disqualifies the
     set. A coordinate that is not an edge at all raises
-    :class:`~arbx.errors.NotAnEdgeError`.
+    :class:`~arbx.errors.NotAnEdgeError`, naming the first such entry.
     """
-    undirected: set[tuple[int, int]] = set()
-    for i, j in entries:
-        if not g.has_edge(i, j):
-            raise NotAnEdgeError(f"({i}, {j}) is not an edge of the graph")
-        if i == j:
-            return False
-        key = (i, j) if i < j else (j, i)
-        if key in undirected:
-            return False
-        undirected.add(key)
-    if len(undirected) != g.n - 1:
-        return False
-    return is_connected(MarketGraph(n=g.n, edges=frozenset(undirected)))
+    return _spanning_entries(g, entries) is not None
 
 
-def _require_basis(spec: BasisSpec) -> None:
+def _spanning_entries(g: MarketGraph, entries: Sequence[tuple[int, int]]):
+    # the entries' directed edge ids and the breadth-first tree over them,
+    # or None when they are not a spanning tree: n - 1 entries with a loop
+    # or a repeated edge hold too few edges to reach every good
+    ids = _ids_of(g, entries)
+    if (ids < 0).any():
+        i, j = entries[int(np.argmax(ids < 0))]
+        raise NotAnEdgeError(f"({i}, {j}) is not an edge of the graph")
+    if ids.size != g.n - 1:
+        return None
+    src, dst = g._edge_ends
+    tree = _bfs_tree(g.n, src[ids], dst[ids])
+    return (ids, tree) if tree.levels[-1] == g.n else None
+
+
+def _require_basis(spec: BasisSpec) -> tuple[np.ndarray, TreeArrays]:
     try:
-        ok = is_basis(spec.graph, spec.entries)
+        found = _spanning_entries(spec.graph, spec.entries)
     except NotAnEdgeError as exc:
         raise NotABasisError(str(exc)) from exc
-    if not ok:
+    if found is None:
         raise NotABasisError("entries do not form a spanning tree of the graph")
+    return found
+
+
+def _climb(t: TreeArrays, values: np.ndarray) -> np.ndarray:
+    # potentials down a breadth-first tree from good 1 at 0, one level per
+    # pass: each vertex adds the value of its step from its parent to the
+    # parent's potential, the one IEEE addition a vertex-by-vertex walk
+    # makes; a sum beyond the float range is infinite, without a warning
+    p = np.zeros(t.parent.size)
+    with np.errstate(over="ignore"):
+        for a, b in zip(t.levels[1:-1].tolist(), t.levels[2:].tolist()):
+            w = t.order[a:b]
+            p[w] = p[t.parent[w]] + values[t.from_parent[w]]
+    return p
 
 
 def _potentials(
     n: int, entries: Sequence[tuple[int, int]], values: Sequence[float]
 ) -> list[float]:
-    # entry (i, j) = v of a spanning tree pins p[j-1] - p[i-1] = v; walk the
-    # tree from good 1, so each price sums its root-to-vertex path in order
-    signed: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (i, j), val in zip(entries, values):
-        signed[i - 1].append((j - 1, +val))
-        signed[j - 1].append((i - 1, -val))
-    p = [0.0] * n
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w, step in signed[u]:
-            if w not in seen:
-                seen.add(w)
-                p[w] = p[u] + step
-                queue.append(w)
-    return p
+    # entry (i, j) = v of a spanning tree pins p[j-1] - p[i-1] = v
+    i, j = np.array(entries, dtype=np.intp).reshape(-1, 2).T - 1
+    vals = np.asarray(values, dtype=float)
+    return _climb(_bfs_tree(n, i, j), np.concatenate([vals, -vals])).tolist()
 
 
-def _differences(g: MarketGraph, prices: Sequence[float]) -> np.ndarray:
+def _differences(g: MarketGraph, prices: Sequence[float] | np.ndarray) -> np.ndarray:
     # edge values in edge-id order: prices[j-1] - prices[i-1] for (i, j), 0 on loops
-    p = np.array(prices, dtype=float)
-    lo, hi = g._edge_array.T
+    p = np.asarray(prices, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects non-finite
-        forward = p[hi] - p[lo]
-    return np.concatenate([forward, -forward, np.zeros(len(g.loops))])
+        forward = p[g._hi] - p[g._lo]
+    return np.concatenate([forward, -forward, np.zeros(g._loop_array.size)])
 
 
-def _basis_ids(spec: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
-    # edge ids of the basis coordinates (i, j) and of their reverses (j, i)
-    i, j = np.array(spec.entries, dtype=np.int64).reshape(-1, 2).T - 1
-    return spec.graph._edge_ids(i, j), spec.graph._edge_ids(j, i)
-
-
-def _complete(spec: BasisSpec, values: Sequence[float]) -> LogRateMatrix:
-    g = spec.graph
-    out = _differences(g, _potentials(g.n, spec.entries, values))
-    # basis coordinates carry the assigned values exactly, not via potentials
-    there, back = _basis_ids(spec)
+def _complete(
+    g: MarketGraph, found: tuple[np.ndarray, TreeArrays], values: Sequence[float]
+) -> LogRateMatrix:
+    # the completion over a basis that _require_basis found
+    ids, tree = found
     basis = np.array(values, dtype=float)
-    out[there], out[back] = basis, -basis
+    # the search steps along entry k as pair k and against it as pair m + k
+    out = _differences(g, _climb(tree, np.concatenate([basis, -basis])))
+    # basis coordinates carry the assigned values exactly, not via potentials
+    e = g._lo.size
+    out[ids], out[np.where(ids < e, ids + e, ids - e)] = basis, -basis
     return LogRateMatrix._of(g, out)
 
 
@@ -213,10 +216,10 @@ def complete(a: BasisAssignment) -> LogRateMatrix:
     Works through the price potential: the basis tree fixes one potential
     difference per entry, and every remaining edge entry is the potential
     difference of its endpoints, which is what path independence forces.
-    Runs in O(n + edge count) and is bit-for-bit deterministic.
+    Runs in O(n + edge count) array work, one numpy pass per level of the
+    basis tree, and is bit-for-bit deterministic.
     """
-    _require_basis(a.spec)
-    return _complete(a.spec, a.values)
+    return _complete(a.spec.graph, _require_basis(a.spec), a.values)
 
 
 def epsilon_matrices(spec: BasisSpec) -> EpsilonBasis:
@@ -225,12 +228,12 @@ def epsilon_matrices(spec: BasisSpec) -> EpsilonBasis:
     These matrices form a linear basis of the arbitrage-free space, and the
     coordinate read-off property holds exactly, not within tolerance.
     """
-    _require_basis(spec)
+    found = _require_basis(spec)
     mats = []
     for k in range(spec.size):
         unit = [0.0] * spec.size
         unit[k] = 1.0
-        mats.append(_complete(spec, unit))
+        mats.append(_complete(spec.graph, found, unit))
     return EpsilonBasis(spec=spec, matrices=tuple(mats))
 
 
@@ -242,12 +245,12 @@ def decompose(
     Read directly off the basis coordinates; no system is solved. The sum of
     coefficient-weighted unit responses reproduces ``e``.
     """
-    _require_basis(spec)
+    ids, _ = _require_basis(spec)
     if e.graph != spec.graph:
         raise GraphMismatchError("matrix and basis live on different graphs")
     if not check_no_arbitrage(e, tol).ok:
         raise NotArbitrageFreeError("matrix fails the arbitrage check")
-    return e.values[_basis_ids(spec)[0]].tolist()
+    return e.values[ids].tolist()
 
 
 def dimension(g: MarketGraph) -> int:
@@ -318,11 +321,11 @@ def price_vector(e: LogRateMatrix, ref: int, tol: float = DEFAULT_TOL) -> PriceV
         raise GraphIndexError(f"reference vertex {ref} out of range 1..{g.n}")
     if not check_no_arbitrage(e, tol).ok:
         raise NotArbitrageFreeError("matrix fails the arbitrage check")
-    edges = spanning_tree(g).tree_edges
-    child = np.fromiter((w for _, w in edges), np.intp, len(edges)) - 1
-    q = _potentials(g.n, edges, e.values[g._tree_arrays.from_parent[child]].tolist())
-    shift = q[ref - 1]
-    return PriceVector(reference=ref, prices=tuple(x - shift for x in q))
+    t = g._tree_arrays
+    p = _climb(t, e.values)
+    with np.errstate(invalid="ignore"):  # inf - inf, which PriceVector rejects
+        prices = p - p[ref - 1]
+    return PriceVector(reference=ref, prices=tuple(prices.tolist()))
 
 
 def matrix_from_prices(

@@ -90,7 +90,6 @@ def cmd_complete(args: argparse.Namespace) -> RunReport:
     assignment = load_basis(args.basis, g, multiplicative=args.multiplicative)
     rates = exp_of(complete(assignment))
     save_rates(args.out, rates)
-    rows = 2 * len(g.simple_edges) + len(g.loops)
     return RunReport(
         command="complete",
         verdict="ok",
@@ -98,7 +97,7 @@ def cmd_complete(args: argparse.Namespace) -> RunReport:
         metrics={"dimension": dimension(g), "elapsed_ms": _ms(t0)},
         inputs={"graph": file_digest(args.graph), "basis": file_digest(args.basis)},
         labels=_index_labels(g),
-        data={"out": str(args.out), "rows": rows},
+        data={"out": str(args.out), "rows": g._edge_count},
     )
 
 

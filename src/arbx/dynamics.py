@@ -68,7 +68,7 @@ def propagate_log(op: PerturbationOperator, d: PerturbationVector) -> LogRateMat
     """
     if d.spec != op.spec:
         raise SpecMismatchError("perturbation and operator use different bases")
-    return _complete(op.spec, d.deltas)
+    return _complete(op.spec.graph, _require_basis(op.spec), d.deltas)
 
 
 def propagate_multiplicative_first_order(

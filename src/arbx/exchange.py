@@ -34,10 +34,8 @@ from .graph import (
     ORACLE_MAX_VERTICES,
     MarketGraph,
     TreeArrays,
-    _tree_path,
     enumerate_simple_cycles,
     is_connected,
-    spanning_tree,
 )
 
 DEFAULT_TOL = 1e-9
@@ -77,18 +75,14 @@ def _require_fill(g: MarketGraph, arr: np.ndarray, fill: float) -> None:
 
 def _ids_of(g: MarketGraph, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
     # directed edge ids of 1-based (i, j) pairs, -1 where (i, j) is not an
-    # edge; a key that is not a pair fails to unpack (ValueError)
-    ij = np.array(
-        [(i - 1, j - 1) if _is_vertex(g, i) and _is_vertex(g, j) else (-1, -1) for i, j in pairs],
-        dtype=np.int64,
+    # edge: 1.5 and 10**30 are no vertices, and a key that is not a pair
+    # fails to unpack (ValueError)
+    n, integer = g.n, (int, np.integer)
+    ij = np.fromiter(
+        (v - 1 if isinstance(v, integer) and 1 <= v <= n else -1 for i, j in pairs for v in (i, j)),
+        np.int64,
     ).reshape(-1, 2)
-    ids = g._edge_ids(np.maximum(ij[:, 0], 0), np.maximum(ij[:, 1], 0))
-    return np.where(ij[:, 0] >= 0, ids, -1)
-
-
-def _is_vertex(g: MarketGraph, v: object) -> bool:
-    # an integer in 1..n: 1.5 and 10**30 are not vertices
-    return isinstance(v, (int, np.integer)) and 1 <= v <= g.n
+    return np.where((ij >= 0).all(axis=1), g._edge_ids(*np.maximum(ij, 0).T), -1)
 
 
 def _dense(g: MarketGraph, values: np.ndarray, fill: float) -> np.ndarray:
@@ -340,7 +334,7 @@ def _above(values: np.ndarray, tol: float) -> list[int]:
 def _antisymmetry_gains(e: LogRateMatrix) -> tuple[np.ndarray, np.ndarray]:
     # each loop's value, and E[i, j] + E[j, i] for each simple edge in order;
     # a sum beyond the float range is infinite, without a warning
-    v, edges = e.values, len(e.graph.simple_edges)
+    v, edges = e.values, e.graph._lo.size
     with np.errstate(over="ignore"):
         return v[2 * edges :], v[:edges] + v[edges : 2 * edges]
 
@@ -410,9 +404,10 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
     """
     require_tol(tol)
     g = e.graph
-    tree = spanning_tree(g)
+    if not is_connected(g):
+        raise NotConnectedError("graph is not connected")
     t = g._tree_arrays
-    a, b = g._edge_array.T
+    a, b = g._lo, g._hi
     chords = np.flatnonzero((t.parent[a] != b) & (t.parent[b] != a))
     k, m = a[chords], b[chords]
     loops = g._loop_array
@@ -434,7 +429,7 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
     elif w < loops.size + a.size:
         cycle = (i, j, i)
     else:
-        cycle = (i, *_tree_path(tree, j, i))
+        cycle = (i, *(v + 1 for v in t.path(j - 1, i - 1)))
     return CheckResult(False, _witness(cycle, float(gains[w])), gains.size, max_abs)
 
 

@@ -4,12 +4,15 @@ generators.
 Vertices stand for tradable goods and are numbered 1..n in every public
 interface. An edge {i, j} means the pair trades directly; reflexive loops
 {i, i} may be stored but never enter spanning trees or fundamental cycles.
+
+Internally a graph is arrays, vertices 0-based: sorted edge endpoints, the
+adjacency in compressed sparse rows, and a breadth-first tree found one
+numpy pass per level; the public tuples are built only when asked for.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -51,6 +54,10 @@ class MarketGraph:
     is a reflexive loop. Connectivity is not a construction invariant; it is
     a precondition of the algorithms that need it (see :func:`is_connected`).
 
+    Construction validates the pairs with array operations and keeps them
+    as sorted 0-based arrays; everything else is derived from those on
+    first use and cached.
+
     Every directed edge has an id, the index of its value in a rate or log
     matrix: with E simple edges, id k < E is (i, j) of ``simple_edges[k]``
     (i < j), id E + k its reverse (j, i), and id 2E + l the loop at
@@ -63,90 +70,58 @@ class MarketGraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise BadParamsError(f"vertex count must be >= 1, got {self.n}")
-        for i, j in self.edges:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise GraphIndexError(f"edge ({i}, {j}) out of range 1..{self.n}")
-            if i > j:
-                raise BadParamsError(f"edge ({i}, {j}) is not normalized; use new_graph()")
+        try:
+            flat = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
+        except OverflowError:  # a vertex beyond int64
+            raise GraphIndexError(f"an edge lies out of range 1..{self.n}") from None
+        flat -= 1
+        i, j = flat.reshape(-1, 2).T
+        out = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= min(self.n, np.iinfo(np.intp).max))
+        for bad, error, text in [
+            (out, GraphIndexError, f"out of range 1..{self.n}"),
+            (i > j, BadParamsError, "is not normalized; use new_graph()"),
+        ]:
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise error(f"edge ({i[k] + 1}, {j[k] + 1}) {text}")
+        loop = i == j
+        lo, hi = i[~loop], j[~loop]
+        order = np.lexsort((hi, lo))
+        loops = np.sort(i[loop])
+        for name, arr in [("_lo", lo[order]), ("_hi", hi[order]), ("_loop_array", loops)]:
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @cached_property
     def simple_edges(self) -> tuple[Edge, ...]:
         """Non-loop edges in ascending order."""
-        return tuple(sorted(e for e in self.edges if e[0] != e[1]))
+        return tuple(zip((self._lo + 1).tolist(), (self._hi + 1).tolist()))
 
     @cached_property
     def loops(self) -> tuple[int, ...]:
         """Vertices carrying a reflexive loop, ascending."""
-        return tuple(sorted(i for i, j in self.edges if i == j))
+        return tuple((self._loop_array + 1).tolist())
 
     @cached_property
-    def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for i, j in self.simple_edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
-
-    @cached_property
-    def _bfs(self) -> "SpanningTree":
-        # breadth-first from vertex 1, neighbors ascending; spans only vertex
-        # 1's component when the graph is disconnected
-        parent: dict[int, int] = {}
-        tree_edges: list[Edge] = []
-        queue = deque([1])
-        while queue:
-            u = queue.popleft()
-            for w in self._adjacency[u]:
-                if w != 1 and w not in parent:
-                    parent[w] = u
-                    tree_edges.append((u, w))
-                    queue.append(w)
-        return SpanningTree(root=1, parent=parent, tree_edges=tuple(tree_edges))
+    def _adjacency(self) -> tuple[np.ndarray, ...]:
+        return _csr(self.n, self._lo, self._hi)
 
     @cached_property
     def _tree_arrays(self) -> "TreeArrays":
-        # the BFS tree as 0-based numpy arrays; meaningful for connected graphs
-        tree = self._bfs
-        parent = list(range(self.n))
-        depth = [0] * self.n
-        for u, w in tree.tree_edges:  # discovery order: parents come first
-            parent[w - 1] = u - 1
-            depth[w - 1] = depth[u - 1] + 1
-        parents = np.array(parent, dtype=np.intp)
-        a, b = self._edge_array.T
-        k = np.arange(a.size)
-        down = parents[b] == a  # edge k runs from parent a down to child b
-        up = parents[a] == b  # edge k runs from child a up to parent b
-        to_parent, from_parent = np.zeros(self.n, np.intp), np.zeros(self.n, np.intp)
-        to_parent[b[down]], from_parent[b[down]] = k[down] + a.size, k[down]
-        to_parent[a[up]], from_parent[a[up]] = k[up], k[up] + a.size
-        arrays = TreeArrays(parents, np.array(depth, dtype=np.intp), to_parent, from_parent)
-        for arr in arrays:
-            arr.setflags(write=False)
-        return arrays
+        # pair k of the search's list is directed edge id k
+        return _bfs_tree(self.n, self._lo, self._hi)
 
     @cached_property
-    def _edge_array(self) -> np.ndarray:
-        # simple_edges as a read-only (edges, 2) array of 0-based vertices;
-        # fromiter allocates only the result, np.array(tuples) three times it
-        flat = chain.from_iterable(self.simple_edges)
-        edges = np.fromiter(flat, dtype=np.intp, count=2 * len(self.simple_edges)).reshape(-1, 2)
-        edges -= 1
-        edges.setflags(write=False)
-        return edges
-
-    @cached_property
-    def _loop_array(self) -> np.ndarray:
-        # loops as a read-only array of 0-based vertices, ascending
-        loops = np.array(self.loops, dtype=np.intp) - 1
-        loops.setflags(write=False)
-        return loops
+    def _spanning_tree(self) -> "SpanningTree":
+        # spans only vertex 1's component when the graph is disconnected
+        child = self._tree_arrays.order[1:]
+        parents, children = (self._tree_arrays.parent[child] + 1).tolist(), (child + 1).tolist()
+        return SpanningTree(1, dict(zip(children, parents)), tuple(zip(parents, children)))
 
     @cached_property
     def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         # 0-based (source, target) of every directed edge, in edge-id order
-        lo, hi = self._edge_array.T
-        loops = self._loop_array
+        lo, hi, loops = self._lo, self._hi, self._loop_array
         ends = (np.concatenate([lo, hi, loops]), np.concatenate([hi, lo, loops]))
         for arr in ends:
             arr.setflags(write=False)
@@ -155,15 +130,14 @@ class MarketGraph:
     @property
     def _edge_count(self) -> int:
         # directed edges, the length of a value vector
-        return 2 * len(self.simple_edges) + len(self.loops)
+        return 2 * self._lo.size + self._loop_array.size
 
     @cached_property
     def _forward_keys(self) -> np.ndarray:
-        # lo * n + hi of every simple edge, ascending since simple_edges is sorted
+        # lo * n + hi of every simple edge, ascending since the edges are sorted
         if self.n > _MAX_KEYED_N:
             raise BadParamsError(f"edge lookup supports at most {_MAX_KEYED_N} goods, got {self.n}")
-        lo, hi = self._edge_array.T
-        keys = lo.astype(np.int64) * self.n + hi
+        keys = self._lo.astype(np.int64) * self.n + self._hi
         keys.setflags(write=False)
         return keys
 
@@ -186,7 +160,8 @@ class MarketGraph:
         """Non-loop neighbors of ``v`` in ascending order."""
         if not 1 <= v <= self.n:
             raise GraphIndexError(f"vertex {v} out of range 1..{self.n}")
-        return self._adjacency[v]
+        indptr, nbrs, _ = self._adjacency
+        return tuple((nbrs[indptr[v - 1] : indptr[v]] + 1).tolist())
 
     def has_edge(self, i: int, j: int) -> bool:
         a, b = (i, j) if i <= j else (j, i)
@@ -223,17 +198,84 @@ class SpanningTree:
 
 
 class TreeArrays(NamedTuple):
-    """The deterministic spanning tree as read-only arrays, vertices 0-based.
+    """The deterministic breadth-first tree of vertex 1's component as
+    read-only arrays, vertices 0-based.
 
-    ``parent`` maps the root to itself; ``depth`` counts tree steps to the root.
-    ``to_parent`` and ``from_parent`` are the directed edge ids of each
-    vertex's steps to and from its parent (0 at the root, never read).
+    ``order`` lists the reached vertices in discovery order, root first;
+    level d is ``order[levels[d]:levels[d + 1]]``. ``parent`` maps the root
+    and every unreached vertex to itself; ``depth`` counts tree steps to the
+    root. ``to_parent`` and ``from_parent`` are the directed edge ids of each
+    vertex's steps to and from its parent (0 where there is none).
     """
 
     parent: np.ndarray
     depth: np.ndarray
     to_parent: np.ndarray
     from_parent: np.ndarray
+    order: np.ndarray
+    levels: np.ndarray
+
+    def path(self, a: int, b: int) -> list[int]:
+        """Vertices of the tree path from ``a`` up to the lowest common
+        ancestor and down to ``b``, both inclusive, 0-based."""
+        up, down = [a], [b]
+        while up[-1] != down[-1]:  # the deeper end climbs
+            end = up if self.depth[up[-1]] >= self.depth[down[-1]] else down
+            end.append(int(self.parent[end[-1]]))
+        return up + down[-2::-1]
+
+
+def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(indptr, nbrs, pair): row v, ``nbrs[indptr[v]:indptr[v + 1]]``, lists
+    v's neighbours over the distinct 0-based pairs (a[k], b[k]) ascending;
+    ``pair`` places each slot's step in the list a -> b, then b -> a. Built
+    only where the pairs can span n vertices, so n * n stays in int64."""
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    key = src.astype(np.int64, copy=False) * n
+    key += dst
+    pair = np.argsort(key)
+    indptr = np.zeros(n + 1, np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[pair], pair
+
+
+def _bfs_tree(n: int, a: np.ndarray, b: np.ndarray) -> TreeArrays:
+    """Breadth-first tree from vertex 0 over the pairs (a[k], b[k]), one
+    numpy pass per level: each pass gathers one level's rows in discovery
+    order, drops vertices already reached and keeps each new one's first
+    occurrence, as a queue over sorted rows would. ``from_parent`` and
+    ``to_parent`` are positions in the pair list of :func:`_csr`."""
+    indptr, nbrs, pair = _csr(n, a, b)
+    parent, depth, via = np.arange(n), np.full(n, -1, np.intp), np.zeros(n, np.intp)
+    depth[0] = 0
+    fronts = [np.zeros(1, np.intp)]
+    while True:
+        frontier = fronts[-1]
+        start = indptr[frontier]
+        count = indptr[frontier + 1] - start
+        # the slots of the frontier's rows, one row after the other
+        ends = np.cumsum(count)
+        slots = np.repeat(start - ends + count, count)
+        slots += np.arange(slots.size)
+        fresh = np.flatnonzero(depth[nbrs[slots]] < 0)
+        slots = slots[fresh]
+        first = np.unique(nbrs[slots], return_index=True)[1]
+        first.sort()
+        slots = slots[first]
+        found = nbrs[slots]
+        if not found.size:
+            break
+        parent[found] = frontier[np.searchsorted(ends, fresh[first], side="right")]
+        depth[found], via[found] = len(fronts), pair[slots]
+        fronts.append(found)
+    np.maximum(depth, 0, out=depth)  # unreached vertices read depth 0
+    levels = np.cumsum([0, *(f.size for f in fronts)])
+    order, back = np.concatenate(fronts), np.zeros(n, np.intp)
+    back[order[1:]] = (via[order[1:]] + a.size) % (2 * a.size)  # the reverse step
+    tree = TreeArrays(parent, depth, back, via, order, levels)
+    for arr in tree:
+        arr.setflags(write=False)
+    return tree
 
 
 @dataclass(frozen=True)
@@ -299,9 +341,9 @@ def is_connected(g: MarketGraph) -> bool:
     Fewer than n - 1 non-loop edges cannot connect n vertices; that answer
     costs no traversal and no storage sized by n.
     """
-    if len(g.simple_edges) < g.n - 1:
+    if g._lo.size < g.n - 1:
         return False
-    return len(g._bfs.parent) == g.n - 1
+    return int(g._tree_arrays.levels[-1]) == g.n
 
 
 def spanning_tree(g: MarketGraph) -> SpanningTree:
@@ -309,12 +351,14 @@ def spanning_tree(g: MarketGraph) -> SpanningTree:
 
     Breadth-first from vertex 1 with neighbors visited in ascending index
     order, so identical graphs always yield the identical tree (and hence
-    reproducible bases downstream). The tree is computed once per graph and
-    shared; its parent map is read-only.
+    reproducible bases downstream). The search itself runs once per graph,
+    over arrays (see :class:`TreeArrays`); the parent map and the tuple of
+    tree edges are built on the first call and shared, and the parent map
+    is read-only.
     """
     if not is_connected(g):
         raise NotConnectedError("graph is not connected")
-    return g._bfs
+    return g._spanning_tree
 
 
 def _validate_tree(g: MarketGraph, t: SpanningTree) -> set[Edge]:

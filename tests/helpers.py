@@ -8,6 +8,7 @@ import csv
 import math
 import random
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from arbx import (
     BasisAssignment,
     CheckResult,
     MarketGraph,
+    SpanningTree,
     canonical_basis,
     complete,
     cycle_log_gain,
@@ -27,7 +29,6 @@ from arbx import (
 from arbx.errors import NotConnectedError, ParseError, ReciprocalConflictError
 from arbx.exchange import RateMatrix, require_tol
 from arbx.graph import is_connected, new_graph
-from arbx.basis import _potentials
 from arbx.io import RatesFile, _label_table
 
 KINDS = ("tree", "gnp-connected", "preferential-attachment", "complete")
@@ -162,6 +163,65 @@ def reference_load_rates(path, tol=1e-9):
     )
 
 
+# --- the queue-driven tree walks, kept as references for the level-by-level ones
+
+
+def reference_bfs(g):
+    """Breadth-first tree from vertex 1 over a dict adjacency and a deque,
+    neighbors ascending; spans only vertex 1's component."""
+    nbrs = {v: [] for v in range(1, g.n + 1)}
+    for i, j in g.simple_edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    parent, tree_edges = {}, []
+    queue = deque([1])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(nbrs[u]):
+            if w != 1 and w not in parent:
+                parent[w] = u
+                tree_edges.append((u, w))
+                queue.append(w)
+    return SpanningTree(root=1, parent=parent, tree_edges=tuple(tree_edges))
+
+
+def reference_tree_arrays(g):
+    """(parent, depth, to_parent, from_parent) of ``reference_bfs`` as
+    0-based lists, filled one tree edge at a time in discovery order."""
+    parent, depth = list(range(g.n)), [0] * g.n
+    to_parent, from_parent = [0] * g.n, [0] * g.n
+    e = len(g.simple_edges)
+    index = {edge: k for k, edge in enumerate(g.simple_edges)}
+    for u, w in reference_bfs(g).tree_edges:
+        parent[w - 1], depth[w - 1] = u - 1, depth[u - 1] + 1
+        k = index[(min(u, w), max(u, w))]
+        # id k runs from the lower end to the higher, id e + k back
+        down, up = (k, e + k) if u < w else (e + k, k)
+        from_parent[w - 1], to_parent[w - 1] = down, up
+    return parent, depth, to_parent, from_parent
+
+
+def reference_potentials(n, entries, values):
+    """Potentials of a spanning tree's entries: entry (i, j) = v pins
+    p[j-1] - p[i-1] = v; a deque walks the tree from good 1 over per-vertex
+    lists of signed steps, one addition per vertex."""
+    signed = [[] for _ in range(n)]
+    for (i, j), val in zip(entries, values):
+        signed[i - 1].append((j - 1, +val))
+        signed[j - 1].append((i - 1, -val))
+    p = [0.0] * n
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for w, step in signed[u]:
+            if w not in seen:
+                seen.add(w)
+                p[w] = p[u] + step
+                queue.append(w)
+    return p
+
+
 # --- the dense n x n implementations, kept as references for the edge-value ones
 
 
@@ -179,7 +239,7 @@ def reference_differences(g, prices):
 def reference_complete(spec, values):
     """Dense completion: potential differences, then the basis values exactly."""
     g = spec.graph
-    arr = reference_differences(g, _potentials(g.n, spec.entries, values))
+    arr = reference_differences(g, reference_potentials(g.n, spec.entries, values))
     for (i, j), val in zip(spec.entries, values):
         arr[i - 1, j - 1] = val
         arr[j - 1, i - 1] = -val

@@ -222,8 +222,8 @@ def _peak(fn, *args) -> int:
 
 def test_memory_is_linear_in_the_graph():
     # one float per vertex and edge is 64 KB here, a dense matrix 32 MB; the
-    # edge-value work stays within 4 units, while complete() also validates
-    # the basis and walks the potentials in per-vertex Python (about 12)
+    # edge-value work stays within 4 units, and complete() with its basis
+    # search and potentials within 6 (test_graph_arrays.py)
     n = 2000
     g = generate_graph("pa", n, m=3, seed=1)
     bound = 16 * (n + len(g.simple_edges)) * 8
