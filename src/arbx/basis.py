@@ -26,17 +26,17 @@ from .errors import (
     NotAnEdgeError,
     NotArbitrageFreeError,
     NotCompleteError,
-    NotConnectedError,
     OracleSizeError,
 )
 from .exchange import DEFAULT_TOL, LogRateMatrix, _ids_of, check_no_arbitrage
 from .graph import (
     ORACLE_MAX_VERTICES,
+    SMALL_LEVEL,
     MarketGraph,
     TreeArrays,
     _bfs_tree,
+    _connected_tree,
     fundamental_cycles,
-    is_connected,
     spanning_tree,
 )
 
@@ -114,9 +114,7 @@ def canonical_basis(g: MarketGraph) -> BasisSpec:
     Entries are oriented (parent, child) and ordered by child index, so a
     given graph always gets the same basis.
     """
-    if not is_connected(g):
-        raise NotConnectedError("graph is not connected")
-    parents = (g._tree_arrays.parent[1:] + 1).tolist()
+    parents = (_connected_tree(g).parent[1:] + 1).tolist()
     return BasisSpec(graph=g, entries=tuple(zip(parents, range(2, g.n + 1))))
 
 
@@ -166,15 +164,25 @@ def _require_basis(spec: BasisSpec) -> tuple[np.ndarray, TreeArrays]:
 
 
 def _climb(t: TreeArrays, values: np.ndarray) -> np.ndarray:
-    # potentials down a breadth-first tree from good 1 at 0, one level per
-    # pass: each vertex adds the value of its step from its parent to the
-    # parent's potential, the one IEEE addition a vertex-by-vertex walk
-    # makes; a sum beyond the float range is infinite, without a warning
+    # potentials down a breadth-first tree from good 1 at 0: each vertex
+    # adds the value of its step from its parent to the parent's potential,
+    # the one IEEE addition a vertex-by-vertex walk makes, in one numpy pass
+    # per large level and in Python floats along each stretch of small
+    # levels; a sum beyond the float range is infinite, without a warning
     p = np.zeros(t.parent.size)
+    large = np.flatnonzero(np.diff(t.levels) > SMALL_LEVEL)
+    starts = t.levels[large]
+    cuts = np.union1d(t.levels[[1, -1]], np.concatenate([starts, t.levels[large + 1]]))
+    starts = set(starts.tolist())
     with np.errstate(over="ignore"):
-        for a, b in zip(t.levels[1:-1].tolist(), t.levels[2:].tolist()):
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
             w = t.order[a:b]
-            p[w] = p[t.parent[w]] + values[t.from_parent[w]]
+            up, step = t.parent[w], values[t.from_parent[w]]
+            if a in starts:
+                p[w] = p[up] + step
+                continue
+            for v, u, x in zip(w.tolist(), up.tolist(), step.tolist()):
+                p[v] = p.item(u) + x
     return p
 
 
@@ -216,8 +224,9 @@ def complete(a: BasisAssignment) -> LogRateMatrix:
     Works through the price potential: the basis tree fixes one potential
     difference per entry, and every remaining edge entry is the potential
     difference of its endpoints, which is what path independence forces.
-    Runs in O(n + edge count) array work, one numpy pass per level of the
-    basis tree, and is bit-for-bit deterministic.
+    Runs in O(n + edge count) work, one numpy pass per large level of the
+    basis tree and good by good along small ones, and is bit-for-bit
+    deterministic.
     """
     return _complete(a.spec.graph, _require_basis(a.spec), a.values)
 
@@ -255,8 +264,7 @@ def decompose(
 
 def dimension(g: MarketGraph) -> int:
     """Dimension of the arbitrage-free space: one degree of freedom per tree edge."""
-    if not is_connected(g):
-        raise NotConnectedError("graph is not connected")
+    _connected_tree(g)
     return g.n - 1
 
 

@@ -49,14 +49,19 @@ class PerturbationOperator:
 
     The map is completion over ``spec``, so the k-th unit vector maps to the
     k-th unit-response matrix exactly; no response matrix is stored.
+    Construction raises :class:`~arbx.errors.NotABasisError` unless ``spec``
+    is a basis.
     """
 
     spec: BasisSpec
 
+    def __post_init__(self) -> None:
+        # the basis's edge ids and search tree, found once per operator
+        object.__setattr__(self, "_found", _require_basis(self.spec))
+
 
 def build_operator(spec: BasisSpec) -> PerturbationOperator:
     """Perturbation operator of a basis; raises if ``spec`` is not a basis."""
-    _require_basis(spec)
     return PerturbationOperator(spec=spec)
 
 
@@ -68,7 +73,7 @@ def propagate_log(op: PerturbationOperator, d: PerturbationVector) -> LogRateMat
     """
     if d.spec != op.spec:
         raise SpecMismatchError("perturbation and operator use different bases")
-    return _complete(op.spec.graph, _require_basis(op.spec), d.deltas)
+    return _complete(op.spec.graph, op._found, d.deltas)
 
 
 def propagate_multiplicative_first_order(

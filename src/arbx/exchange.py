@@ -27,15 +27,16 @@ from .errors import (
     NotAnEdgeError,
     NotAWalkError,
     NotClosedError,
-    NotConnectedError,
     OracleSizeError,
 )
 from .graph import (
     ORACLE_MAX_VERTICES,
     MarketGraph,
     TreeArrays,
+    _connected_tree,
+    _tree_path,
     enumerate_simple_cycles,
-    is_connected,
+    spanning_tree,
 )
 
 DEFAULT_TOL = 1e-9
@@ -400,13 +401,12 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
     O(total cycle length) element work. Each gain is summed in the order of
     its walk, starting from 0.0, so it equals :func:`cycle_log_gain` of the
     fundamental cycle bit for bit; a gain beyond the float range is
-    infinite, without a warning. Only the witness cycle is built in Python.
+    infinite, without a warning. Only the witness cycle is built in Python,
+    from the parent map of :func:`~arbx.graph.spanning_tree`.
     """
     require_tol(tol)
     g = e.graph
-    if not is_connected(g):
-        raise NotConnectedError("graph is not connected")
-    t = g._tree_arrays
+    t = _connected_tree(g)
     a, b = g._lo, g._hi
     chords = np.flatnonzero((t.parent[a] != b) & (t.parent[b] != a))
     k, m = a[chords], b[chords]
@@ -429,7 +429,7 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
     elif w < loops.size + a.size:
         cycle = (i, j, i)
     else:
-        cycle = (i, *(v + 1 for v in t.path(j - 1, i - 1)))
+        cycle = (i, *_tree_path(spanning_tree(g), j, i))
     return CheckResult(False, _witness(cycle, float(gains[w])), gains.size, max_abs)
 
 
@@ -445,8 +445,7 @@ def check_no_arbitrage_oracle(
     require_tol(tol)
     if e.graph.n > max_n:
         raise OracleSizeError(f"{e.graph.n} vertices exceeds the oracle limit of {max_n}")
-    if not is_connected(e.graph):
-        raise NotConnectedError("graph is not connected")
+    _connected_tree(e.graph)
     _, sums = _antisymmetry_gains(e)
     conditions: list[Condition] = [
         ((i, j), (i, j, i), s) for (i, j), s in zip(e.graph.simple_edges, sums.tolist())

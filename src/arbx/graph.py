@@ -7,7 +7,8 @@ interface. An edge {i, j} means the pair trades directly; reflexive loops
 
 Internally a graph is arrays, vertices 0-based: sorted edge endpoints, the
 adjacency in compressed sparse rows, and a breadth-first tree found one
-numpy pass per level; the public tuples are built only when asked for.
+numpy pass per large level and vertex by vertex along small ones; the
+public tuples are built only when asked for.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ pairs for ``complete`` and ``gnp-connected``, m(n - m) + m(m - 1)/2 edges
 for ``preferential-attachment``, n - 1 for ``tree``. Larger requests are
 refused before anything is allocated; K2000 and pa n=10^5, m=3 fit."""
 
+SMALL_LEVEL = 16
+"""Largest tree level that the breadth-first search and the potentials walk
+step through vertex by vertex instead of in one numpy pass. A pass costs
+about 25 us however small its level, so one per level would make a path of
+n goods cost n passes; a vertex by hand costs about 2 us."""
+
 _MAX_KEYED_N = 3_037_000_499
 """Largest n whose edge keys i * n + j fit in int64."""
 
@@ -70,8 +77,14 @@ class MarketGraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise BadParamsError(f"vertex count must be >= 1, got {self.n}")
+        edges = self.edges
+        if not set(map(len, edges)) <= {2}:
+            bad_edge = next(e for e in edges if len(e) != 2)
+            raise BadParamsError(f"edge {bad_edge!r} is not a vertex pair")
         try:
-            flat = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
+            flat = np.fromiter(map(_int, chain.from_iterable(edges)), np.intp, 2 * len(edges))
+        except TypeError:
+            raise BadParamsError("an edge has non-integer vertices") from None
         except OverflowError:  # a vertex beyond int64
             raise GraphIndexError(f"an edge lies out of range 1..{self.n}") from None
         flat -= 1
@@ -215,15 +228,6 @@ class TreeArrays(NamedTuple):
     order: np.ndarray
     levels: np.ndarray
 
-    def path(self, a: int, b: int) -> list[int]:
-        """Vertices of the tree path from ``a`` up to the lowest common
-        ancestor and down to ``b``, both inclusive, 0-based."""
-        up, down = [a], [b]
-        while up[-1] != down[-1]:  # the deeper end climbs
-            end = up if self.depth[up[-1]] >= self.depth[down[-1]] else down
-            end.append(int(self.parent[end[-1]]))
-        return up + down[-2::-1]
-
 
 def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     """(indptr, nbrs, pair): row v, ``nbrs[indptr[v]:indptr[v + 1]]``, lists
@@ -241,36 +245,50 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _bfs_tree(n: int, a: np.ndarray, b: np.ndarray) -> TreeArrays:
     """Breadth-first tree from vertex 0 over the pairs (a[k], b[k]), one
-    numpy pass per level: each pass gathers one level's rows in discovery
-    order, drops vertices already reached and keeps each new one's first
-    occurrence, as a queue over sorted rows would. ``from_parent`` and
+    level at a time, as a queue over sorted rows would find it: each level's
+    rows are read in discovery order, and a vertex not reached yet joins the
+    next level at its first occurrence. A level of more than
+    :data:`SMALL_LEVEL` vertices is searched in one numpy pass; a stretch of
+    smaller levels is walked vertex by vertex. ``from_parent`` and
     ``to_parent`` are positions in the pair list of :func:`_csr`."""
     indptr, nbrs, pair = _csr(n, a, b)
     parent, depth, via = np.arange(n), np.full(n, -1, np.intp), np.zeros(n, np.intp)
     depth[0] = 0
-    fronts = [np.zeros(1, np.intp)]
-    while True:
-        frontier = fronts[-1]
-        start = indptr[frontier]
-        count = indptr[frontier + 1] - start
-        # the slots of the frontier's rows, one row after the other
-        ends = np.cumsum(count)
-        slots = np.repeat(start - ends + count, count)
-        slots += np.arange(slots.size)
-        fresh = np.flatnonzero(depth[nbrs[slots]] < 0)
-        slots = slots[fresh]
-        first = np.unique(nbrs[slots], return_index=True)[1]
-        first.sort()
-        slots = slots[first]
-        found = nbrs[slots]
-        if not found.size:
-            break
-        parent[found] = frontier[np.searchsorted(ends, fresh[first], side="right")]
-        depth[found], via[found] = len(fronts), pair[slots]
-        fronts.append(found)
+    frontier = np.zeros(1, np.intp)
+    sizes, parts = [1], [frontier]
+    while frontier.size:
+        if frontier.size <= SMALL_LEVEL:
+            found, slots, level = [], [], frontier.tolist()
+            while 0 < len(level) <= SMALL_LEVEL:
+                fresh = []
+                for u in level:
+                    start, end = indptr[u : u + 2].tolist()
+                    for k, v in enumerate(nbrs[start:end].tolist(), start):
+                        if depth[v] < 0:
+                            depth[v] = len(sizes)
+                            fresh.append(v)
+                            slots.append(k)
+                found += fresh
+                sizes.append(len(fresh))
+                level = fresh
+            found, slots, frontier = (np.array(x, np.intp) for x in (found, slots, level))
+        else:
+            start = indptr[frontier]
+            count = indptr[frontier + 1] - start
+            # the slots of the frontier's rows, one row after the other
+            slots = np.repeat(start - np.cumsum(count) + count, count)
+            slots += np.arange(slots.size)
+            slots = slots[depth[nbrs[slots]] < 0]
+            slots = slots[np.sort(np.unique(nbrs[slots], return_index=True)[1])]
+            found = frontier = nbrs[slots]
+            depth[found] = len(sizes)
+            sizes.append(found.size)
+        parent[found] = np.searchsorted(indptr, slots, side="right") - 1  # the slot's row
+        via[found] = pair[slots]
+        parts.append(found)
     np.maximum(depth, 0, out=depth)  # unreached vertices read depth 0
-    levels = np.cumsum([0, *(f.size for f in fronts)])
-    order, back = np.concatenate(fronts), np.zeros(n, np.intp)
+    levels = np.cumsum([0, *sizes[:-1]])  # the last level found nothing
+    order, back = np.concatenate(parts), np.zeros(n, np.intp)
     back[order[1:]] = (via[order[1:]] + a.size) % (2 * a.size)  # the reverse step
     tree = TreeArrays(parent, depth, back, via, order, levels)
     for arr in tree:
@@ -341,9 +359,15 @@ def is_connected(g: MarketGraph) -> bool:
     Fewer than n - 1 non-loop edges cannot connect n vertices; that answer
     costs no traversal and no storage sized by n.
     """
-    if g._lo.size < g.n - 1:
-        return False
-    return int(g._tree_arrays.levels[-1]) == g.n
+    return g._lo.size >= g.n - 1 and int(g._tree_arrays.levels[-1]) == g.n
+
+
+def _connected_tree(g: MarketGraph) -> TreeArrays:
+    """The graph's breadth-first tree; raises
+    :class:`~arbx.errors.NotConnectedError` unless it spans every good."""
+    if not is_connected(g):
+        raise NotConnectedError("graph is not connected")
+    return g._tree_arrays
 
 
 def spanning_tree(g: MarketGraph) -> SpanningTree:
@@ -356,8 +380,7 @@ def spanning_tree(g: MarketGraph) -> SpanningTree:
     tree edges are built on the first call and shared, and the parent map
     is read-only.
     """
-    if not is_connected(g):
-        raise NotConnectedError("graph is not connected")
+    _connected_tree(g)
     return g._spanning_tree
 
 

@@ -18,8 +18,12 @@ from arbx import (
     BasisSpec,
     GraphIndexError,
     MarketGraph,
+    NotABasisError,
     NotAnEdgeError,
     NotConnectedError,
+    PerturbationOperator,
+    PerturbationVector,
+    build_operator,
     canonical_basis,
     complete,
     dimension,
@@ -28,9 +32,12 @@ from arbx import (
     is_connected,
     new_graph,
     price_vector,
+    propagate_log,
     spanning_tree,
 )
+from arbx import dynamics
 from arbx.basis import _potentials
+from arbx.graph import SMALL_LEVEL
 from helpers import (
     random_assignment,
     reference_bfs,
@@ -46,6 +53,18 @@ def _with_loops(g, seed, share=0.2):
     return new_graph(g.n, [*g.edges, *((v, v) for v in range(1, g.n + 1) if rng.random() < share)])
 
 
+def _broom():
+    # fans wider than SMALL_LEVEL (one numpy pass each) alternate with paths
+    # (walked vertex by vertex), and one fan of each size at the bound
+    edges, tip = [(2, 3), (45, 60)], 1
+    for fan, handle in [(40, 30), (20, 9), (SMALL_LEVEL, 1), (SMALL_LEVEL + 1, 3)]:
+        edges += [(tip, v) for v in range(tip + 1, tip + fan + 1)]
+        tip += fan
+        edges += [(v, v + 1) for v in range(tip, tip + handle)]
+        tip += handle
+    return new_graph(tip, edges)
+
+
 def _connected():
     ring = [(v, v % 40 + 1) for v in range(1, 41)] + [(1, 20), (7, 33)]
     grid = [(r * 8 + c + 1, r * 8 + c + 2) for r in range(8) for c in range(7)]
@@ -56,6 +75,7 @@ def _connected():
     yield "gnp", generate_graph("gnp", 50, p=0.12, seed=5)
     yield "tree", generate_graph("tree", 60, seed=6)
     yield "complete", generate_graph("complete", 14)
+    yield "broom", _broom()
     yield "single", new_graph(1, [])
 
 
@@ -92,6 +112,7 @@ def _assert_same_tree(g):
     assert t.from_parent.tolist() == from_parent
     # the levels partition the reached vertices by depth, in discovery order
     assert t.order.tolist() == [0] + [w - 1 for _, w in ref.tree_edges]
+    assert t.levels.size == max(depth[v - 1] for v in [1, *ref.parent]) + 2
     for d, (a, b) in enumerate(zip(t.levels[:-1].tolist(), t.levels[1:].tolist())):
         assert t.depth[t.order[a:b]].tolist() == [d] * (b - a)
     for v in range(1, g.n + 1):
@@ -223,9 +244,30 @@ def test_construction_validates_with_arrays():
         MarketGraph(4, frozenset({(1, 10**30)}))
     with pytest.raises(BadParamsError, match=r"edge \(3, 2\) is not normalized"):
         MarketGraph(4, frozenset({(1, 2), (3, 2)}))
+    for edges in [{(1, 2, 3)}, {(1, 2, 3), (4,)}, {(1, 2), (3,)}]:
+        with pytest.raises(BadParamsError, match="is not a vertex pair"):
+            MarketGraph(4, frozenset(edges))
+    for pair in [(1.5, 2), ("1", 2), (1, None)]:
+        with pytest.raises(BadParamsError, match="non-integer vertices"):
+            MarketGraph(4, frozenset({pair}))
     g = MarketGraph(4, frozenset({(3, 4), (1, 2), (2, 2), (1, 3)}))
     assert g.simple_edges == ((1, 2), (1, 3), (3, 4)) and g.loops == (2,)
     assert g == new_graph(4, [(4, 3), (2, 1), {2}, (3, 1)])
+
+
+def test_operator_searches_its_basis_once(monkeypatch):
+    spec = _random_tree_spec(GRAPHS["pa"], 13)
+    op = build_operator(spec)
+    with pytest.raises(NotABasisError):
+        PerturbationOperator(spec=BasisSpec(graph=spec.graph, entries=spec.entries[1:]))
+
+    def no_search(spec):
+        raise AssertionError("the operator's basis was searched again")
+
+    monkeypatch.setattr(dynamics, "_require_basis", no_search)
+    deltas = tuple(random.Random(13).uniform(-1.0, 1.0) for _ in spec.entries)
+    got = propagate_log(op, PerturbationVector(spec=spec, deltas=deltas))
+    assert same_bits(got.entries, complete(BasisAssignment(spec=spec, values=deltas)).entries)
 
 
 def _peak(fn, *args) -> int:
