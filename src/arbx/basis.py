@@ -170,12 +170,16 @@ def _climb(t: TreeArrays, values: np.ndarray) -> np.ndarray:
     # per large level and in Python floats along each stretch of small
     # levels; a sum beyond the float range is infinite, without a warning
     p = np.zeros(t.parent.size)
-    large = np.flatnonzero(np.diff(t.levels) > SMALL_LEVEL)
-    starts = t.levels[large]
-    cuts = np.union1d(t.levels[[1, -1]], np.concatenate([starts, t.levels[large + 1]]))
-    starts = set(starts.tolist())
+    large = np.diff(t.levels) > SMALL_LEVEL
+    # segments run between cuts: below good 1, at the end, around each large level
+    cut = np.zeros(t.levels.size, bool)
+    cut[[1, -1]] = True
+    cut[:-1] |= large
+    cut[1:] |= large
+    cuts = t.levels[cut].tolist()
+    starts = set(t.levels[:-1][large].tolist())
     with np.errstate(over="ignore"):
-        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        for a, b in zip(cuts[:-1], cuts[1:]):
             w = t.order[a:b]
             up, step = t.parent[w], values[t.from_parent[w]]
             if a in starts:

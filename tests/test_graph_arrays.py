@@ -1,8 +1,9 @@
 """The array graph layer against the queue-driven references in ``helpers``.
 
 The level-by-level search must find the same tree as a deque walk over a
-dict adjacency, and the one-level-per-pass potentials must give the same
-floats, bit for bit, as the signed-list walk.
+dict adjacency, and the level-by-level potentials must give the same
+floats, bit for bit, as the signed-list walk, on large levels (one numpy
+pass each) and on stretches of small ones (walked good by good) alike.
 """
 
 import random
