@@ -171,7 +171,7 @@ def _climb(t: TreeArrays, values: np.ndarray) -> np.ndarray:
     # levels; a sum beyond the float range is infinite, without a warning
     p = np.zeros(t.parent.size)
     large = np.diff(t.levels) > SMALL_LEVEL
-    # segments run between cuts: below good 1, at the end, around each large level
+    # segments run between cuts: after good 1, at the end and around each large level
     cut = np.zeros(t.levels.size, bool)
     cut[[1, -1]] = True
     cut[:-1] |= large
