@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -280,6 +279,8 @@ def dimension_by_rank(g: MarketGraph, *, max_n: int = ORACLE_MAX_VERTICES) -> in
     the dimension is the edge count minus the exact rank of the constraint
     system over the rationals. No floating-point judgment is involved.
     """
+    from fractions import Fraction  # only here: keeps fractions and decimal out of a CLI run
+
     if g.n > max_n:
         raise OracleSizeError(f"{g.n} vertices exceeds the oracle limit of {max_n}")
     tree = spanning_tree(g)
@@ -297,7 +298,7 @@ def dimension_by_rank(g: MarketGraph, *, max_n: int = ORACLE_MAX_VERTICES) -> in
     return len(edges) - _rank(rows)
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
+def _rank(rows: list[list]) -> int:
     if not rows:
         return 0
     mat = [row[:] for row in rows]

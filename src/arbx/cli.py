@@ -2,9 +2,21 @@
 
 Exit codes: 0 consistent / success, 1 usage, parse, or structural error,
 2 arbitrage violation.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless it is already
+set, before numpy loads; ``import arbx`` does not load numpy, so this holds
+for ``python -m arbx.cli``, the ``arbx`` script and ``from arbx.cli import
+main`` alike.
 """
 
 from __future__ import annotations
+
+import os
+
+# arbx makes no BLAS call, and an idle OpenBLAS worker spin-waits after numpy
+# loads: on 2 vCPUs that can cost a short CLI run ~70 ms. A value set by the
+# user is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import sys
