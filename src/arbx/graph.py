@@ -63,7 +63,9 @@ class MarketGraph:
 
     Construction validates the pairs with array operations and keeps them
     as sorted 0-based arrays; everything else is derived from those on
-    first use and cached.
+    first use and cached. The rates loader, whose arrays are sorted and
+    checked already, hands them over as they are (``_of_arrays``); such a
+    graph builds ``edges`` only when it is read.
 
     Every directed edge has an id, the index of its value in a rate or log
     matrix: with E simple edges, id k < E is (i, j) of ``simple_edges[k]``
@@ -100,8 +102,21 @@ class MarketGraph:
         loop = i == j
         lo, hi = i[~loop], j[~loop]
         order = np.lexsort((hi, lo))
-        loops = np.sort(i[loop])
-        for name, arr in [("_lo", lo[order]), ("_hi", hi[order]), ("_loop_array", loops)]:
+        self._adopt(lo[order], hi[order], np.sort(i[loop]))
+
+    @classmethod
+    def _of_arrays(cls, n: int, lo: np.ndarray, hi: np.ndarray, loops: np.ndarray) -> MarketGraph:
+        """The graph on 0-based pairs the caller has validated: distinct
+        ``lo < hi`` in ascending (lo, hi) order and distinct ``loops``
+        ascending, all in 0..n-1. Nothing is checked or sorted again, and
+        :attr:`edges` is built only when first read."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        g._adopt(lo, hi, loops)
+        return g
+
+    def _adopt(self, lo: np.ndarray, hi: np.ndarray, loops: np.ndarray) -> None:
+        for name, arr in [("_lo", lo), ("_hi", hi), ("_loop_array", loops)]:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -179,6 +194,17 @@ class MarketGraph:
     def has_edge(self, i: int, j: int) -> bool:
         a, b = (i, j) if i <= j else (j, i)
         return (a, b) in self.edges
+
+
+def _edge_set(g: MarketGraph) -> frozenset[Edge]:
+    return frozenset(chain(g.simple_edges, zip(g.loops, g.loops)))
+
+
+# A non-data descriptor: the dataclass __init__ stores the ``edges`` it is
+# given in the instance, which shadows it; a graph from _of_arrays has none
+# stored and builds the set on first read.
+MarketGraph.edges = cached_property(_edge_set)  # type: ignore[assignment]
+MarketGraph.edges.__set_name__(MarketGraph, "edges")
 
 
 @dataclass(frozen=True, eq=False)

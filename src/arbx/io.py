@@ -11,12 +11,14 @@ echoed in every report.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import json
 import math
 import re
 from dataclasses import dataclass
+from io import BytesIO
 from itertools import compress
 from pathlib import Path
 from typing import Callable, Sequence
@@ -32,16 +34,45 @@ from .graph import MarketGraph, is_connected, new_graph
 _INDEX_TOKEN = re.compile(r"[1-9][0-9]*")
 _DIGIT_TOKEN = re.compile(r"[0-9]+")
 
+# A canonical rates file: the bare header (a BOM allowed), then one or more
+# rows of two 1-based indices and a plain decimal rate, each ending in "\n"
+# but for the last; no spaces, quotes, blank rows or "\r". Such a file is
+# parsed in one np.loadtxt pass; any other goes through the csv tokenizer.
+# The rows are checked by searching for a newline that starts no row (the
+# end of the file aside): a search holds no state per row, where one match
+# over the whole file would keep a backtracking entry for every row.
+_CANONICAL_HEADER = b"src,dst,rate\n"
+_NOT_A_ROW = re.compile(
+    rb"\n(?![1-9][0-9]*,[1-9][0-9]*,(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?:\n|\Z)|\Z)"
+)
+_QUOTE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("rate", np.float64)])
+
+# the label table, the quote keys of _key_order ascending, the rates in that order
+_Quotes = tuple[tuple[str, ...], np.ndarray, np.ndarray]
+
 
 def file_digest(path: str | Path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _read_json(path: str | Path) -> object:
+def _read_bytes(path: str | Path) -> bytes:
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _decode(path: str | Path, data: bytes) -> str:
+    """The file as text, one leading BOM dropped; an invalid byte is a
+    ParseError naming its offset in the file."""
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: invalid byte at offset {exc.start}") from None
+
+
+def _read_json(path: str | Path) -> object:
+    text = _decode(path, _read_bytes(path))
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -105,15 +136,13 @@ def _first_bad_row(path: str | Path, lines: np.ndarray, quotes: list[list[str]])
             raise ParseError(f"{path}:{lineno}: empty src or dst")
 
 
-def _rate_columns(path: str | Path) -> tuple[np.ndarray, list[str], list[str], list[str]]:
+def _rate_columns(
+    path: str | Path, data: bytes
+) -> tuple[np.ndarray, list[str], list[str], list[str]]:
     """The quote rows as stripped src, dst and rate columns, plus each row's
     line in the file. Blank rows are skipped but still counted; the first
     row of another width, or with an empty src or dst, is an error."""
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
+    rows = list(csv.reader(_decode(path, data).splitlines()))
     if not rows or [c.strip().lower() for c in rows[0]] != ["src", "dst", "rate"]:
         raise ParseError(f"{path}: first line must be the header 'src,dst,rate'")
     body = rows[1:]
@@ -129,6 +158,89 @@ def _rate_columns(path: str | Path) -> tuple[np.ndarray, list[str], list[str], l
     if not (all(src) and all(dst)):
         _first_bad_row(path, lines, quotes)
     return lines, src, dst, rate
+
+
+def _bad_rates(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the rates that are not positive and finite, and of the
+    positive rates so small that their reciprocal overflows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        positive = np.isfinite(rates) & (rates > 0.0)
+        return ~positive, positive & ~np.isfinite(1.0 / rates)
+
+
+def _key_order(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quote keys in ascending order, the order that sorts them, and a
+    mask of each repeat of an earlier row's key. A quote's key is
+    (lo * n + hi) * 2, plus 1 if it runs from hi to lo, so the quotes of a
+    pair are adjacent, lo -> hi first."""
+    # n is at most the distinct tokens, twice the rows, so 2 n^2 fits in
+    # int64 for any file below ~10^9 rows
+    key = (np.minimum(i, j) * n + np.maximum(i, j)) * 2 + (i > j)
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    repeat = np.zeros(len(key), bool)
+    repeat[order[1:][keys[1:] == keys[:-1]]] = True
+    return keys, order, repeat
+
+
+def _canonical_quotes(data: bytes) -> _Quotes | None:
+    """:func:`_tokenized_quotes` of a canonical file, in one C pass; None
+    for any other file and for every file the tokenizer must reject.
+
+    numpy parses each rate with the routine ``float()`` uses, so the values
+    are the same to the bit; no text, row list or string column is built."""
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    end = start + len(_CANONICAL_HEADER)
+    if not data.startswith(_CANONICAL_HEADER, start) or len(data) == end:
+        return None
+    if _NOT_A_ROW.search(data, end - 1):  # from the header's newline on
+        return None
+    try:
+        rows = np.loadtxt(BytesIO(data), _QUOTE_ROW, delimiter=",", skiprows=1, ndmin=1)
+    except ValueError:  # an index beyond int64
+        return None
+    i, j, rates = rows["src"] - 1, rows["dst"] - 1, rows["rate"]
+    # as in the label table, the indices must name every good up to the
+    # largest; past twice the row count some surely do not, and that is
+    # checked first, so the mask is sized by the file, not by one index
+    n = int(max(i.max(), j.max())) + 1
+    if n > 2 * len(rows):
+        return None
+    quoted = np.zeros(n, bool)
+    quoted[i] = quoted[j] = True
+    if not quoted.all():
+        return None
+    keys, order, repeat = _key_order(n, i, j)
+    not_positive, tiny = _bad_rates(rates)
+    if (not_positive | tiny | repeat).any():
+        return None
+    return tuple(map(str, range(1, n + 1))), keys, rates[order]
+
+
+def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
+    """The label table, the quote keys of :func:`_key_order` ascending and
+    the rates in that order, read through the csv tokenizer, which raises
+    every error of the rows, the labels and the rates."""
+    lines, src, dst, rate_text = _rate_columns(path, data)
+    labels, to_index = _label_table(path, {*src, *dst})
+    n, count = len(labels), len(lines)
+    i = np.fromiter(map(to_index, src), np.int64, count) - 1
+    j = np.fromiter(map(to_index, dst), np.int64, count) - 1
+    rates, junk = _parse_rates(rate_text)
+    keys, order, repeat = _key_order(n, i, j)
+    not_positive, tiny = _bad_rates(rates)
+    bad = junk | not_positive | tiny | repeat
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f"{path}:{lines[k]}"
+        if junk[k]:
+            raise ParseError(f"{where}: rate {rate_text[k]!r} is not a number")
+        if not_positive[k]:
+            raise ParseError(f"{where}: rate must be positive and finite, got {rate_text[k]}")
+        if tiny[k]:
+            raise ParseError(f"{where}: rate {rate_text[k]} is too small: its reciprocal overflows")
+        raise ParseError(f"{where}: duplicate quote {src[k]}->{dst[k]}")
+    return labels, keys, rates[order]
 
 
 def _parse_rates(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -176,67 +288,62 @@ def load_rates(path: str | Path, tol: float = DEFAULT_TOL) -> RatesFile:
     Errors come in a fixed order: the row layout, the label table, then the
     earliest line with a bad rate or a repeated quote (the rate first on one
     line), then the first conflicting pair in ascending (i, j) order, then
-    connectivity. Each check runs over whole columns.
+    connectivity. A bad rate is one that is not a positive finite number or
+    whose reciprocal overflows. Each check runs over whole columns.
+
+    A canonical file (see ``_CANONICAL_HEADER``) whose rows pass the checks
+    up to the bad rates is parsed in one C pass; every other file goes
+    through the csv tokenizer, which raises those errors. Both give the same
+    result.
     """
     require_tol(tol)
-    lines, src, dst, rate_text = _rate_columns(path)
-    labels, to_index = _label_table(path, {*src, *dst})
-    # _label_table bounds n by the distinct tokens, so i * n + j cannot overflow
-    n, count = len(labels), len(lines)
-    i = np.fromiter(map(to_index, src), np.int64, count) - 1
-    j = np.fromiter(map(to_index, dst), np.int64, count) - 1
-    rates, junk = _parse_rates(rate_text)
+    data = _read_bytes(path)
+    labels, keys, rates = _canonical_quotes(data) or _tokenized_quotes(path, data)
+    del data  # only the parsers read it; free it before the graph is built
+    n = len(labels)
 
-    key = i * n + j
-    order = np.argsort(key, kind="stable")
-    keys = key[order]
-    repeat = np.zeros(count, bool)
-    repeat[order[1:][keys[1:] == keys[:-1]]] = True
-    bad_rate = junk | ~np.isfinite(rates) | (rates <= 0.0)
-    bad = bad_rate | repeat
-    if bad.any():
-        k = int(np.argmax(bad))
-        where = f"{path}:{lines[k]}"
-        if junk[k]:
-            raise ParseError(f"{where}: rate {rate_text[k]!r} is not a number")
-        if bad_rate[k]:
-            raise ParseError(f"{where}: rate must be positive and finite, got {rate_text[k]}")
-        raise ParseError(f"{where}: duplicate quote {src[k]}->{dst[k]}")
-
-    # the quotes in ascending (i, j) order, each with its reverse quote if any
-    rates, qi, qj = rates[order], keys // n, keys % n
-    reverse = qj * n + qi
-    back = np.minimum(np.searchsorted(keys, reverse), count - 1)
-    paired = keys[back] == reverse
-    up = np.flatnonzero(paired & (qi < qj))
-    there, home = rates[up].tolist(), rates[back[up]].tolist()
+    # the quotes by pair (lo, hi) ascending; a pair quoted both ways is its
+    # lo -> hi quote followed by its hi -> lo one
+    pair, down = keys >> 1, (keys & 1).astype(bool)
+    lo, hi = pair // n, pair % n
+    first = np.ones(len(keys), bool)
+    first[1:] = pair[1:] != pair[:-1]
+    both = np.flatnonzero(~first)
+    there, home = rates[both - 1].tolist(), rates[both].tolist()
     # math.log, not np.log: numpy's log may differ from it in the last bit,
     # which would move a drift lying right at tol across the line
-    drift = np.fromiter(map(math.log, there), float, len(up)) + np.fromiter(
-        map(math.log, home), float, len(up)
+    drift = np.fromiter(map(math.log, there), float, len(both)) + np.fromiter(
+        map(math.log, home), float, len(both)
     )
     conflict = np.flatnonzero(np.abs(drift) > tol)
     if conflict.size:
         k = int(conflict[0])
-        a, b = labels[qi[up[k]]], labels[qj[up[k]]]
+        a, b = labels[lo[both[k]]], labels[hi[both[k]]]
         raise ReciprocalConflictError(
             f"{path}: quotes {a}->{b} and {b}->{a} multiply to {there[k] * home[k]:.12g}, not 1"
         )
 
-    del src, dst, rate_text  # only errors read them; free them before the graph is built
-    fill = ~paired & (qi != qj)
-    lo, hi = np.minimum(i, j) + 1, np.maximum(i, j) + 1
-    graph = MarketGraph(n, frozenset(zip(lo.tolist(), hi.tolist())))
+    loop = lo == hi
+    edge = first & ~loop
+    graph = MarketGraph._of_arrays(n, lo[edge], hi[edge], lo[loop])
     if not is_connected(graph):
         raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
-    # every directed edge is quoted or is the reverse of a filled quote
+    # each quote's directed edge id, and the reverse of each one-sided quote
+    e = graph._lo.size
+    ids = np.cumsum(edge) - 1 + e * down
+    ids[loop] = 2 * e + np.arange(graph._loop_array.size)
+    alone = edge.copy()
+    alone[:-1] &= first[1:]
     values = np.empty(graph._edge_count)
-    values[graph._edge_ids(qi, qj)] = rates
-    values[graph._edge_ids(qj[fill], qi[fill])] = 1.0 / rates[fill]
+    values[ids] = rates
+    values[ids[alone] + np.where(down[alone], -e, e)] = 1.0 / rates[alone]
+    # filled in the order of the quotes they complete, by (src, dst)
+    src, dst = np.where(down, hi, lo)[alone], np.where(down, lo, hi)[alone]
+    order = np.argsort(src * n + dst)
     return RatesFile(
         matrix=RateMatrix._of(graph, values),
         labels=labels,
-        filled=tuple(zip((qj[fill] + 1).tolist(), (qi[fill] + 1).tolist())),
+        filled=tuple(zip((dst[order] + 1).tolist(), (src[order] + 1).tolist())),
     )
 
 

@@ -104,9 +104,13 @@ def reference_load_rates(path, tol=1e-9):
     fills, ``new_graph`` and ``RateMatrix.from_quotes``."""
     require_tol(tol)
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: invalid byte at offset {exc.start}") from None
     table = list(csv.reader(text.splitlines()))
     if not table or [c.strip().lower() for c in table[0]] != ["src", "dst", "rate"]:
         raise ParseError(f"{path}: first line must be the header 'src,dst,rate'")
@@ -132,6 +136,8 @@ def reference_load_rates(path, tol=1e-9):
             raise ParseError(f"{path}:{lineno}: rate {rate_text!r} is not a number") from None
         if not math.isfinite(rate) or rate <= 0.0:
             raise ParseError(f"{path}:{lineno}: rate must be positive and finite, got {rate_text}")
+        if not math.isfinite(1.0 / rate):
+            raise ParseError(f"{path}:{lineno}: rate {rate_text} is too small: its reciprocal overflows")
         key = (to_index(src), to_index(dst))
         if key in quotes:
             raise ParseError(f"{path}:{lineno}: duplicate quote {src}->{dst}")

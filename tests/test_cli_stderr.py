@@ -6,27 +6,75 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import arbx
 
 DATA = Path(__file__).parent / "data"
+
+
+def _cli(*argv):
+    """Run the CLI in a child with warnings at their defaults."""
+    src = str(Path(arbx.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [
+            sys.executable, "-c", "import sys; from arbx.cli import main; sys.exit(main())",
+            *map(str, argv), "--format", "json",
+        ],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 def test_first_order_overflow_prints_no_warning(tmp_path):
     # rate * delta overflows inside numpy; the report names it, numpy must not
     delta = tmp_path / "delta.json"
     delta.write_text(json.dumps({"basis": {"entries": [[1, 2], [1, 3]]}, "deltas": [1e308, 0.0]}))
-    src = str(Path(arbx.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("PYTHONWARNINGS", None)
-    proc = subprocess.run(
-        [
-            sys.executable, "-c", "import sys; from arbx.cli import main; sys.exit(main())",
-            "perturb", "--rates", str(DATA / "triangle_ok.csv"), "--delta", str(delta),
-            "--format", "json",
-        ],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _cli("perturb", "--rates", DATA / "triangle_ok.csv", "--delta", delta)
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["data"]["error"] == "OverflowError"
+    assert proc.returncode == 1
+
+
+def test_overflowing_reciprocal_prints_no_warning(tmp_path):
+    # 1 / 1e-320 overflows; the loader names the quote before numpy divides
+    rates = tmp_path / "rates.csv"
+    rates.write_text("src,dst,rate\n1,2,1e-320\n")
+    proc = _cli("check", "--rates", rates)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["data"] == {
+        "error": "ParseError",
+        "message": f"{rates}:2: rate 1e-320 is too small: its reciprocal overflows",
+    }
+    assert proc.returncode == 1
+
+
+K3_FILES = {
+    "rates": ("triangle_ok.csv", b"src,dst,rate\n1,2,\xff\n"),
+    "graph": ("k3.json", b'{"n": 3, "edges": [[1, 2], [2, 3]], "x": "\xff"}'),
+    "basis": ("k3_basis_mult.json", b'{"entries": [[1, 2], [2, 3]], "values": [1, 2], "x": "\xff"}'),
+    "delta": (None, b'{"basis": {"entries": [[1, 2], [2, 3]]}, "deltas": [0, 0], "x": "\xff"}'),
+}
+COMMANDS = {
+    "rates": ["check", "--rates", "{rates}"],
+    "graph": ["complete", "--graph", "{graph}", "--basis", "{basis}", "--out", "{out}"],
+    "basis": ["complete", "--graph", "{graph}", "--basis", "{basis}", "--out", "{out}"],
+    "delta": ["perturb", "--rates", "{rates}", "--delta", "{delta}"],
+}
+
+
+@pytest.mark.parametrize("kind", COMMANDS)
+def test_invalid_utf8_is_an_error_report(tmp_path, kind):
+    files = {name: DATA / good for name, (good, _) in K3_FILES.items() if good}
+    files[kind] = tmp_path / f"bad_{kind}"
+    files[kind].write_bytes(K3_FILES[kind][1])
+    files["out"] = tmp_path / "out.csv"
+    proc = _cli(*(arg.format(**files) for arg in COMMANDS[kind]))
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "error" and doc["data"]["error"] == "ParseError"
+    offset = K3_FILES[kind][1].index(b"\xff")
+    assert doc["data"]["message"] == f"{files[kind]}: not UTF-8 text: invalid byte at offset {offset}"
     assert proc.returncode == 1

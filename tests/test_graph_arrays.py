@@ -6,6 +6,7 @@ floats, bit for bit, as the signed-list walk, on large levels (one numpy
 pass each) and on stretches of small ones (walked good by good) alike.
 """
 
+import pickle
 import random
 import tracemalloc
 
@@ -254,6 +255,19 @@ def test_construction_validates_with_arrays():
     g = MarketGraph(4, frozenset({(3, 4), (1, 2), (2, 2), (1, 3)}))
     assert g.simple_edges == ((1, 2), (1, 3), (3, 4)) and g.loops == (2,)
     assert g == new_graph(4, [(4, 3), (2, 1), {2}, (3, 1)])
+
+
+@pytest.mark.parametrize("name", ["pa", "broom"])
+def test_graph_from_sorted_arrays(name):
+    # the loader's constructor: the arrays as given, the edge set on first read
+    g = _with_loops(GRAPHS[name], 3)
+    h = MarketGraph._of_arrays(g.n, g._lo.copy(), g._hi.copy(), g._loop_array.copy())
+    assert "edges" not in vars(h)
+    assert h.simple_edges == g.simple_edges and h.loops == g.loops
+    assert h.edges == g.edges and h == g and hash(h) == hash(g)
+    assert pickle.loads(pickle.dumps(h)) == g
+    assert all(same_bits(a, b) for a, b in zip(h._tree_arrays, g._tree_arrays))
+    assert not h._lo.flags.writeable and not h._loop_array.flags.writeable
 
 
 def test_operator_searches_its_basis_once(monkeypatch):

@@ -2,7 +2,10 @@
 
 ``load_rates`` parses whole columns at once; on every input it must raise
 what the reference raises, with the same message, or return the same labels,
-fills, graph and matrix, bits included.
+fills, graph and matrix, bits included. Canonical files (bare indices and
+plain decimal rates, see ``arbx.io._CANONICAL_HEADER``) are parsed in one
+``np.loadtxt`` pass, every other file by the csv tokenizer; both are held to
+the same reference.
 """
 
 import math
@@ -12,11 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arbx import generate_graph
+import arbx.io
+from arbx import complete, exp_of, generate_graph
 from arbx.errors import ArbxError
-from arbx.io import load_rates
-from helpers import reference_load_rates
+from arbx.io import load_rates, save_rates
+from helpers import random_assignment, reference_load_rates, same_bits
 from test_cli_fuzz import rates_csv
 
 DATA = Path(__file__).parent / "data"
@@ -40,7 +45,7 @@ def assert_same(path, tol=1e-9):
     assert got.labels == want.labels
     assert got.filled == want.filled
     assert got.matrix.graph == want.matrix.graph
-    assert np.array_equal(got.matrix.entries, want.matrix.entries)
+    assert same_bits(got.matrix.values, want.matrix.values)
     return got
 
 
@@ -50,15 +55,15 @@ def _write(tmp_path, text):
     return path
 
 
-def market_csv(seed, kind, n, one_sided=0.4, skews=4):
+def market_csv(seed, kind, n, one_sided=0.4, skews=4, canonical=False):
     """A consistent quote sheet from random potentials, with some reverse
     quotes left out (fills), some loops, up to ``skews`` skewed reverse quotes
     (conflicts or not, depending on the tolerance), shuffled rows and blank
-    lines."""
+    lines. A ``canonical`` sheet has index labels and no blank lines."""
     rng = random.Random(seed)
     g = generate_graph(kind, n, m=3, seed=seed) if kind == "pa" else generate_graph(kind, n, seed=seed)
     p = [rng.uniform(-3.0, 3.0) for _ in range(n + 1)]
-    name = str if rng.random() < 0.5 else (lambda v: f"c{v}")  # c10 sorts before c2
+    name = str if canonical or rng.random() < 0.5 else (lambda v: f"c{v}")  # c10 sorts before c2
     skewed = set(rng.sample(g.simple_edges, rng.randint(0, skews)))
     rows = []
     for i, j in g.simple_edges:
@@ -72,7 +77,7 @@ def market_csv(seed, kind, n, one_sided=0.4, skews=4):
             rows.append(f"{name(j)},{name(i)},{back!r}")
     rows += [f"{name(v)},{name(v)},1.0" for v in range(1, n + 1) if rng.random() < 0.05]
     rng.shuffle(rows)
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(0 if canonical else rng.randint(0, 3)):
         rows.insert(rng.randint(0, len(rows)), rng.choice(("", " ", ",,", " , , ")))
     return "src,dst,rate\n" + "\n".join(rows) + "\n"
 
@@ -114,6 +119,14 @@ PRECEDENCE = {
     "bad rate and duplicate on one line": ("1,2,2\n1,2,0\n", ":3: rate must be positive and finite, got 0"),
     "junk rate and duplicate on one line": ("1,2,2\n1,2,x\n", ":3: rate 'x' is not a number"),
     "non-positive before junk": ("1,2,-1\n2,3,x\n", ":2: rate must be positive and finite, got -1"),
+    "reciprocal overflow is a bad rate": (
+        "1,2,2\n2,3,1e-320\n1,2,2\n",
+        ":3: rate 1e-320 is too small: its reciprocal overflows",
+    ),
+    "reciprocal overflow before conflicts": (
+        "1,2,1e308\n2,1,5e-309\n",
+        ":3: rate 5e-309 is too small: its reciprocal overflows",
+    ),
     "blank rows count": ("\n1,2,2\n  ,  , \n \n,,\n1,2,2\n", ":7: duplicate quote 1->2"),
     "narrow row after blank rows": ("\n \n1,2\n", ":4: expected 3 columns, got 2"),
     "wide row before empty src": ("1,2,2,4\n,2,2\n", ":2: expected 3 columns, got 4"),
@@ -181,4 +194,139 @@ def test_fills_follow_ascending_quotes(tmp_path):
 def test_fuzzed_files(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz_rates.csv"
     path.write_text(text)
+    assert_same(path)
+
+
+# --- the one-pass column parser of canonical files
+
+
+@pytest.fixture
+def tokenizer_calls(monkeypatch):
+    """Count the files that reach the csv tokenizer."""
+    calls = []
+    inner = arbx.io._rate_columns
+
+    def counting(path, data):
+        calls.append(path)
+        return inner(path, data)
+
+    monkeypatch.setattr(arbx.io, "_rate_columns", counting)
+    return calls
+
+
+@pytest.fixture
+def no_tokenizer(monkeypatch):
+    """Fail any file that reaches the csv tokenizer."""
+
+    def refuse(path, data):
+        raise AssertionError(f"{path} reached the csv tokenizer")
+
+    monkeypatch.setattr(arbx.io, "_rate_columns", refuse)
+
+
+CANONICAL = {
+    "complete, both directions": market_csv(3, "complete", 40, one_sided=0.0, skews=0, canonical=True),
+    "pa, one-sided quotes and loops": market_csv(4, "pa", 200, skews=0, canonical=True),
+    "a single row": "src,dst,rate\n1,2,2.5\n",
+    "a single loop": "src,dst,rate\n1,1,1.0\n",
+    "no trailing newline": "src,dst,rate\n1,2,2\n2,3,0.5\n3,1,1.0",
+    "a BOM": "\ufeffsrc,dst,rate\n1,2,2\n2,3,0.5\n",
+    "rate 1.e5": "src,dst,rate\n1,2,1.e5\n",
+    "rate .5": "src,dst,rate\n1,2,.5\n2,1,2\n",
+    "rate 1E+5": "src,dst,rate\n1,2,1E+5\n",
+    "rate 2e-05": "src,dst,rate\n1,2,2e-05\n2,3,7\n",
+    "a conflict": "src,dst,rate\n1,2,2\n2,1,0.4\n",
+    "disconnected": "src,dst,rate\n1,2,2\n3,4,2\n",
+}
+
+
+@pytest.mark.parametrize("text", CANONICAL.values(), ids=CANONICAL.keys())
+def test_canonical_sheets_take_the_column_path(tmp_path, no_tokenizer, text):
+    assert_same(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_canonical_markets_are_identical(tmp_path, no_tokenizer, seed):
+    path = _write(tmp_path, market_csv(seed, "pa", 300, skews=0, canonical=True))
+    assert "edges" not in vars(load_rates(path).matrix.graph)  # built only when read
+    got = assert_same(path)
+    assert not isinstance(got, tuple) and got.filled
+
+
+NEAR_MISSES = {
+    "leading zero": "src,dst,rate\n01,2,2\n2,3,3\n",
+    "plus sign": "src,dst,rate\n+1,2,2\n2,3,3\n",
+    "space": "src,dst,rate\n1, 2,2\n2,3,3\n",
+    "tab": "src,dst,rate\n1,2,2\t\n2,3,3\n",
+    "CRLF": "src,dst,rate\r\n1,2,2\r\n2,3,3\r\n",
+    "quoted field": 'src,dst,rate\n"1",2,2\n2,3,3\n',
+    "blank line": "src,dst,rate\n1,2,2\n\n2,3,3\n",
+    "trailing blank line": "src,dst,rate\n1,2,2\n2,3,3\n\n",
+    "two BOMs": "\ufeff\ufeffsrc,dst,rate\n1,2,2\n",
+    "upper-case header": "SRC,DST,RATE\n1,2,2\n2,3,3\n",
+    "header only": "src,dst,rate\n",
+    "inf": "src,dst,rate\n1,2,inf\n2,3,3\n",
+    "nan": "src,dst,rate\n1,2,nan\n2,3,3\n",
+    "zero": "src,dst,rate\n1,2,2\n2,3,0\n",
+    "overflowing rate": "src,dst,rate\n1,2,1e999\n2,3,3\n",
+    "underflowing rate": "src,dst,rate\n1,2,1e-400\n2,3,3\n",
+    "overflowing reciprocal": "src,dst,rate\n1,2,1e-320\n",
+    "index 2**63": f"src,dst,rate\n1,2,2\n2,{2**63},3\n",
+    "index 2**63 - 1": f"src,dst,rate\n1,2,2\n2,{2**63 - 1},3\n",
+    "index above the token count": "src,dst,rate\n1,2,2\n2,5,3\n",
+    "index gap": "src,dst,rate\n1,2,2\n2,4,3\n",
+    "index gap before a conflict": "src,dst,rate\n1,2,2\n2,1,0.4\n2,4,3\n",
+    "index zero": "src,dst,rate\n0,1,2\n",
+    "duplicate row": "src,dst,rate\n1,2,2\n2,3,3\n1,2,2\n",
+    "two columns": "src,dst,rate\n1,2,2\n2,3\n",
+    "label": "src,dst,rate\n1,2,2\n2,EUR,3\n",
+    "bare dot": "src,dst,rate\n1,2,.\n",
+    "negative exponent sign only": "src,dst,rate\n1,2,1e-\n",
+}
+
+
+@pytest.mark.parametrize("text", NEAR_MISSES.values(), ids=NEAR_MISSES.keys())
+def test_near_misses_fall_back_to_the_tokenizer(tmp_path, tokenizer_calls, text):
+    path = _write(tmp_path, text)
+    assert_same(path)
+    assert tokenizer_calls == [path]
+
+
+@pytest.mark.parametrize(
+    "data, offset",
+    [(b"src,dst,rate\n1,2,\xff\n", 17), (b"\xef\xbb\xbfsrc,dst,rate\n1,2,2\n2,\xc3(,3\n", 24)],
+)
+def test_invalid_utf8_names_the_byte(tmp_path, data, offset):
+    path = tmp_path / "r.csv"
+    path.write_bytes(data)
+    got = assert_same(path)
+    assert got == (arbx.errors.ParseError, f"{path}: not UTF-8 text: invalid byte at offset {offset}")
+
+
+@pytest.mark.parametrize("kind", ["complete", "pa", "tree"])
+@pytest.mark.parametrize("loops", [False, True])
+def test_saved_index_sheets_take_the_column_path(tmp_path, no_tokenizer, kind, loops):
+    g = generate_graph(kind, 30, m=2, seed=5) if kind == "pa" else generate_graph(kind, 30, seed=5)
+    if loops:
+        g = arbx.new_graph(g.n, [*g.edges, (3, 3), (30, 30)])
+    rates = exp_of(complete(random_assignment(g, 11, scale=300.0)))
+    path = tmp_path / "saved.csv"
+    save_rates(path, rates)
+    got = assert_same(path)
+    assert same_bits(got.matrix.values, rates.values) and not got.filled
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    position=st.floats(0.0, 1.0, exclude_max=True),
+    byte=st.integers(0, 255),
+)
+def test_one_byte_mutations(tmp_path_factory, seed, position, byte):
+    """A canonical sheet with one byte replaced takes whichever path its
+    bytes select, and both loaders agree on it."""
+    data = bytearray(market_csv(seed % 16, "complete", 6, canonical=True).encode())
+    data[int(position * len(data))] = byte
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    path.write_bytes(bytes(data))
     assert_same(path)
