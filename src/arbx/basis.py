@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BadParamsError,
-    GraphIndexError,
     GraphMismatchError,
     LengthMismatchError,
     NotABasisError,
@@ -35,6 +34,8 @@ from .graph import (
     TreeArrays,
     _bfs_tree,
     _connected_tree,
+    _vertex,
+    _vertex_pairs,
     fundamental_cycles,
     spanning_tree,
 )
@@ -51,9 +52,10 @@ class BasisSpec:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple((int(i), int(j)) for i, j in self.entries)
-        )
+        pairs, fault = _vertex_pairs(self.entries, "entry", self.graph.n)
+        if fault is not None:
+            raise fault
+        object.__setattr__(self, "entries", tuple(zip(*pairs.T.tolist())))
 
     @property
     def size(self) -> int:
@@ -101,8 +103,7 @@ class PriceVector:
     def __post_init__(self) -> None:
         vals = tuple(float(x) for x in self.prices)
         object.__setattr__(self, "prices", vals)
-        if not 1 <= self.reference <= len(vals):
-            raise GraphIndexError(f"reference {self.reference} out of range")
+        object.__setattr__(self, "reference", _vertex(self.reference, len(vals), "reference"))
         if vals[self.reference - 1] != 0.0:
             raise BadParamsError("the reference price must be exactly 0")
 
@@ -119,8 +120,7 @@ def canonical_basis(g: MarketGraph) -> BasisSpec:
 
 def row_basis(g: MarketGraph, k: int) -> BasisSpec:
     """Star basis (k, j) for every j != k; complete graphs only."""
-    if not 1 <= k <= g.n:
-        raise GraphIndexError(f"vertex {k} out of range 1..{g.n}")
+    k = _vertex(k, g.n)
     if g._lo.size != g.n * (g.n - 1) // 2:
         raise NotCompleteError("row bases need every pair of goods to trade")
     return BasisSpec(graph=g, entries=tuple((k, j) for j in range(1, g.n + 1) if j != k))
@@ -137,14 +137,10 @@ def is_basis(g: MarketGraph, entries: Sequence[tuple[int, int]]) -> bool:
     return _spanning_entries(g, entries) is not None
 
 
-def _spanning_entries(g: MarketGraph, entries: Sequence[tuple[int, int]]):
-    # the entries' directed edge ids and the breadth-first tree over them,
-    # or None when they are not a spanning tree: n - 1 entries with a loop
-    # or a repeated edge hold too few edges to reach every good
-    ids = _ids_of(g, entries)
-    if (ids < 0).any():
-        i, j = entries[int(np.argmax(ids < 0))]
-        raise NotAnEdgeError(f"({i}, {j}) is not an edge of the graph")
+def _spanning_entries(g: MarketGraph, entries: Sequence[tuple[int, int]], error=NotAnEdgeError):
+    # the entries' edge ids and the breadth-first tree over them, or None if
+    # they are no spanning tree: n - 1 entries with a loop or a repeat reach too few goods
+    ids = _ids_of(g, entries, error)
     if ids.size != g.n - 1:
         return None
     src, dst = g._edge_ends
@@ -153,10 +149,7 @@ def _spanning_entries(g: MarketGraph, entries: Sequence[tuple[int, int]]):
 
 
 def _require_basis(spec: BasisSpec) -> tuple[np.ndarray, TreeArrays]:
-    try:
-        found = _spanning_entries(spec.graph, spec.entries)
-    except NotAnEdgeError as exc:
-        raise NotABasisError(str(exc)) from exc
+    found = _spanning_entries(spec.graph, spec.entries, NotABasisError)
     if found is None:
         raise NotABasisError("entries do not form a spanning tree of the graph")
     return found
@@ -330,8 +323,7 @@ def price_vector(e: LogRateMatrix, ref: int, tol: float = DEFAULT_TOL) -> PriceV
     change of reference moves all prices by the same constant.
     """
     g = e.graph
-    if not 1 <= ref <= g.n:
-        raise GraphIndexError(f"reference vertex {ref} out of range 1..{g.n}")
+    ref = _vertex(ref, g.n, "reference vertex")
     if not check_no_arbitrage(e, tol).ok:
         raise NotArbitrageFreeError("matrix fails the arbitrage check")
     t = g._tree_arrays

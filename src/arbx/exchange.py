@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     BadParamsError,
-    GraphIndexError,
     NotAnEdgeError,
     NotAWalkError,
     NotClosedError,
@@ -35,6 +34,8 @@ from .graph import (
     TreeArrays,
     _connected_tree,
     _tree_path,
+    _vertex,
+    _vertex_pairs,
     enumerate_simple_cycles,
     spanning_tree,
 )
@@ -57,11 +58,6 @@ def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x <= _LOG_MAX else math.inf
 
 
-def _check_vertex(g: MarketGraph, v: int) -> None:
-    if not 1 <= v <= g.n:
-        raise GraphIndexError(f"vertex {v} out of range 1..{g.n}")
-
-
 def _require_fill(g: MarketGraph, arr: np.ndarray, fill: float) -> None:
     stray = arr != fill
     src, dst = g._edge_ends
@@ -74,16 +70,19 @@ def _require_fill(g: MarketGraph, arr: np.ndarray, fill: float) -> None:
         )
 
 
-def _ids_of(g: MarketGraph, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
-    # directed edge ids of 1-based (i, j) pairs, -1 where (i, j) is not an
-    # edge: 1.5 and 10**30 are no vertices, and a key that is not a pair
-    # fails to unpack (ValueError)
-    n, integer = g.n, (int, np.integer)
-    ij = np.fromiter(
-        (v - 1 if isinstance(v, integer) and 1 <= v <= n else -1 for i, j in pairs for v in (i, j)),
-        np.int64,
-    ).reshape(-1, 2)
-    return np.where((ij >= 0).all(axis=1), g._edge_ids(*np.maximum(ij, 0).T), -1)
+def _ids_of(g: MarketGraph, pairs: Iterable, error: type[Exception] = NotAnEdgeError) -> np.ndarray:
+    """Directed edge ids of 1-based (i, j) pairs; ``error`` names the first
+    that is not an edge, such as (1, 9) on fewer goods, (True, 2) or (1, 2, 3)."""
+    keys = list(pairs)
+    ij, fault = _vertex_pairs(keys, "edge", g.n)
+    inside = ((ij >= 1) & (ij <= g.n)).all(axis=1)
+    ids = np.where(inside, g._edge_ids(*np.where(inside, ij.T - 1, 0)), -1)
+    missing = np.flatnonzero(ids < 0)
+    if missing.size or fault is not None:
+        k = int(missing[0]) if missing.size else len(ij)
+        name = "({}, {})".format(*ij[k].tolist()) if k < len(ij) else repr(keys[k])
+        raise error(f"{name} is not an edge of the graph")
+    return ids
 
 
 def _dense(g: MarketGraph, values: np.ndarray, fill: float) -> np.ndarray:
@@ -132,13 +131,8 @@ class _EdgeMatrix:
 
     @classmethod
     def _from_mapping(cls, graph: MarketGraph, mapping: Mapping[tuple[int, int], float]):
-        pairs = list(mapping)
-        ids = _ids_of(graph, pairs)
-        if np.any(ids < 0):
-            i, j = pairs[int(np.argmax(ids < 0))]
-            raise NotAnEdgeError(f"({i}, {j}) is not an edge of the graph")
         values = np.full(graph._edge_count, cls._FILL)
-        values[ids] = np.fromiter(mapping.values(), dtype=float, count=len(pairs))
+        values[_ids_of(graph, mapping)] = np.fromiter(mapping.values(), float, len(mapping))
         return cls._of(graph, values)
 
     @property
@@ -151,9 +145,8 @@ class _EdgeMatrix:
         return _dense(self.graph, self.values, self._FILL)
 
     def _at(self, i: int, j: int) -> float:
-        _check_vertex(self.graph, i)
-        _check_vertex(self.graph, j)
-        k = int(_ids_of(self.graph, [(i, j)])[0])
+        g = self.graph
+        k = int(g._edge_ids(_vertex(i, g.n) - 1, _vertex(j, g.n) - 1))
         return self._FILL if k < 0 else float(self.values[k])
 
 
@@ -207,11 +200,8 @@ class LogRateMatrix(_EdgeMatrix):
 
     def with_entry(self, i: int, j: int, value: float) -> "LogRateMatrix":
         """Copy of this matrix with one directed edge coordinate replaced."""
-        k = int(_ids_of(self.graph, [(i, j)])[0])
-        if k < 0:
-            raise NotAnEdgeError(f"({i}, {j}) is not an edge of the graph")
         values = self.values.copy()
-        values[k] = value
+        values[_ids_of(self.graph, [(i, j)])] = value
         return LogRateMatrix._of(self.graph, values)
 
     @classmethod
@@ -241,16 +231,12 @@ def exp_of(e: LogRateMatrix) -> RateMatrix:
 
 def _walk_values(m: _EdgeMatrix, walk: Sequence[int]) -> list[float]:
     # the matrix value of each step of a closed walk, in order
-    seq = [int(v) for v in walk]
+    seq = list(walk)
     if len(seq) < 2:
         raise NotAWalkError("a closed walk needs at least one step")
     if seq[0] != seq[-1]:
         raise NotClosedError(f"walk {seq} does not end where it starts")
-    steps = list(zip(seq, seq[1:]))
-    ids = _ids_of(m.graph, steps)
-    if np.any(ids < 0):
-        raise NotAWalkError(f"{steps[int(np.argmax(ids < 0))]} is not an edge of the graph")
-    return m.values[ids].tolist()
+    return m.values[_ids_of(m.graph, zip(seq, seq[1:]), NotAWalkError)].tolist()
 
 
 def cycle_log_gain(e: LogRateMatrix, walk: Sequence[int]) -> float:

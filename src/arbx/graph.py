@@ -14,6 +14,7 @@ public tuples are built only when asked for.
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -50,7 +51,56 @@ n goods cost n passes; a vertex by hand costs about 2 us."""
 _MAX_KEYED_N = 3_037_000_499
 """Largest n whose edge keys i * n + j fit in int64."""
 
+_NOT_VERTICES = (bool, np.bool_)  # operator.index may take them; they are no vertices
+
 Edge = tuple[int, int]
+
+
+def _vertex(v: object, n: int, what: str = "vertex") -> int:
+    """``v`` as an int if it is one of the goods 1..n: an integer, not a
+    bool. Anything else raises :class:`~arbx.errors.GraphIndexError`."""
+    with suppress(TypeError):
+        if not isinstance(v, _NOT_VERTICES) and 1 <= _int(v) <= n:
+            return _int(v)
+    raise GraphIndexError(f"{what} {v!r} out of range 1..{n}")
+
+
+def _vertex_pairs(items: Iterable[object], what: str, n: int) -> tuple[np.ndarray, Exception | None]:
+    """Read vertex pairs: the one place that decides what a vertex pair is.
+
+    A vertex is an integer (``operator.index``) but not a bool; a pair is a
+    sequence of two vertices, or a set of one (a loop) or two. Returns a
+    (k, 2) int64 array, a set's vertices ascending, and None; or, at the
+    first item that is not a pair, the pairs before it and the error naming
+    it (a BadParamsError, or a GraphIndexError for a vertex beyond int64),
+    for the caller to raise once it has checked those. One pass of C
+    iterators reads the items; only if it fails are they read one by one.
+    """
+    items = list(items)
+    try:
+        sets = any(issubclass(t, (set, frozenset)) for t in set(map(type, items)))
+        rows = [sorted(x) * (3 - len(x)) if isinstance(x, (set, frozenset)) else x for x in items] if sets else items
+        if set(map(len, rows)) <= {2}:
+            vertices = list(chain.from_iterable(rows))
+            types = set(map(type, vertices))
+            if len(vertices) == 2 * len(rows) and not types.intersection(_NOT_VERTICES):
+                ints = vertices if types <= {int} else map(_int, vertices)
+                return np.fromiter(ints, np.int64, len(vertices)).reshape(-1, 2), None
+    except (TypeError, OverflowError):
+        pass
+    # item by item, only to find the first faulty one and name it
+    k = next(k for k, item in enumerate(items) if len(items) == 1 or _vertex_pairs([item], what, n)[1])
+    item, pairs = items[k], _vertex_pairs(items[:k], what, n)[0]
+    try:
+        is_set = isinstance(item, (set, frozenset))
+        i, j = sorted(item) * (3 - len(item)) if is_set else item if len(item) == 2 else ()
+    except (TypeError, ValueError, OverflowError):  # no length, not two, or a set that does not sort
+        return pairs, BadParamsError(f"{what} {item!r} is not a vertex pair")
+    try:
+        i, j = (_int(v) for v in (i, j) if not isinstance(v, _NOT_VERTICES))
+    except (TypeError, ValueError):  # ValueError: a bool was left out
+        return pairs, BadParamsError(f"{what} {item!r} has non-integer vertices")
+    return pairs, GraphIndexError(f"{what} ({i}, {j}) out of range 1..{n}")  # beyond int64
 
 
 @dataclass(frozen=True)
@@ -63,9 +113,9 @@ class MarketGraph:
 
     Construction validates the pairs with array operations and keeps them
     as sorted 0-based arrays; everything else is derived from those on
-    first use and cached. The rates loader, whose arrays are sorted and
-    checked already, hands them over as they are (``_of_arrays``); such a
-    graph builds ``edges`` only when it is read.
+    first use and cached. Only direct construction stores ``edges``: the
+    graphs of :func:`new_graph` and the loaders come from their checked,
+    sorted arrays (``_of_arrays``) and build ``edges`` when it is read.
 
     Every directed edge has an id, the index of its value in a rate or log
     matrix: with E simple edges, id k < E is (i, j) of ``simple_edges[k]``
@@ -77,32 +127,12 @@ class MarketGraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise BadParamsError(f"vertex count must be >= 1, got {self.n}")
-        edges = self.edges
-        if not set(map(len, edges)) <= {2}:
-            bad_edge = next(e for e in edges if len(e) != 2)
-            raise BadParamsError(f"edge {bad_edge!r} is not a vertex pair")
-        try:
-            flat = np.fromiter(map(_int, chain.from_iterable(edges)), np.intp, 2 * len(edges))
-        except TypeError:
-            raise BadParamsError("an edge has non-integer vertices") from None
-        except OverflowError:  # a vertex beyond int64
-            raise GraphIndexError(f"an edge lies out of range 1..{self.n}") from None
-        flat -= 1
-        i, j = flat.reshape(-1, 2).T
-        out = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= min(self.n, np.iinfo(np.intp).max))
-        for bad, error, text in [
-            (out, GraphIndexError, f"out of range 1..{self.n}"),
-            (i > j, BadParamsError, "is not normalized; use new_graph()"),
-        ]:
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise error(f"edge ({i[k] + 1}, {j[k] + 1}) {text}")
-        loop = i == j
-        lo, hi = i[~loop], j[~loop]
-        order = np.lexsort((hi, lo))
-        self._adopt(lo[order], hi[order], np.sort(i[loop]))
+        pairs, lo, hi, loops = _edge_arrays(self.n, self.edges)
+        swapped = pairs[:, 0] > pairs[:, 1]
+        if swapped.any():
+            i, j = pairs[np.argmax(swapped)].tolist()
+            raise BadParamsError(f"edge ({i}, {j}) is not normalized; use new_graph()")
+        self._adopt(lo, hi, loops)
 
     @classmethod
     def _of_arrays(cls, n: int, lo: np.ndarray, hi: np.ndarray, loops: np.ndarray) -> MarketGraph:
@@ -186,14 +216,16 @@ class MarketGraph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Non-loop neighbors of ``v`` in ascending order."""
-        if not 1 <= v <= self.n:
-            raise GraphIndexError(f"vertex {v} out of range 1..{self.n}")
+        v = _vertex(v, self.n)
         indptr, nbrs, _ = self._adjacency
         return tuple((nbrs[indptr[v - 1] : indptr[v]] + 1).tolist())
 
     def has_edge(self, i: int, j: int) -> bool:
-        a, b = (i, j) if i <= j else (j, i)
-        return (a, b) in self.edges
+        """True iff {i, j} is an edge (a loop if i == j); False for non-goods."""
+        try:
+            return bool(self._edge_ids(_vertex(i, self.n) - 1, _vertex(j, self.n) - 1) >= 0)
+        except GraphIndexError:
+            return False
 
 
 def _edge_set(g: MarketGraph) -> frozenset[Edge]:
@@ -347,36 +379,31 @@ def new_graph(n: int, edges: Iterable[object], *, strict: bool = False) -> Marke
         If True, a repeated undirected edge raises
         :class:`~arbx.errors.DuplicateEdgeError` instead of being merged.
     """
+    return MarketGraph._of_arrays(n, *_edge_arrays(n, edges, strict)[1:])
+
+
+def _edge_arrays(n: int, edges: Iterable[object], strict: bool = False) -> tuple[np.ndarray, ...]:
+    """The items of ``edges`` as read, then the graph's 0-based arrays:
+    distinct ``lo < hi`` ascending, and loops ascending. The first faulty
+    item raises: not a vertex pair, out of range 1..n, or a strict repeat."""
     if n < 1:
         raise BadParamsError(f"vertex count must be >= 1, got {n}")
-    seen: set[Edge] = set()
-    for item in edges:
-        if isinstance(item, (set, frozenset)):
-            vals = sorted(item)
-            if len(vals) == 1:
-                raw_i = raw_j = vals[0]
-            elif len(vals) == 2:
-                raw_i, raw_j = vals
-            else:
-                raise BadParamsError(f"edge {item!r} is not a vertex pair")
-        else:
-            try:
-                raw_i, raw_j = item  # type: ignore[misc]
-            except (TypeError, ValueError) as exc:
-                raise BadParamsError(f"edge {item!r} is not a vertex pair") from exc
-        try:
-            i, j = _int(raw_i), _int(raw_j)
-        except TypeError as exc:
-            raise BadParamsError(f"edge {item!r} has non-integer vertices") from exc
-        if not (1 <= i <= n and 1 <= j <= n):
+    pairs, fault = _vertex_pairs(edges, "edge", n)
+    # np.unique sorts stably, so ``first`` holds the first item of each edge
+    rows, first = np.unique(np.sort(pairs, axis=1), axis=0, return_index=True)
+    repeat = np.bincount(first, minlength=len(pairs)) == 0
+    out = ((pairs < 1) | (pairs > min(n, np.iinfo(np.int64).max))).any(axis=1)
+    bad = out | (repeat & strict)
+    if bad.any():
+        i, j = pairs[np.argmax(bad)].tolist()
+        if out[np.argmax(bad)]:
             raise GraphIndexError(f"edge ({i}, {j}) out of range 1..{n}")
-        key = (i, j) if i <= j else (j, i)
-        if key in seen:
-            if strict:
-                raise DuplicateEdgeError(f"duplicate edge {key}")
-            continue
-        seen.add(key)
-    return MarketGraph(n=n, edges=frozenset(seen))
+        raise DuplicateEdgeError(f"duplicate edge {(min(i, j), max(i, j))}")
+    if fault is not None:
+        raise fault
+    lo, hi = rows.T - 1
+    loop = lo == hi
+    return pairs, lo[~loop], hi[~loop], lo[loop]
 
 
 def is_connected(g: MarketGraph) -> bool:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import BasisAssignment, BasisSpec
 from .dynamics import PerturbationVector
-from .errors import NotConnectedError, ParseError, ReciprocalConflictError
+from .errors import BadParamsError, NotConnectedError, ParseError, ReciprocalConflictError
 from .exchange import DEFAULT_TOL, ArbitrageWitness, RateMatrix, require_tol
 from .graph import MarketGraph, is_connected, new_graph
 
@@ -79,19 +79,15 @@ def _read_json(path: str | Path) -> object:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _int_pairs(path: str | Path, pairs: object, what: str) -> list[tuple[int, int]]:
+def _int_pairs(path: str | Path, pairs: object, what: str, build):
+    """``build(pairs)`` for a file's list of [i, j] pairs; an item that is
+    not a pair of integers is a ParseError naming the path."""
     if not isinstance(pairs, list):
         raise ParseError(f"{path}: {what} must be a list of [i, j] pairs")
-    out = []
-    for item in pairs:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-        ):
-            raise ParseError(f"{path}: bad {what} element {item!r}")
-        out.append((item[0], item[1]))
-    return out
+    try:
+        return build(pairs)
+    except BadParamsError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def load_graph(path: str | Path) -> MarketGraph:
@@ -102,7 +98,7 @@ def load_graph(path: str | Path) -> MarketGraph:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError(f"{path}: 'n' must be an integer")
-    return new_graph(n, _int_pairs(path, doc["edges"], "edges"))
+    return _int_pairs(path, doc["edges"], "edges", lambda edges: new_graph(n, edges))
 
 
 def save_graph(path: str | Path, g: MarketGraph) -> None:
@@ -380,18 +376,17 @@ def load_basis(
     doc = _read_json(path)
     if not isinstance(doc, dict) or "entries" not in doc or "values" not in doc:
         raise ParseError(f"{path}: basis file needs 'entries' and 'values'")
-    entries = _int_pairs(path, doc["entries"], "entries")
+    spec = _int_pairs(path, doc["entries"], "entries", lambda e: BasisSpec(graph=graph, entries=e))
     raw = doc["values"]
     if not isinstance(raw, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
         raise ParseError(f"{path}: 'values' must be a list of numbers")
     values = [float(v) for v in raw]
-    if len(values) != len(entries):
-        raise ParseError(f"{path}: {len(entries)} entries but {len(values)} values")
+    if len(values) != spec.size:
+        raise ParseError(f"{path}: {spec.size} entries but {len(values)} values")
     if multiplicative:
         if any(not math.isfinite(v) or v <= 0.0 for v in values):
             raise ParseError(f"{path}: multiplicative basis values must be positive")
         values = [math.log(v) for v in values]
-    spec = BasisSpec(graph=graph, entries=tuple(entries))
     return BasisAssignment(spec=spec, values=tuple(values))
 
 
@@ -407,13 +402,12 @@ def load_perturbation(path: str | Path, graph: MarketGraph) -> PerturbationVecto
     basis = doc["basis"]
     if not isinstance(basis, dict) or "entries" not in basis:
         raise ParseError(f"{path}: 'basis' needs 'entries'")
-    entries = _int_pairs(path, basis["entries"], "basis entries")
+    spec = _int_pairs(path, basis["entries"], "basis entries", lambda e: BasisSpec(graph=graph, entries=e))
     raw = doc["deltas"]
     if not isinstance(raw, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
         raise ParseError(f"{path}: 'deltas' must be a list of numbers")
-    if len(raw) != len(entries):
-        raise ParseError(f"{path}: {len(entries)} basis entries but {len(raw)} deltas")
-    spec = BasisSpec(graph=graph, entries=tuple(entries))
+    if len(raw) != spec.size:
+        raise ParseError(f"{path}: {spec.size} basis entries but {len(raw)} deltas")
     return PerturbationVector(spec=spec, deltas=tuple(float(v) for v in raw))
 
 

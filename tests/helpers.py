@@ -6,6 +6,7 @@ or matrix, so failures reproduce.
 
 import csv
 import math
+import operator
 import random
 import sys
 from collections import deque
@@ -26,7 +27,14 @@ from arbx import (
     generate_graph,
     spanning_tree,
 )
-from arbx.errors import NotConnectedError, ParseError, ReciprocalConflictError
+from arbx.errors import (
+    BadParamsError,
+    DuplicateEdgeError,
+    GraphIndexError,
+    NotConnectedError,
+    ParseError,
+    ReciprocalConflictError,
+)
 from arbx.exchange import RateMatrix, require_tol
 from arbx.graph import is_connected, new_graph
 from arbx.io import RatesFile, _label_table
@@ -167,6 +175,45 @@ def reference_load_rates(path, tol=1e-9):
     return RatesFile(
         matrix=RateMatrix.from_quotes(graph, quotes), labels=labels, filled=tuple(filled)
     )
+
+
+def reference_new_graph(n, edges, *, strict=False):
+    """The per-item ``new_graph`` loop, kept as the reference for the array
+    reader: each item unpacked (a set sorted), its vertices checked, range
+    checked and deduplicated in order, so the first faulty item decides.
+    Its one change from the original loop: a bool is not a vertex."""
+    if n < 1:
+        raise BadParamsError(f"vertex count must be >= 1, got {n}")
+    seen = set()
+    for item in edges:
+        if isinstance(item, (set, frozenset)):
+            vals = sorted(item)
+            if len(vals) == 1:
+                raw_i = raw_j = vals[0]
+            elif len(vals) == 2:
+                raw_i, raw_j = vals
+            else:
+                raise BadParamsError(f"edge {item!r} is not a vertex pair")
+        else:
+            try:
+                raw_i, raw_j = item
+            except (TypeError, ValueError) as exc:
+                raise BadParamsError(f"edge {item!r} is not a vertex pair") from exc
+        try:
+            if isinstance(raw_i, (bool, np.bool_)) or isinstance(raw_j, (bool, np.bool_)):
+                raise TypeError("a bool is not a vertex")
+            i, j = operator.index(raw_i), operator.index(raw_j)
+        except TypeError as exc:
+            raise BadParamsError(f"edge {item!r} has non-integer vertices") from exc
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise GraphIndexError(f"edge ({i}, {j}) out of range 1..{n}")
+        key = (i, j) if i <= j else (j, i)
+        if key in seen:
+            if strict:
+                raise DuplicateEdgeError(f"duplicate edge {key}")
+            continue
+        seen.add(key)
+    return MarketGraph(n=n, edges=frozenset(seen))
 
 
 # --- the queue-driven tree walks, kept as references for the level-by-level ones

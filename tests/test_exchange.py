@@ -78,7 +78,7 @@ class TestMatrixTypes:
     @pytest.mark.parametrize("build", [RateMatrix.from_quotes, LogRateMatrix.from_values])
     def test_key_that_is_not_a_pair_is_rejected(self, build, keyed):
         g = new_graph(3, [(1, 2), (2, 3), (1, 3)])
-        with pytest.raises(ValueError, match="values to unpack"):
+        with pytest.raises(NotAnEdgeError, match=re.escape(f"{next(iter(keyed))} is not an edge")):
             build(g, keyed)
 
     def test_entries_are_read_only(self):
