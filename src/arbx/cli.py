@@ -7,6 +7,10 @@ Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless it is already
 set, before numpy loads; ``import arbx`` does not load numpy, so this holds
 for ``python -m arbx.cli``, the ``arbx`` script and ``from arbx.cli import
 main`` alike.
+
+:func:`run` is the program entry of ``python -m arbx.cli`` and the ``arbx``
+script; :func:`main` runs one command and changes no process-wide state, so
+tests and library callers may call it in process.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import gc
 import sys
 import time
 from typing import Callable
@@ -41,15 +46,18 @@ from .exchange import (
     check_no_arbitrage_oracle,
     exp_of,
     log_of,
+    require_tol,
 )
 from .graph import ORACLE_MAX_VERTICES, MarketGraph, generate_graph
 from .io import (
+    RatesFile,
     RunReport,
-    file_digest,
-    load_basis,
-    load_graph,
-    load_perturbation,
-    load_rates,
+    _basis_of,
+    _digest,
+    _graph_of,
+    _perturbation_of,
+    _rates_of,
+    _read_bytes,
     rate_rows,
     save_graph,
     save_rates,
@@ -66,7 +74,25 @@ def _index_labels(g: MarketGraph) -> tuple[str, ...]:
     return tuple(str(i) for i in range(1, g.n + 1))
 
 
-def _check_report(command: str, result: CheckResult, rates_path: str, labels, filled, t0) -> RunReport:
+def _read(path: str, inputs: dict[str, str], key: str) -> bytes:
+    """An input file's bytes, read once: the loader parses them and
+    ``inputs[key]`` records their digest."""
+    data = _read_bytes(path)
+    inputs[key] = _digest(data)
+    return data
+
+
+def _rates(args: argparse.Namespace, inputs: dict[str, str]) -> RatesFile:
+    # the tolerance is checked before the file is read, as by load_rates
+    require_tol(args.tol)
+    return _rates_of(args.rates, _read(args.rates, inputs, "rates"), args.tol)
+
+
+def _graph(args: argparse.Namespace, inputs: dict[str, str]) -> MarketGraph:
+    return _graph_of(args.graph, _read(args.graph, inputs, "graph"))
+
+
+def _check_report(command: str, result: CheckResult, inputs, labels, filled, t0) -> RunReport:
     return RunReport(
         command=command,
         verdict="ok" if result.ok else "violation",
@@ -76,30 +102,30 @@ def _check_report(command: str, result: CheckResult, rates_path: str, labels, fi
             "max_abs_log_gain": result.max_abs_log_gain,
             "elapsed_ms": _ms(t0),
         },
-        inputs={"rates": file_digest(rates_path)},
+        inputs=inputs,
         labels=labels,
         data={"filled_reciprocals": [list(p) for p in filled]},
     )
 
 
 def cmd_check(args: argparse.Namespace) -> RunReport:
-    t0 = time.perf_counter()
-    rates = load_rates(args.rates, tol=args.tol)
+    t0, inputs = time.perf_counter(), {}
+    rates = _rates(args, inputs)
     result = check_no_arbitrage(log_of(rates.matrix), tol=args.tol)
-    return _check_report("check", result, args.rates, rates.labels, rates.filled, t0)
+    return _check_report("check", result, inputs, rates.labels, rates.filled, t0)
 
 
 def cmd_oracle(args: argparse.Namespace) -> RunReport:
-    t0 = time.perf_counter()
-    rates = load_rates(args.rates, tol=args.tol)
+    t0, inputs = time.perf_counter(), {}
+    rates = _rates(args, inputs)
     result = check_no_arbitrage_oracle(log_of(rates.matrix), tol=args.tol, max_n=args.max_n)
-    return _check_report("oracle", result, args.rates, rates.labels, rates.filled, t0)
+    return _check_report("oracle", result, inputs, rates.labels, rates.filled, t0)
 
 
 def cmd_complete(args: argparse.Namespace) -> RunReport:
-    t0 = time.perf_counter()
-    g = load_graph(args.graph)
-    assignment = load_basis(args.basis, g, multiplicative=args.multiplicative)
+    t0, inputs = time.perf_counter(), {}
+    g = _graph(args, inputs)
+    assignment = _basis_of(args.basis, _read(args.basis, inputs, "basis"), g, args.multiplicative)
     rates = exp_of(complete(assignment))
     save_rates(args.out, rates)
     return RunReport(
@@ -107,45 +133,45 @@ def cmd_complete(args: argparse.Namespace) -> RunReport:
         verdict="ok",
         witness=None,
         metrics={"dimension": dimension(g), "elapsed_ms": _ms(t0)},
-        inputs={"graph": file_digest(args.graph), "basis": file_digest(args.basis)},
+        inputs=inputs,
         labels=_index_labels(g),
         data={"out": str(args.out), "rows": g._edge_count},
     )
 
 
 def cmd_basis(args: argparse.Namespace) -> RunReport:
-    t0 = time.perf_counter()
-    g = load_graph(args.graph)
+    t0, inputs = time.perf_counter(), {}
+    g = _graph(args, inputs)
     spec = canonical_basis(g)
     return RunReport(
         command="basis",
         verdict="ok",
         witness=None,
         metrics={"dimension": spec.size, "elapsed_ms": _ms(t0)},
-        inputs={"graph": file_digest(args.graph)},
+        inputs=inputs,
         labels=_index_labels(g),
         data={"entries": [list(e) for e in spec.entries]},
     )
 
 
 def cmd_dim(args: argparse.Namespace) -> RunReport:
-    t0 = time.perf_counter()
-    g = load_graph(args.graph)
+    t0, inputs = time.perf_counter(), {}
+    g = _graph(args, inputs)
     dim = dimension(g)
     return RunReport(
         command="dim",
         verdict="ok",
         witness=None,
         metrics={"dimension": dim, "elapsed_ms": _ms(t0)},
-        inputs={"graph": file_digest(args.graph)},
+        inputs=inputs,
         labels=_index_labels(g),
         data={"dimension": dim},
     )
 
 
 def cmd_price(args: argparse.Namespace) -> RunReport:
-    t0 = time.perf_counter()
-    rates = load_rates(args.rates, tol=args.tol)
+    t0, inputs = time.perf_counter(), {}
+    rates = _rates(args, inputs)
     ref = rates.index_of(args.ref)
     prices = price_vector(log_of(rates.matrix), ref, tol=args.tol)
     return RunReport(
@@ -153,7 +179,7 @@ def cmd_price(args: argparse.Namespace) -> RunReport:
         verdict="ok",
         witness=None,
         metrics={"elapsed_ms": _ms(t0)},
-        inputs={"rates": file_digest(args.rates)},
+        inputs=inputs,
         labels=rates.labels,
         data={
             "reference": args.ref,
@@ -165,10 +191,10 @@ def cmd_price(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_perturb(args: argparse.Namespace) -> RunReport:
-    t0 = time.perf_counter()
-    rates = load_rates(args.rates, tol=args.tol)
+    t0, inputs = time.perf_counter(), {}
+    rates = _rates(args, inputs)
     state = log_of(rates.matrix)
-    pert = load_perturbation(args.delta, rates.matrix.graph)
+    pert = _perturbation_of(args.delta, _read(args.delta, inputs, "delta"), rates.matrix.graph)
     d_log = propagate_log(build_operator(pert.spec), pert)
     if args.exact:
         _, updated_rates = apply_exact(state, d_log, tol=args.tol)
@@ -190,7 +216,7 @@ def cmd_perturb(args: argparse.Namespace) -> RunReport:
             "max_abs_log_delta": float(np.max(np.abs(d_log.values), initial=0.0)),
             "elapsed_ms": _ms(t0),
         },
-        inputs={"rates": file_digest(args.rates), "delta": file_digest(args.delta)},
+        inputs=inputs,
         labels=rates.labels,
         data={"mode": mode, "rates": rate_rows(updated, rates.matrix.graph, rates.labels)},
     )
@@ -204,7 +230,7 @@ def cmd_gen(args: argparse.Namespace) -> RunReport:
         command="gen",
         verdict="ok",
         witness=None,
-        metrics={"edge_count": len(g.edges), "elapsed_ms": _ms(t0)},
+        metrics={"edge_count": g._lo.size + g._loop_array.size, "elapsed_ms": _ms(t0)},
         inputs={},
         labels=_index_labels(g),
         data={"out": str(args.out), "kind": args.kind, "n": g.n, "seed": args.seed},
@@ -295,5 +321,16 @@ def main(argv: list[str] | None = None) -> int:
     return _EXIT[report.verdict]
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Run the command line and exit with its code.
+
+    The objects made by the imports live until the exit, so they are moved
+    out of the collector's reach first: otherwise every full collection of
+    the run, and the one at exit, walks numpy's and arbx's import heap.
+    """
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

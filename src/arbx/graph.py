@@ -438,16 +438,32 @@ def spanning_tree(g: MarketGraph) -> SpanningTree:
 
 
 def _validate_tree(g: MarketGraph, t: SpanningTree) -> set[Edge]:
-    undirected = {(min(u, w), max(u, w)) for u, w in t.tree_edges}
-    if len(t.tree_edges) != g.n - 1 or len(undirected) != g.n - 1:
+    """The tree's edges as normalized pairs, once ``t`` is checked to be a
+    spanning tree of ``g`` whose parent map steps along those edges. Its
+    goods are read like a graph's, so a float or a bool is none."""
+
+    def undirected(items: Iterable[object], what: str) -> set[Edge]:
+        pairs, fault = _vertex_pairs(items, what, g.n)
+        if fault is not None:
+            raise TreeMismatchError(str(fault))
+        return set(zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()))
+
+    tree_edges = undirected(t.tree_edges, "tree edge")
+    if len(t.tree_edges) != g.n - 1 or len(tree_edges) != g.n - 1:
         raise TreeMismatchError("a spanning tree needs exactly n-1 distinct edges")
-    if not undirected <= set(g.simple_edges):
+    if not tree_edges <= set(g.simple_edges):
         raise TreeMismatchError("tree edge not present in the graph")
-    if set(t.parent) | {t.root} != set(range(1, g.n + 1)):
+    try:
+        goods = {_vertex(v, g.n, "tree vertex") for v in (t.root, *t.parent)}
+    except GraphIndexError as exc:
+        raise TreeMismatchError(str(exc)) from None
+    if len(goods) != g.n:
         raise TreeMismatchError("tree does not span all vertices")
+    if undirected(((v, t.parent[v]) for v in t.parent), "tree step") != tree_edges:
+        raise TreeMismatchError("the parent map does not step along the tree edges")
     for v in t.parent:
         t.path_to_root(v)
-    return undirected
+    return tree_edges
 
 
 def _tree_path(t: SpanningTree, a: int, b: int) -> list[int]:

@@ -19,8 +19,9 @@ import math
 import re
 from dataclasses import dataclass
 from io import BytesIO
-from itertools import compress
+from itertools import chain, compress, islice
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,8 +52,51 @@ _QUOTE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("rate", np.float64
 _Quotes = tuple[tuple[str, ...], np.ndarray, np.ndarray]
 
 
+# json's C encoder, the one json.dumps takes only without an indent. Its item
+# separator "\x1f" is escaped inside every JSON string, so in its output it
+# marks exactly the boundaries between items.
+_FLAT = json.JSONEncoder(separators=("\x1f", ": ")).encode
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_text(value: object, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, with
+    ``indent`` before every line but the first.
+
+    A flat list, or a list of non-empty flat rows, is encoded in one call of
+    the C encoder and laid out by replacing its separators; a dict with
+    string keys and every other list recurse; any other value is left to
+    json.dumps itself."""
+    deeper = indent + "  "
+    if type(value) is dict and set(map(type, value)) <= {str}:
+        if not value:
+            return "{}"
+        items = (f"{deeper}{_FLAT(k)}: {_json_text(value[k], deeper)}" for k in sorted(value))
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if type(value) in (list, tuple) and value:
+        types = set(map(type, value))
+        if types <= _SCALARS:
+            body = _FLAT(value)[1:-1].replace("\x1f", ",\n" + deeper)
+        elif types <= {list, tuple} and all(value) and set(map(type, chain.from_iterable(value))) <= _SCALARS:
+            # no scalar ends in "]" or starts with "[", so "]\x1f[" only
+            # parts two rows; "\x1e", escaped in strings too, holds its place
+            cell = deeper + "  "
+            rows = _FLAT(value)[2:-2].replace("]\x1f[", "\x1e").replace("\x1f", ",\n" + cell)
+            body = "[\n" + cell + rows.replace("\x1e", f"\n{deeper}],\n{deeper}[\n{cell}") + f"\n{deeper}]"
+        else:
+            body = f",\n{deeper}".join(_json_text(item, deeper) for item in value)
+        return f"[\n{deeper}{body}\n{indent}]"
+    if type(value) in _SCALARS:
+        return _FLAT(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
 def file_digest(path: str | Path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return _digest(Path(path).read_bytes())
 
 
 def _read_bytes(path: str | Path) -> bytes:
@@ -71,8 +115,8 @@ def _decode(path: str | Path, data: bytes) -> str:
         raise ParseError(f"{path}: not UTF-8 text: invalid byte at offset {exc.start}") from None
 
 
-def _read_json(path: str | Path) -> object:
-    text = _decode(path, _read_bytes(path))
+def _read_json(path: str | Path, data: bytes) -> object:
+    text = _decode(path, data)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -92,7 +136,12 @@ def _int_pairs(path: str | Path, pairs: object, what: str, build):
 
 def load_graph(path: str | Path) -> MarketGraph:
     """Read a graph file: {"n": int, "edges": [[i, j], ...]}, 1-based."""
-    doc = _read_json(path)
+    return _graph_of(path, _read_bytes(path))
+
+
+def _graph_of(path: str | Path, data: bytes) -> MarketGraph:
+    """:func:`load_graph` of the file's bytes ``data``."""
+    doc = _read_json(path, data)
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ParseError(f"{path}: graph file needs 'n' and 'edges'")
     n = doc["n"]
@@ -102,8 +151,13 @@ def load_graph(path: str | Path) -> MarketGraph:
 
 
 def save_graph(path: str | Path, g: MarketGraph) -> None:
-    doc = {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write a graph file, its edges ascending, a loop at v as [v, v]."""
+    loops = g._loop_array
+    pairs = np.column_stack((np.concatenate([g._lo, loops]), np.concatenate([g._hi, loops])))
+    if loops.size:  # the simple edges are sorted; a loop at v goes ahead of v's
+        pairs = pairs[np.lexsort(pairs.T[::-1])]
+    doc = {"n": g.n, "edges": (pairs + 1).tolist()}
+    Path(path).write_text(_json_text(doc) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -293,7 +347,11 @@ def load_rates(path: str | Path, tol: float = DEFAULT_TOL) -> RatesFile:
     result.
     """
     require_tol(tol)
-    data = _read_bytes(path)
+    return _rates_of(path, _read_bytes(path), tol)
+
+
+def _rates_of(path: str | Path, data: bytes, tol: float) -> RatesFile:
+    """:func:`load_rates` of the file's bytes ``data``, ``tol`` checked."""
     labels, keys, rates = _canonical_quotes(data) or _tokenized_quotes(path, data)
     del data  # only the parsers read it; free it before the graph is built
     n = len(labels)
@@ -349,20 +407,39 @@ def rate_rows(
     """Every edge's quotes as [src, dst, rate] rows: both directions per
     pair, loops once, in ascending edge order. ``values`` holds one rate per
     directed edge in edge-id order, like :attr:`RateMatrix.values`."""
+    return [[labels[i], labels[j], rate] for i, j, rate in zip(*_quotes(values, graph))]
+
+
+def _quotes(values: np.ndarray, graph: MarketGraph) -> tuple[list[int], list[int], list[float]]:
+    """The 0-based sources, targets and rates of :func:`rate_rows`."""
     src, dst = graph._edge_ends
     # by undirected edge (lo, hi), then (lo, hi) ahead of (hi, lo)
     order = np.lexsort((src > dst, np.maximum(src, dst), np.minimum(src, dst)))
-    rows = zip(src[order].tolist(), dst[order].tolist(), values[order].tolist())
-    return [[labels[i], labels[j], rate] for i, j, rate in rows]
+    return src[order].tolist(), dst[order].tolist(), values[order].tolist()
 
 
 def save_rates(path: str | Path, r: RateMatrix, labels: Sequence[str] | None = None) -> None:
-    """Write every edge's quotes as CSV: both directions per pair, loops once."""
+    """Write every edge's quotes as CSV: both directions per pair, loops once.
+
+    The csv writer renders each label's cell once; the rows are then
+    formatted in one pass, a rate as its repr, which is how the writer
+    renders a float.
+    """
     names = tuple(labels) if labels else tuple(str(i) for i in range(1, r.n + 1))
+    # a row of the cell and an empty one renders the cell as inside a quote row
+    rendered: list[str] = []
+    csv.writer(SimpleNamespace(write=rendered.append), lineterminator="\n").writerows(
+        (name, "") for name in names
+    )
+    cell = [row[:-2] for row in rendered].__getitem__
+    src, dst, rates = _quotes(r.values, r.graph)
+    rows = map(",".join, zip(map(cell, src), map(cell, dst), map(repr, rates)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["src", "dst", "rate"])
-        writer.writerows(rate_rows(r.values, r.graph, names))
+        fh.write("src,dst,rate")
+        # joined in blocks, so that no copy of the whole text is held
+        while block := "\n".join(islice(rows, 1 << 14)):
+            fh.write("\n" + block)
+        fh.write("\n")
 
 
 def load_basis(
@@ -373,7 +450,12 @@ def load_basis(
     Values are log-domain by default; ``multiplicative`` converts positive
     rates on load.
     """
-    doc = _read_json(path)
+    return _basis_of(path, _read_bytes(path), graph, multiplicative)
+
+
+def _basis_of(path: str | Path, data: bytes, graph: MarketGraph, multiplicative: bool) -> BasisAssignment:
+    """:func:`load_basis` of the file's bytes ``data``."""
+    doc = _read_json(path, data)
     if not isinstance(doc, dict) or "entries" not in doc or "values" not in doc:
         raise ParseError(f"{path}: basis file needs 'entries' and 'values'")
     spec = _int_pairs(path, doc["entries"], "entries", lambda e: BasisSpec(graph=graph, entries=e))
@@ -396,7 +478,12 @@ def load_perturbation(path: str | Path, graph: MarketGraph) -> PerturbationVecto
     Deltas are log-domain. The embedded basis may carry "values" (the basis
     file shape); they are not needed here and are ignored.
     """
-    doc = _read_json(path)
+    return _perturbation_of(path, _read_bytes(path), graph)
+
+
+def _perturbation_of(path: str | Path, data: bytes, graph: MarketGraph) -> PerturbationVector:
+    """:func:`load_perturbation` of the file's bytes ``data``."""
+    doc = _read_json(path, data)
     if not isinstance(doc, dict) or "basis" not in doc or "deltas" not in doc:
         raise ParseError(f"{path}: perturbation file needs 'basis' and 'deltas'")
     basis = doc["basis"]
@@ -453,7 +540,8 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``."""
+        return _json_text(self.to_dict())
 
     def to_text(self) -> str:
         lines = [f"arbx {self.command}", f"verdict: {self.verdict}"]

@@ -5,6 +5,8 @@ or matrix, so failures reproduce.
 """
 
 import csv
+import io
+import json
 import math
 import operator
 import random
@@ -324,3 +326,23 @@ def same_bits(a, b) -> bool:
     """Equal shape and equal float64 bit patterns (so 0.0 differs from -0.0)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# --- the writers as they were before they rendered in C passes, kept as
+# --- references for the byte-identical ones
+
+
+def reference_graph_text(g) -> str:
+    """A graph file's text: ``g.edges`` sorted, through json.dumps."""
+    doc = {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def reference_rates_text(r, labels=None) -> str:
+    """A rates file's text: every row through ``csv.writer``."""
+    names = tuple(labels) if labels else tuple(str(i) for i in range(1, r.n + 1))
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["src", "dst", "rate"])
+    writer.writerows(reference_rate_rows(r.entries, r.graph, names))
+    return out.getvalue()

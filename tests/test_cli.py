@@ -400,6 +400,33 @@ class TestReports:
             _, doc = run_json(capsys, *argv)
             assert set(doc) == REPORT_KEYS, argv
 
+    def test_each_input_is_read_once_and_its_bytes_digested(self, capsys, tmp_path, monkeypatch):
+        basis = tmp_path / "b.json"
+        basis.write_text(json.dumps({"entries": [[1, 2], [1, 3]], "values": [0.5, 0.25]}))
+        delta = tmp_path / "d.json"
+        delta.write_text(json.dumps({"basis": {"entries": [[1, 2], [1, 3]]}, "deltas": [0.0, 0.1]}))
+        rates, graph = DATA / "triangle_ok.csv", DATA / "k3.json"
+        invocations = [
+            (["check", "--rates", str(rates)], {"rates": rates}),
+            (["oracle", "--rates", str(rates)], {"rates": rates}),
+            (["price", "--rates", str(rates), "--ref", "1"], {"rates": rates}),
+            (["perturb", "--rates", str(rates), "--delta", str(delta)], {"rates": rates, "delta": delta}),
+            (["basis", "--graph", str(graph)], {"graph": graph}),
+            (["dim", "--graph", str(graph)], {"graph": graph}),
+            (["complete", "--graph", str(graph), "--basis", str(basis), "--out", str(tmp_path / "r.csv")],
+             {"graph": graph, "basis": basis}),
+        ]
+        read_bytes = Path.read_bytes
+        for argv, inputs in invocations:
+            reads = []
+            monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(str(p)) or read_bytes(p))
+            _, doc = run_json(capsys, *argv)
+            monkeypatch.undo()
+            assert sorted(reads) == sorted(map(str, inputs.values())), argv
+            assert doc["inputs"] == {
+                key: "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest() for key, path in inputs.items()
+            }
+
     def test_golden_check_report(self, capsys):
         _, doc = run_json(capsys, "check", "--rates", str(DATA / "triangle_ok.csv"))
         doc["metrics"]["elapsed_ms"] = 0.0

@@ -1,5 +1,6 @@
 import pickle
 
+import numpy as np
 import pytest
 
 from arbx import (
@@ -8,6 +9,7 @@ from arbx import (
     GraphIndexError,
     NotConnectedError,
     OracleSizeError,
+    SpanningTree,
     TreeMismatchError,
     enumerate_simple_cycles,
     fundamental_cycles,
@@ -151,6 +153,34 @@ class TestFundamentalCycles:
     def test_tree_mismatch(self):
         with pytest.raises(TreeMismatchError):
             fundamental_cycles(K4, spanning_tree(K3))
+
+    # a caller's tree is read like a graph: a float or a bool is no good,
+    # though 2.0 == 2 and True == 1 as set members
+    @pytest.mark.parametrize("tree, message", [
+        (SpanningTree(1, {2.0: 1, 3: 1}, ((1, 2.0), (1, 3))), r"tree edge \(1, 2.0\) has non-integer vertices"),
+        (SpanningTree(True, {2: 1, 3: 1}, ((1, 2), (1, 3))), "tree vertex True out of range"),
+        (SpanningTree(1, {2: 1, 3: 2.0}, ((1, 2), (2, 3))), r"tree step \(3, 2.0\) has non-integer vertices"),
+        (SpanningTree(1, {2: 1, True: 1}, ((1, 2), (1, 3))), "tree vertex True out of range"),
+        (SpanningTree(1, {2: 1, 5: 1}, ((1, 2), (1, 3))), "tree vertex 5 out of range 1..3"),
+    ])
+    def test_tree_goods_must_be_integers(self, tree, message):
+        with pytest.raises(TreeMismatchError, match=message):
+            fundamental_cycles(K3, tree)
+
+    def test_parent_map_must_step_along_the_tree_edges(self):
+        # the edges say 2 and 3 hang from 1, the parent map walks 2 -> 3 -> 1
+        tree = SpanningTree(1, {2: 3, 3: 1}, ((1, 2), (1, 3)))
+        with pytest.raises(TreeMismatchError, match="parent map does not step along the tree edges"):
+            fundamental_cycles(K3, tree)
+
+    def test_tree_of_numpy_integers_is_read_like_ints(self):
+        tree = spanning_tree(K3)
+        as_numpy = SpanningTree(
+            np.int64(tree.root),
+            {np.int64(c): np.int64(p) for c, p in tree.parent.items()},
+            tuple((np.int64(p), np.int64(c)) for p, c in tree.tree_edges),
+        )
+        assert fundamental_cycles(K3, as_numpy) == fundamental_cycles(K3, tree)
 
 
 class TestEnumerateSimpleCycles:

@@ -2,9 +2,11 @@
 guard that keeps that default sound (arbx makes no BLAS call)."""
 
 import ast
+import gc
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,3 +145,52 @@ def test_no_blas_backed_call_in_arbx():
             elif isinstance(node, ast.ImportFrom) and set((node.module or "").split(".")) & BLAS_NAMES:
                 found.append((path.name, node.lineno, node.module))
     assert found == []
+
+
+class TestProgramEntry:
+    """``run()`` is the program entry: it freezes the import heap, then exits
+    with ``main()``'s code; ``main`` itself changes no process-wide state."""
+
+    ARGVS = [
+        ("check", "--rates", str(DATA / "triangle_ok.csv")),
+        ("check", "--rates", str(DATA / "triangle_bad.csv")),
+        ("check", "--rates", str(DATA / "no_such_file.csv")),
+    ]
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        from arbx.cli import main
+
+        before = gc.get_freeze_count()
+        for argv in self.ARGVS:
+            main([*argv, "--format", "json"])
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, code", zip(ARGVS, (0, 2, 1)))
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_module_and_run_agree(self, argv, code, fmt):
+        runs = [
+            child(["-m", "arbx.cli"], *argv, "--format", fmt),
+            child(["-c", "from arbx.cli import run; run()"], *argv, "--format", fmt),
+        ]
+        outs = []
+        for proc in runs:
+            assert proc.returncode == code and proc.stderr == ""
+            outs.append(re.sub(r"elapsed_ms\"?[:=] ?[0-9.e+-]+", "elapsed_ms", proc.stdout))
+        assert outs[0] == outs[1]
+
+    def test_run_freezes_and_keeps_exit_handlers(self):
+        # run() ends in SystemExit, not os._exit: atexit handlers still run
+        proc = child(["-c",
+            "import atexit, gc\n"
+            "from arbx.cli import run\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "run()\n"
+        ], "check", "--rates", str(DATA / "triangle_ok.csv"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("arbx check\nverdict: ok\n")
+        assert proc.stdout.endswith("frozen True\n")
+
+    def test_console_script_is_run(self):
+        pyproject = (SRC.parent / "pyproject.toml").read_text()
+        assert re.search(r'^arbx = "arbx\.cli:run"$', pyproject, re.MULTILINE)
