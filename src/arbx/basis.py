@@ -21,12 +21,11 @@ from .errors import (
     GraphMismatchError,
     LengthMismatchError,
     NotABasisError,
-    NotAnEdgeError,
     NotArbitrageFreeError,
     NotCompleteError,
     OracleSizeError,
 )
-from .exchange import DEFAULT_TOL, LogRateMatrix, _ids_of, check_no_arbitrage
+from .exchange import DEFAULT_TOL, LogRateMatrix, check_no_arbitrage
 from .graph import (
     ORACLE_MAX_VERTICES,
     SMALL_LEVEL,
@@ -34,6 +33,7 @@ from .graph import (
     TreeArrays,
     _bfs_tree,
     _connected_tree,
+    _spanning_entries,
     _vertex,
     _vertex_pairs,
     fundamental_cycles,
@@ -70,14 +70,18 @@ class BasisAssignment:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) != self.spec.size:
-            raise LengthMismatchError(
-                f"{self.spec.size} basis entries but {len(vals)} values"
-            )
-        if not all(math.isfinite(v) for v in vals):
-            raise BadParamsError("basis values must be finite")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _entry_values(self.spec, self.values, "basis", "values"))
+
+
+def _entry_values(spec: BasisSpec, values, owner: str, noun: str) -> tuple[float, ...]:
+    """``values`` as floats, one per entry of ``spec``, all finite; errors
+    call them ``noun``, and "{owner} {noun}" where they are not finite."""
+    vals = tuple(float(v) for v in values)
+    if len(vals) != spec.size:
+        raise LengthMismatchError(f"{spec.size} basis entries but {len(vals)} {noun}")
+    if not all(math.isfinite(v) for v in vals):
+        raise BadParamsError(f"{owner} {noun} must be finite")
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,17 +139,6 @@ def is_basis(g: MarketGraph, entries: Sequence[tuple[int, int]]) -> bool:
     :class:`~arbx.errors.NotAnEdgeError`, naming the first such entry.
     """
     return _spanning_entries(g, entries) is not None
-
-
-def _spanning_entries(g: MarketGraph, entries: Sequence[tuple[int, int]], error=NotAnEdgeError):
-    # the entries' edge ids and the breadth-first tree over them, or None if
-    # they are no spanning tree: n - 1 entries with a loop or a repeat reach too few goods
-    ids = _ids_of(g, entries, error)
-    if ids.size != g.n - 1:
-        return None
-    src, dst = g._edge_ends
-    tree = _bfs_tree(g.n, src[ids], dst[ids])
-    return (ids, tree) if tree.levels[-1] == g.n else None
 
 
 def _require_basis(spec: BasisSpec) -> tuple[np.ndarray, TreeArrays]:

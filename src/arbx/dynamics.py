@@ -9,19 +9,12 @@ unit responses, computed in O(n + edge count) without forming any of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, _complete, _require_basis
-from .errors import (
-    BadParamsError,
-    GraphMismatchError,
-    LengthMismatchError,
-    NotArbitrageFreeError,
-    SpecMismatchError,
-)
+from .basis import BasisSpec, _complete, _entry_values, _require_basis
+from .errors import GraphMismatchError, NotArbitrageFreeError, SpecMismatchError
 from .exchange import DEFAULT_TOL, LogRateMatrix, RateMatrix, _dense, check_no_arbitrage, exp_of
 
 
@@ -33,14 +26,7 @@ class PerturbationVector:
     deltas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.deltas)
-        if len(vals) != self.spec.size:
-            raise LengthMismatchError(
-                f"{self.spec.size} basis entries but {len(vals)} deltas"
-            )
-        if not all(math.isfinite(v) for v in vals):
-            raise BadParamsError("perturbation deltas must be finite")
-        object.__setattr__(self, "deltas", vals)
+        object.__setattr__(self, "deltas", _entry_values(self.spec, self.deltas, "perturbation", "deltas"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     BadParamsError,
-    NotAnEdgeError,
     NotAWalkError,
     NotClosedError,
     OracleSizeError,
@@ -33,11 +32,10 @@ from .graph import (
     MarketGraph,
     TreeArrays,
     _connected_tree,
+    _ids_of,
     _tree_path,
     _vertex,
-    _vertex_pairs,
     enumerate_simple_cycles,
-    spanning_tree,
 )
 
 DEFAULT_TOL = 1e-9
@@ -68,21 +66,6 @@ def _require_fill(g: MarketGraph, arr: np.ndarray, fill: float) -> None:
             f"coordinates without an edge must hold exactly {fill:g}; "
             f"({i + 1}, {j + 1}) holds {float(arr[i, j])!r}"
         )
-
-
-def _ids_of(g: MarketGraph, pairs: Iterable, error: type[Exception] = NotAnEdgeError) -> np.ndarray:
-    """Directed edge ids of 1-based (i, j) pairs; ``error`` names the first
-    that is not an edge, such as (1, 9) on fewer goods, (True, 2) or (1, 2, 3)."""
-    keys = list(pairs)
-    ij, fault = _vertex_pairs(keys, "edge", g.n)
-    inside = ((ij >= 1) & (ij <= g.n)).all(axis=1)
-    ids = np.where(inside, g._edge_ids(*np.where(inside, ij.T - 1, 0)), -1)
-    missing = np.flatnonzero(ids < 0)
-    if missing.size or fault is not None:
-        k = int(missing[0]) if missing.size else len(ij)
-        name = "({}, {})".format(*ij[k].tolist()) if k < len(ij) else repr(keys[k])
-        raise error(f"{name} is not an edge of the graph")
-    return ids
 
 
 def _dense(g: MarketGraph, values: np.ndarray, fill: float) -> np.ndarray:
@@ -388,7 +371,7 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
     its walk, starting from 0.0, so it equals :func:`cycle_log_gain` of the
     fundamental cycle bit for bit; a gain beyond the float range is
     infinite, without a warning. Only the witness cycle is built in Python,
-    from the parent map of :func:`~arbx.graph.spanning_tree`.
+    by a walk on the same tree's parent and depth arrays.
     """
     require_tol(tol)
     g = e.graph
@@ -415,7 +398,7 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
     elif w < loops.size + a.size:
         cycle = (i, j, i)
     else:
-        cycle = (i, *_tree_path(spanning_tree(g), j, i))
+        cycle = (i, *_tree_path(t, j, i))
     return CheckResult(False, _witness(cycle, float(gains[w])), gains.size, max_abs)
 
 

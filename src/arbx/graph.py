@@ -28,6 +28,7 @@ from .errors import (
     BadParamsError,
     DuplicateEdgeError,
     GraphIndexError,
+    NotAnEdgeError,
     NotConnectedError,
     OracleSizeError,
     TreeMismatchError,
@@ -437,43 +438,77 @@ def spanning_tree(g: MarketGraph) -> SpanningTree:
     return g._spanning_tree
 
 
-def _validate_tree(g: MarketGraph, t: SpanningTree) -> set[Edge]:
-    """The tree's edges as normalized pairs, once ``t`` is checked to be a
-    spanning tree of ``g`` whose parent map steps along those edges. Its
-    goods are read like a graph's, so a float or a bool is none."""
+def _ids_of(g: MarketGraph, pairs: Iterable, error: type[Exception] = NotAnEdgeError) -> np.ndarray:
+    """Directed edge ids of 1-based (i, j) pairs; ``error`` names the first
+    that is not an edge, such as (1, 9) on fewer goods, (True, 2) or (1, 2, 3)."""
+    keys = list(pairs)
+    ij, fault = _vertex_pairs(keys, "edge", g.n)
+    inside = ((ij >= 1) & (ij <= g.n)).all(axis=1)
+    ids = np.where(inside, g._edge_ids(*np.where(inside, ij.T - 1, 0)), -1)
+    missing = np.flatnonzero(ids < 0)
+    if missing.size or fault is not None:
+        k = int(missing[0]) if missing.size else len(ij)
+        name = "({}, {})".format(*ij[k].tolist()) if k < len(ij) else repr(keys[k])
+        raise error(f"{name} is not an edge of the graph")
+    return ids
 
-    def undirected(items: Iterable[object], what: str) -> set[Edge]:
-        pairs, fault = _vertex_pairs(items, what, g.n)
-        if fault is not None:
-            raise TreeMismatchError(str(fault))
-        return set(zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()))
 
-    tree_edges = undirected(t.tree_edges, "tree edge")
-    if len(t.tree_edges) != g.n - 1 or len(tree_edges) != g.n - 1:
-        raise TreeMismatchError("a spanning tree needs exactly n-1 distinct edges")
-    if not tree_edges <= set(g.simple_edges):
-        raise TreeMismatchError("tree edge not present in the graph")
+def _spanning_entries(g: MarketGraph, entries: Iterable, error: type[Exception] = NotAnEdgeError):
+    """The one test of whether 1-based pairs form a spanning tree of ``g``:
+    their edge ids and the breadth-first tree from good 1 over them, or None
+    if they are no spanning tree (n - 1 pairs with a loop or a repeat reach
+    too few goods). ``error`` names the first pair that is not an edge."""
+    ids = _ids_of(g, entries, error)
+    if ids.size != g.n - 1:
+        return None
+    src, dst = g._edge_ends
+    tree = _bfs_tree(g.n, src[ids], dst[ids])
+    return (ids, tree) if tree.levels[-1] == g.n else None
+
+
+def _validate_tree(g: MarketGraph, t: SpanningTree) -> TreeArrays:
+    """The breadth-first tree from good 1 over ``t``'s edges, once ``t`` is
+    checked, in O(n + E), to be a spanning tree of ``g`` whose parent map
+    leads every good to its root along those edges; goods are read like a
+    graph's, so a float or a bool is none. On a tree's edges a parent map can
+    cycle only by stepping back along the edge it came by, so every good
+    reaches the root exactly when no two other goods step along one edge."""
+    edges, fault = _vertex_pairs(t.tree_edges, "tree edge", g.n)
+    if fault is not None:
+        raise TreeMismatchError(str(fault))
+    found = _spanning_entries(g, edges.tolist(), TreeMismatchError)
+    if found is None:
+        raise TreeMismatchError("the tree edges do not form a spanning tree of the graph")
     try:
-        goods = {_vertex(v, g.n, "tree vertex") for v in (t.root, *t.parent)}
+        goods = np.array([_vertex(v, g.n, "tree vertex") for v in (t.root, *t.parent)]) - 1
     except GraphIndexError as exc:
         raise TreeMismatchError(str(exc)) from None
-    if len(goods) != g.n:
+    if not np.bincount(goods, minlength=g.n).all():
         raise TreeMismatchError("tree does not span all vertices")
-    if undirected(((v, t.parent[v]) for v in t.parent), "tree step") != tree_edges:
+    steps, fault = _vertex_pairs(t.parent.items(), "tree step", g.n)
+    if fault is not None:
+        raise TreeMismatchError(str(fault))
+    tree, (v, p) = found[1], steps.T - 1
+    p = np.where((p >= 0) & (p < g.n), p, v)  # a step beyond the goods steps nowhere
+    up = tree.parent[v] == p
+    if not ((v != p) & (up | (tree.parent[p] == v))).all():
         raise TreeMismatchError("the parent map does not step along the tree edges")
-    for v in t.parent:
-        t.path_to_root(v)
-    return tree_edges
+    # each step's edge, named by its end away from good 1; a repeat steps back
+    child, nonroot = np.where(up, v, p), v != goods[0]
+    cyclic = nonroot & (np.bincount(child[nonroot], minlength=g.n)[child] > 1)
+    if cyclic.any():
+        stuck = v[np.argmax(cyclic)] + 1
+        raise TreeMismatchError(f"no tree path from {stuck} to root {goods[0] + 1}")
+    return tree
 
 
-def _tree_path(t: SpanningTree, a: int, b: int) -> list[int]:
-    pa = t.path_to_root(a)
-    pb = t.path_to_root(b)
-    on_pa = set(pa)
-    for cut, v in enumerate(pb):
-        if v in on_pa:
-            return pa[: pa.index(v) + 1] + pb[:cut][::-1]
-    raise TreeMismatchError(f"vertices {a} and {b} share no tree path")
+def _tree_path(t: TreeArrays, a: int, b: int) -> list[int]:
+    """Goods on the path of ``t`` from good a to good b, both inclusive."""
+    up, down = [a - 1], [b - 1]
+    while up[-1] != down[-1]:
+        side = up if t.depth[up[-1]] >= t.depth[down[-1]] else down
+        side.append(int(t.parent[side[-1]]))
+    return [v + 1 for v in up + down[-2::-1]]
 
 
 def fundamental_cycles(g: MarketGraph, t: SpanningTree) -> list[FundamentalCycle]:
@@ -481,16 +516,16 @@ def fundamental_cycles(g: MarketGraph, t: SpanningTree) -> list[FundamentalCycle
 
     Reflexive loops are excluded; their entries are forced to zero anyway and
     are handled by the antisymmetry check. For a connected graph the list has
-    exactly (edge count) - (n - 1) elements, loops not counted.
+    exactly (edge count) - (n - 1) elements, loops not counted. ``t`` is
+    checked in O(n + E), and each cycle is walked on the breadth-first tree
+    over ``t``'s edges: a tree path does not depend on the root, so the
+    cycles are those of ``t``.
     """
-    tree_edges = _validate_tree(g, t)
-    out: list[FundamentalCycle] = []
-    for k, m in g.simple_edges:
-        if (k, m) in tree_edges:
-            continue
-        path = _tree_path(t, m, k)
-        out.append(FundamentalCycle(chord=(k, m), cycle=(k, *path)))
-    return out
+    tree = _validate_tree(g, t)
+    a, b = g._lo, g._hi
+    chords = (tree.parent[a] != b) & (tree.parent[b] != a)
+    pairs = zip((a[chords] + 1).tolist(), (b[chords] + 1).tolist())
+    return [FundamentalCycle(chord=(k, m), cycle=(k, *_tree_path(tree, m, k))) for k, m in pairs]
 
 
 def enumerate_simple_cycles(

@@ -459,12 +459,7 @@ def _basis_of(path: str | Path, data: bytes, graph: MarketGraph, multiplicative:
     if not isinstance(doc, dict) or "entries" not in doc or "values" not in doc:
         raise ParseError(f"{path}: basis file needs 'entries' and 'values'")
     spec = _int_pairs(path, doc["entries"], "entries", lambda e: BasisSpec(graph=graph, entries=e))
-    raw = doc["values"]
-    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
-        raise ParseError(f"{path}: 'values' must be a list of numbers")
-    values = [float(v) for v in raw]
-    if len(values) != spec.size:
-        raise ParseError(f"{path}: {spec.size} entries but {len(values)} values")
+    values = _numbers(path, doc, "values", spec, "entries")
     if multiplicative:
         if any(not math.isfinite(v) or v <= 0.0 for v in values):
             raise ParseError(f"{path}: multiplicative basis values must be positive")
@@ -490,12 +485,19 @@ def _perturbation_of(path: str | Path, data: bytes, graph: MarketGraph) -> Pertu
     if not isinstance(basis, dict) or "entries" not in basis:
         raise ParseError(f"{path}: 'basis' needs 'entries'")
     spec = _int_pairs(path, basis["entries"], "basis entries", lambda e: BasisSpec(graph=graph, entries=e))
-    raw = doc["deltas"]
+    deltas = _numbers(path, doc, "deltas", spec, "basis entries")
+    return PerturbationVector(spec=spec, deltas=tuple(deltas))
+
+
+def _numbers(path: str | Path, doc: dict, key: str, spec: BasisSpec, entries: str) -> list[float]:
+    """``doc[key]``, a list of numbers but not bools, one per entry of
+    ``spec``, as floats; ``entries`` names the entries in the length error."""
+    raw = doc[key]
     if not isinstance(raw, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
-        raise ParseError(f"{path}: 'deltas' must be a list of numbers")
+        raise ParseError(f"{path}: '{key}' must be a list of numbers")
     if len(raw) != spec.size:
-        raise ParseError(f"{path}: {spec.size} basis entries but {len(raw)} deltas")
-    return PerturbationVector(spec=spec, deltas=tuple(float(v) for v in raw))
+        raise ParseError(f"{path}: {spec.size} {entries} but {len(raw)} {key}")
+    return [float(v) for v in raw]
 
 
 @dataclass

@@ -20,6 +20,7 @@ from arbx import (
     ArbitrageWitness,
     BasisAssignment,
     CheckResult,
+    FundamentalCycle,
     MarketGraph,
     SpanningTree,
     canonical_basis,
@@ -36,9 +37,10 @@ from arbx.errors import (
     NotConnectedError,
     ParseError,
     ReciprocalConflictError,
+    TreeMismatchError,
 )
 from arbx.exchange import RateMatrix, require_tol
-from arbx.graph import is_connected, new_graph
+from arbx.graph import _vertex, _vertex_pairs, is_connected, new_graph
 from arbx.io import RatesFile, _label_table
 
 KINDS = ("tree", "gnp-connected", "preferential-attachment", "complete")
@@ -346,3 +348,55 @@ def reference_rates_text(r, labels=None) -> str:
     writer.writerow(["src", "dst", "rate"])
     writer.writerows(reference_rate_rows(r.entries, r.graph, names))
     return out.getvalue()
+
+
+# --- the tree check and walk as they were before they ran on the tree's
+# --- arrays, kept as the reference for fundamental_cycles
+
+
+def reference_fundamental_cycles(g, t):
+    """``fundamental_cycles`` over sets of tuples and the parent map: the
+    tree's edges checked as a set against ``g.simple_edges``, every good's
+    climb to the root walked, and each chord's path cut where the climbs of
+    its two ends meet."""
+    tree_edges = _reference_validate_tree(g, t)
+    out = []
+    for k, m in g.simple_edges:
+        if (k, m) not in tree_edges:
+            out.append(FundamentalCycle(chord=(k, m), cycle=(k, *_reference_tree_path(t, m, k))))
+    return out
+
+
+def _reference_validate_tree(g, t):
+    def undirected(items, what):
+        pairs, fault = _vertex_pairs(items, what, g.n)
+        if fault is not None:
+            raise TreeMismatchError(str(fault))
+        return set(zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()))
+
+    tree_edges = undirected(t.tree_edges, "tree edge")
+    if len(t.tree_edges) != g.n - 1 or len(tree_edges) != g.n - 1:
+        raise TreeMismatchError("a spanning tree needs exactly n-1 distinct edges")
+    if not tree_edges <= set(g.simple_edges):
+        raise TreeMismatchError("tree edge not present in the graph")
+    try:
+        goods = {_vertex(v, g.n, "tree vertex") for v in (t.root, *t.parent)}
+    except GraphIndexError as exc:
+        raise TreeMismatchError(str(exc)) from None
+    if len(goods) != g.n:
+        raise TreeMismatchError("tree does not span all vertices")
+    if undirected(((v, t.parent[v]) for v in t.parent), "tree step") != tree_edges:
+        raise TreeMismatchError("the parent map does not step along the tree edges")
+    for v in t.parent:
+        t.path_to_root(v)
+    return tree_edges
+
+
+def _reference_tree_path(t, a, b):
+    pa = t.path_to_root(a)
+    pb = t.path_to_root(b)
+    on_pa = set(pa)
+    for cut, v in enumerate(pb):
+        if v in on_pa:
+            return pa[: pa.index(v) + 1] + pb[:cut][::-1]
+    raise TreeMismatchError(f"vertices {a} and {b} share no tree path")
