@@ -10,7 +10,10 @@ main`` alike.
 
 :func:`run` is the program entry of ``python -m arbx.cli`` and the ``arbx``
 script; :func:`main` runs one command and changes no process-wide state, so
-tests and library callers may call it in process.
+tests and library callers may call it in process. A ``cmd_*`` function
+returns its command's report: verdict, witness, labels, data, its own
+metrics and the digests of the files it read. :func:`main` times the call
+and adds it to the metrics as ``elapsed_ms``.
 """
 
 from __future__ import annotations
@@ -66,175 +69,104 @@ from .io import (
 _EXIT = {"ok": 0, "violation": 2, "error": 1}
 
 
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
-
-
 def _index_labels(g: MarketGraph) -> tuple[str, ...]:
     return tuple(str(i) for i in range(1, g.n + 1))
 
 
-def _read(path: str, inputs: dict[str, str], key: str) -> bytes:
-    """An input file's bytes, read once: the loader parses them and
-    ``inputs[key]`` records their digest."""
+def _load(args: argparse.Namespace, key: str, parse: Callable, *extra):
+    """``parse(path, data, *extra)`` of the input file ``args.<key>``, read
+    once: the report's ``inputs[key]`` records the digest of the bytes parsed."""
+    path = getattr(args, key)
     data = _read_bytes(path)
-    inputs[key] = _digest(data)
-    return data
+    vars(args).setdefault("_inputs", {})[key] = _digest(data)
+    return parse(path, data, *extra)
 
 
-def _rates(args: argparse.Namespace, inputs: dict[str, str]) -> RatesFile:
+def _report(args, labels, data: dict, verdict="ok", witness=None, **metrics) -> RunReport:
+    """The report of the command ``args`` ran, with the files it read;
+    :func:`main` adds the run's ``elapsed_ms``."""
+    inputs = vars(args).get("_inputs", {})
+    return RunReport(args.command, verdict, witness, metrics, inputs, labels, data)
+
+
+def _rates(args: argparse.Namespace) -> RatesFile:
     # the tolerance is checked before the file is read, as by load_rates
     require_tol(args.tol)
-    return _rates_of(args.rates, _read(args.rates, inputs, "rates"), args.tol)
+    return _load(args, "rates", _rates_of, args.tol)
 
 
-def _graph(args: argparse.Namespace, inputs: dict[str, str]) -> MarketGraph:
-    return _graph_of(args.graph, _read(args.graph, inputs, "graph"))
-
-
-def _check_report(command: str, result: CheckResult, inputs, labels, filled, t0) -> RunReport:
-    return RunReport(
-        command=command,
-        verdict="ok" if result.ok else "violation",
-        witness=result.witness,
-        metrics={
-            "cycles_checked": result.cycles_checked,
-            "max_abs_log_gain": result.max_abs_log_gain,
-            "elapsed_ms": _ms(t0),
-        },
-        inputs=inputs,
-        labels=labels,
-        data={"filled_reciprocals": [list(p) for p in filled]},
+def _check(args: argparse.Namespace, check: Callable[..., CheckResult], **options) -> RunReport:
+    rates = _rates(args)
+    result = check(log_of(rates.matrix), tol=args.tol, **options)
+    return _report(
+        args, rates.labels, {"filled_reciprocals": [list(p) for p in rates.filled]},
+        "ok" if result.ok else "violation", result.witness,
+        cycles_checked=result.cycles_checked, max_abs_log_gain=result.max_abs_log_gain,
     )
 
 
 def cmd_check(args: argparse.Namespace) -> RunReport:
-    t0, inputs = time.perf_counter(), {}
-    rates = _rates(args, inputs)
-    result = check_no_arbitrage(log_of(rates.matrix), tol=args.tol)
-    return _check_report("check", result, inputs, rates.labels, rates.filled, t0)
+    return _check(args, check_no_arbitrage)
 
 
 def cmd_oracle(args: argparse.Namespace) -> RunReport:
-    t0, inputs = time.perf_counter(), {}
-    rates = _rates(args, inputs)
-    result = check_no_arbitrage_oracle(log_of(rates.matrix), tol=args.tol, max_n=args.max_n)
-    return _check_report("oracle", result, inputs, rates.labels, rates.filled, t0)
+    return _check(args, check_no_arbitrage_oracle, max_n=args.max_n)
 
 
 def cmd_complete(args: argparse.Namespace) -> RunReport:
-    t0, inputs = time.perf_counter(), {}
-    g = _graph(args, inputs)
-    assignment = _basis_of(args.basis, _read(args.basis, inputs, "basis"), g, args.multiplicative)
-    rates = exp_of(complete(assignment))
-    save_rates(args.out, rates)
-    return RunReport(
-        command="complete",
-        verdict="ok",
-        witness=None,
-        metrics={"dimension": dimension(g), "elapsed_ms": _ms(t0)},
-        inputs=inputs,
-        labels=_index_labels(g),
-        data={"out": str(args.out), "rows": g._edge_count},
-    )
+    g = _load(args, "graph", _graph_of)
+    assignment = _load(args, "basis", _basis_of, g, args.multiplicative)
+    save_rates(args.out, exp_of(complete(assignment)))
+    data = {"out": str(args.out), "rows": g._edge_count}
+    return _report(args, _index_labels(g), data, dimension=dimension(g))
 
 
 def cmd_basis(args: argparse.Namespace) -> RunReport:
-    t0, inputs = time.perf_counter(), {}
-    g = _graph(args, inputs)
+    g = _load(args, "graph", _graph_of)
     spec = canonical_basis(g)
-    return RunReport(
-        command="basis",
-        verdict="ok",
-        witness=None,
-        metrics={"dimension": spec.size, "elapsed_ms": _ms(t0)},
-        inputs=inputs,
-        labels=_index_labels(g),
-        data={"entries": [list(e) for e in spec.entries]},
-    )
+    data = {"entries": [list(e) for e in spec.entries]}
+    return _report(args, _index_labels(g), data, dimension=spec.size)
 
 
 def cmd_dim(args: argparse.Namespace) -> RunReport:
-    t0, inputs = time.perf_counter(), {}
-    g = _graph(args, inputs)
+    g = _load(args, "graph", _graph_of)
     dim = dimension(g)
-    return RunReport(
-        command="dim",
-        verdict="ok",
-        witness=None,
-        metrics={"dimension": dim, "elapsed_ms": _ms(t0)},
-        inputs=inputs,
-        labels=_index_labels(g),
-        data={"dimension": dim},
-    )
+    return _report(args, _index_labels(g), {"dimension": dim}, dimension=dim)
 
 
 def cmd_price(args: argparse.Namespace) -> RunReport:
-    t0, inputs = time.perf_counter(), {}
-    rates = _rates(args, inputs)
+    rates = _rates(args)
     ref = rates.index_of(args.ref)
-    prices = price_vector(log_of(rates.matrix), ref, tol=args.tol)
-    return RunReport(
-        command="price",
-        verdict="ok",
-        witness=None,
-        metrics={"elapsed_ms": _ms(t0)},
-        inputs=inputs,
-        labels=rates.labels,
-        data={
-            "reference": args.ref,
-            "prices_log": [p for p in prices.prices],
-            # inf past the float range, written as null in JSON
-            "prices_multiplicative": [_exp_or_inf(p) for p in prices.prices],
-        },
-    )
+    prices = price_vector(log_of(rates.matrix), ref, tol=args.tol).prices
+    data = {"reference": args.ref, "prices_log": list(prices)}
+    # inf past the float range, written as null in JSON
+    data["prices_multiplicative"] = [_exp_or_inf(p) for p in prices]
+    return _report(args, rates.labels, data)
 
 
 def cmd_perturb(args: argparse.Namespace) -> RunReport:
-    t0, inputs = time.perf_counter(), {}
-    rates = _rates(args, inputs)
-    state = log_of(rates.matrix)
-    pert = _perturbation_of(args.delta, _read(args.delta, inputs, "delta"), rates.matrix.graph)
+    rates = _rates(args)
+    pert = _load(args, "delta", _perturbation_of, rates.matrix.graph)
     d_log = propagate_log(build_operator(pert.spec), pert)
     if args.exact:
-        _, updated_rates = apply_exact(state, d_log, tol=args.tol)
-        updated = updated_rates.values
-        mode = "exact"
+        updated = apply_exact(log_of(rates.matrix), d_log, tol=args.tol)[1].values
     else:
         # the first-order update, rate + rate * delta, per directed edge
         with np.errstate(over="ignore"):  # reported below, not as a warning
             updated = rates.matrix.values + _first_order_delta(rates.matrix, d_log)
         if not np.all(np.isfinite(updated)):
             raise OverflowError("first-order rate update exceeds the float range")
-        mode = "first-order"
-    return RunReport(
-        command="perturb",
-        verdict="ok",
-        witness=None,
-        metrics={
-            "basis_size": pert.spec.size,
-            "max_abs_log_delta": float(np.max(np.abs(d_log.values), initial=0.0)),
-            "elapsed_ms": _ms(t0),
-        },
-        inputs=inputs,
-        labels=rates.labels,
-        data={"mode": mode, "rates": rate_rows(updated, rates.matrix.graph, rates.labels)},
-    )
+    max_abs = float(np.max(np.abs(d_log.values), initial=0.0))
+    rows = rate_rows(updated, rates.matrix.graph, rates.labels)
+    data = {"mode": "exact" if args.exact else "first-order", "rates": rows}
+    return _report(args, rates.labels, data, basis_size=pert.spec.size, max_abs_log_delta=max_abs)
 
 
 def cmd_gen(args: argparse.Namespace) -> RunReport:
-    t0 = time.perf_counter()
     g = generate_graph(args.kind, args.n, p=args.p, m=args.m, seed=args.seed)
     save_graph(args.out, g)
-    return RunReport(
-        command="gen",
-        verdict="ok",
-        witness=None,
-        metrics={"edge_count": g._lo.size + g._loop_array.size, "elapsed_ms": _ms(t0)},
-        inputs={},
-        labels=_index_labels(g),
-        data={"out": str(args.out), "kind": args.kind, "n": g.n, "seed": args.seed},
-    )
+    data = {"out": str(args.out), "kind": args.kind, "n": g.n, "seed": args.seed}
+    return _report(args, _index_labels(g), data, edge_count=g._lo.size + g._loop_array.size)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -245,47 +177,39 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_command(
-    sub, name: str, func: Callable[[argparse.Namespace], RunReport], help_text: str
-) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
-    p.set_defaults(func=func)
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="arbx", description="No-arbitrage exchange-rate toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = _add_command(sub, "check", cmd_check, "verify a rates file is arbitrage-free")
-    p.add_argument("--rates", required=True)
+    def add(name: str, func, help_text: str, *inputs: str) -> argparse.ArgumentParser:
+        # the subcommand, with --format and a required path option per input
+        # file: the file of --<key> is the report's inputs[key]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
+        for key in inputs:
+            p.add_argument(f"--{key}", required=True)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("check", cmd_check, "verify a rates file is arbitrage-free", "rates")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p = _add_command(sub, "complete", cmd_complete, "fill a full rate matrix from a basis")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--basis", required=True)
+    p = add("complete", cmd_complete, "fill a full rate matrix from a basis", "graph", "basis")
     p.add_argument("--multiplicative", action="store_true", help="basis values are rates, not logs")
     p.add_argument("--out", required=True)
 
-    p = _add_command(sub, "basis", cmd_basis, "print the canonical basis of a graph")
-    p.add_argument("--graph", required=True)
+    add("basis", cmd_basis, "print the canonical basis of a graph", "graph")
+    add("dim", cmd_dim, "print the dimension of the consistent space", "graph")
 
-    p = _add_command(sub, "dim", cmd_dim, "print the dimension of the consistent space")
-    p.add_argument("--graph", required=True)
-
-    p = _add_command(sub, "price", cmd_price, "print the price potential of consistent rates")
-    p.add_argument("--rates", required=True)
+    p = add("price", cmd_price, "print the price potential of consistent rates", "rates")
     p.add_argument("--ref", required=True, help="label of the reference good (price 0)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p = _add_command(sub, "perturb", cmd_perturb, "propagate basis-rate perturbations")
-    p.add_argument("--rates", required=True)
-    p.add_argument("--delta", required=True)
+    p = add("perturb", cmd_perturb, "propagate basis-rate perturbations", "rates", "delta")
     p.add_argument("--exact", action="store_true", help="exact update instead of first order")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
-    p = _add_command(sub, "gen", cmd_gen, "generate a seeded connected test graph")
+    p = add("gen", cmd_gen, "generate a seeded connected test graph")
     p.add_argument("--kind", required=True, choices=("complete", "tree", "gnp", "pa"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=None, help="edge probability (gnp)")
@@ -293,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = _add_command(sub, "oracle", cmd_oracle, "brute-force check over every simple cycle")
-    p.add_argument("--rates", required=True)
+    p = add("oracle", cmd_oracle, "brute-force check over every simple cycle", "rates")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-n", type=int, default=ORACLE_MAX_VERTICES, dest="max_n")
 
@@ -303,9 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    fmt = getattr(args, "format", "text")
+    t0 = time.perf_counter()
     try:
         report = args.func(args)
+        report.metrics["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
     except (ArbxError, OverflowError, OSError, MemoryError) as exc:
         report = RunReport(
             command=args.command,
@@ -317,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
             # MemoryError() carries no text; the type name stands in for it
             data={"error": type(exc).__name__, "message": str(exc) or type(exc).__name__},
         )
-    print(report.to_json() if fmt == "json" else report.to_text())
+    print(report.to_json() if args.format == "json" else report.to_text())
     return _EXIT[report.verdict]
 
 

@@ -104,7 +104,10 @@ def _vertex_pairs(items: Iterable[object], what: str, n: int) -> tuple[np.ndarra
     return pairs, GraphIndexError(f"{what} ({i}, {j}) out of range 1..{n}")  # beyond int64
 
 
-@dataclass(frozen=True)
+_ARRAYS = ("_lo", "_hi", "_loop_array")  # a graph's sorted 0-based edge arrays
+
+
+@dataclass(frozen=True, eq=False)
 class MarketGraph:
     """Undirected market graph on goods 1..n.
 
@@ -147,9 +150,20 @@ class MarketGraph:
         return g
 
     def _adopt(self, lo: np.ndarray, hi: np.ndarray, loops: np.ndarray) -> None:
-        for name, arr in [("_lo", lo), ("_hi", hi), ("_loop_array", loops)]:
+        for name, arr in zip(_ARRAYS, (lo, hi, loops)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    # Equality and hashing read n and the canonical (int64, sorted) arrays:
+    # equal arrays are equal edge sets, and ``edges`` is never built for it.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = (np.array_equal(getattr(self, k), getattr(other, k)) for k in _ARRAYS)
+        return self is other or self.n == other.n and all(same)
+
+    def __hash__(self) -> int:
+        return hash((self.n, *(getattr(self, k).tobytes() for k in _ARRAYS)))
 
     @cached_property
     def simple_edges(self) -> tuple[Edge, ...]:

@@ -575,12 +575,20 @@ class RunReport:
 
 
 def _inf_to_none(value: object) -> object:
-    # NaN is left as it is: it marks a fault, not a value past the float range
+    # NaN is left as it is: it marks a fault, not a value past the float range.
+    # A list of plain cells, or of rows of them, is copied by C-level passes.
     if isinstance(value, float):
         return None if math.isinf(value) else value
-    if isinstance(value, list):
+    if not isinstance(value, list):
+        return value
+    cells = value
+    types = set(map(type, value))
+    if types == {list}:  # rows: screen their cells
+        cells = list(chain.from_iterable(value))
+        types = set(map(type, cells))
+    if any(issubclass(t, list) for t in types) or math.inf in cells or -math.inf in cells:
         return [_inf_to_none(item) for item in value]
-    return value
+    return list(value) if cells is value else list(map(list, value))
 
 
 def _num(v: object) -> str:

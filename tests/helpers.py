@@ -400,3 +400,15 @@ def _reference_tree_path(t, a, b):
         if v in on_pa:
             return pa[: pa.index(v) + 1] + pb[:cut][::-1]
     raise TreeMismatchError(f"vertices {a} and {b} share no tree path")
+
+
+# --- the report's infinity screen as it was before it copied plain lists
+# --- whole, kept as the reference for RunReport.to_dict
+
+
+def reference_inf_to_none(value):
+    if isinstance(value, float):
+        return None if math.isinf(value) else value
+    if isinstance(value, list):
+        return [reference_inf_to_none(item) for item in value]
+    return value
