@@ -40,7 +40,7 @@ from .dynamics import (
     build_operator,
     propagate_log,
 )
-from .errors import ArbxError
+from .errors import ArbxError, BadParamsError
 from .exchange import (
     DEFAULT_TOL,
     CheckResult,
@@ -158,6 +158,10 @@ def cmd_perturb(args: argparse.Namespace) -> RunReport:
             raise OverflowError("first-order rate update exceeds the float range")
     max_abs = float(np.max(np.abs(d_log.values), initial=0.0))
     rows = rate_rows(updated, rates.matrix.graph, rates.labels)
+    # a log delta at or below -1 leaves the first-order rate non-positive
+    if not args.exact and not np.all(updated > 0.0):
+        src, dst, rate = next(row for row in rows if row[2] <= 0.0)
+        raise BadParamsError(f"first-order rate {src}->{dst} is {rate!r}, not positive; use --exact")
     data = {"mode": "exact" if args.exact else "first-order", "rates": rows}
     return _report(args, rates.labels, data, basis_size=pert.spec.size, max_abs_log_delta=max_abs)
 

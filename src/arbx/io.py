@@ -36,17 +36,21 @@ _INDEX_TOKEN = re.compile(r"[1-9][0-9]*")
 _DIGIT_TOKEN = re.compile(r"[0-9]+")
 
 # A canonical rates file: the bare header (a BOM allowed), then one or more
-# rows of two 1-based indices and a plain decimal rate, each ending in "\n"
-# but for the last; no spaces, quotes, blank rows or "\r". Such a file is
-# parsed in one np.loadtxt pass; any other goes through the csv tokenizer.
-# The rows are checked by searching for a newline that starts no row (the
-# end of the file aside): a search holds no state per row, where one match
-# over the whole file would keep a backtracking entry for every row.
+# rows of two 1-based indices and a decimal rate, each ending in "\n" but for
+# the last; one np.loadtxt pass parses it, the csv tokenizer any other file.
+# The screen is made of C passes: a translate shows only row bytes follow the
+# header; loadtxt reads each line as two int64 and a float (none blank or of
+# another width); each index is exactly its own digits, its comma right after
+# them and no "e" or "E" inside, which numpy 1.24 would read through a float.
 _CANONICAL_HEADER = b"src,dst,rate\n"
-_NOT_A_ROW = re.compile(
-    rb"\n(?![1-9][0-9]*,[1-9][0-9]*,(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?:\n|\Z)|\Z)"
-)
+_ROW_BYTES = b"0123456789,\n.eE+-"
+_HEADER_LETTERS = _CANONICAL_HEADER.translate(None, _ROW_BYTES)
 _QUOTE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("rate", np.float64)])
+
+# np.log's and math.log's drifts differ by at most 18u(|log a| + |log b|), u = 2^-53,
+# when each log is within 4 ulps (numpy tests float64 log to 1, glibc documents 1)
+# and each sum rounds by u (Higham, 2nd ed., §4.2); closer to tol, math.log judges.
+_LOG_BAND = 2.0**-48  # 32u
 
 # the label table, the quote keys of _key_order ascending, the rates in that order
 _Quotes = tuple[tuple[str, ...], np.ndarray, np.ndarray]
@@ -218,49 +222,61 @@ def _bad_rates(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return ~positive, positive & ~np.isfinite(1.0 / rates)
 
 
-def _key_order(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _key_order(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
     """The quote keys in ascending order, the order that sorts them, and a
     mask of each repeat of an earlier row's key. A quote's key is
     (lo * n + hi) * 2, plus 1 if it runs from hi to lo, so the quotes of a
-    pair are adjacent, lo -> hi first."""
+    pair are adjacent, lo -> hi first, as in every written sheet."""
     # n is at most the distinct tokens, twice the rows, so 2 n^2 fits in
     # int64 for any file below ~10^9 rows
     key = (np.minimum(i, j) * n + np.maximum(i, j)) * 2 + (i > j)
+    repeat = np.zeros(len(key), bool)
+    if (key[1:] > key[:-1]).all():  # in order already: no sort, no repeat
+        return key, slice(None), repeat
     order = np.argsort(key, kind="stable")
     keys = key[order]
-    repeat = np.zeros(len(key), bool)
     repeat[order[1:][keys[1:] == keys[:-1]]] = True
     return keys, order, repeat
 
 
 def _canonical_quotes(data: bytes) -> _Quotes | None:
-    """:func:`_tokenized_quotes` of a canonical file, in one C pass; None
-    for any other file and for every file the tokenizer must reject.
+    """:func:`_tokenized_quotes` of a canonical file, in C passes; None for
+    any other file and for every file the tokenizer must reject.
 
     numpy parses each rate with the routine ``float()`` uses, so the values
     are the same to the bit; no text, row list or string column is built."""
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     end = start + len(_CANONICAL_HEADER)
-    if not data.startswith(_CANONICAL_HEADER, start) or len(data) == end:
-        return None
-    if _NOT_A_ROW.search(data, end - 1):  # from the header's newline on
+    if not data.startswith(_CANONICAL_HEADER, start) or data[end : end + 1] in (b"", b"\n"):
+        return None  # no first row, where loadtxt would warn of no data
+    if data.translate(None, _ROW_BYTES) != data[:start] + _HEADER_LETTERS:
         return None
     try:
-        rows = np.loadtxt(BytesIO(data), _QUOTE_ROW, delimiter=",", skiprows=1, ndmin=1)
-    except ValueError:  # an index beyond int64
+        rows = np.loadtxt(BytesIO(data), _QUOTE_ROW, delimiter=",", skiprows=1, ndmin=1, comments=None)
+    except ValueError:  # another width, an empty field, not a number, beyond int64
         return None
-    i, j, rates = rows["src"] - 1, rows["dst"] - 1, rows["rate"]
+    i, j, rates = rows["src"], rows["dst"], rows["rate"]
+    buf = np.frombuffer(data, np.uint8)
+    starts = np.flatnonzero(buf[end - 1 : -1] == 10) + end  # past each newline but a last one
+    n = int(max(i.max(), j.max()))
     # as in the label table, the indices must name every good up to the
     # largest; past twice the row count some surely do not, and that is
     # checked first, so the mask is sized by the file, not by one index
-    n = int(max(i.max(), j.max())) + 1
-    if n > 2 * len(rows):
+    if len(starts) != len(rows) or min(i.min(), j.min()) < 1 or n > 2 * len(rows):
         return None
-    quoted = np.zeros(n, bool)
+    digits = [sum((k >= 10**p for p in range(1, len(str(n)))), 1) for k in (i, j)]
+    first, second = starts + digits[0], starts + digits[0] + 1 + digits[1]
+    if not (second < np.append(starts[1:], len(data))).all() or not (buf[np.stack((first, second))] == 44).all():
+        return None
+    if data.find(b"e", end) >= 0 or data.find(b"E", end) >= 0:  # only in rates
+        at = np.flatnonzero((buf[end:] | 32) == ord("e")) + end
+        if (at < second[np.searchsorted(starts, at, "right") - 1]).any():
+            return None
+    quoted = np.zeros(n + 1, bool)
     quoted[i] = quoted[j] = True
-    if not quoted.all():
+    if not quoted[1:].all():
         return None
-    keys, order, repeat = _key_order(n, i, j)
+    keys, order, repeat = _key_order(n, i - 1, j - 1)
     not_positive, tiny = _bad_rates(rates)
     if (not_positive | tiny | repeat).any():
         return None
@@ -342,9 +358,9 @@ def load_rates(path: str | Path, tol: float = DEFAULT_TOL) -> RatesFile:
     whose reciprocal overflows. Each check runs over whole columns.
 
     A canonical file (see ``_CANONICAL_HEADER``) whose rows pass the checks
-    up to the bad rates is parsed in one C pass; every other file goes
-    through the csv tokenizer, which raises those errors. Both give the same
-    result.
+    up to the bad rates is parsed in C passes, unsorted if in key order;
+    every other file goes through the csv tokenizer, which raises those
+    errors. Both give the same result, drifts judged as by math.log.
     """
     require_tol(tol)
     return _rates_of(path, _read_bytes(path), tol)
@@ -363,18 +379,17 @@ def _rates_of(path: str | Path, data: bytes, tol: float) -> RatesFile:
     first = np.ones(len(keys), bool)
     first[1:] = pair[1:] != pair[:-1]
     both = np.flatnonzero(~first)
-    there, home = rates[both - 1].tolist(), rates[both].tolist()
-    # math.log, not np.log: numpy's log may differ from it in the last bit,
-    # which would move a drift lying right at tol across the line
-    drift = np.fromiter(map(math.log, there), float, len(both)) + np.fromiter(
-        map(math.log, home), float, len(both)
-    )
-    conflict = np.flatnonzero(np.abs(drift) > tol)
+    there, home = rates[both - 1], rates[both]
+    logs = np.log(there), np.log(home)
+    drift = np.abs(logs[0] + logs[1])
+    near = np.flatnonzero(np.abs(drift - tol) <= _LOG_BAND * (np.abs(logs[0]) + np.abs(logs[1])))
+    drift[near] = [abs(math.log(a) + math.log(b)) for a, b in zip(there[near].tolist(), home[near].tolist())]
+    conflict = np.flatnonzero(drift > tol)
     if conflict.size:
-        k = int(conflict[0])
-        a, b = labels[lo[both[k]]], labels[hi[both[k]]]
+        k = int(both[conflict[0]])
+        a, b = labels[lo[k]], labels[hi[k]]
         raise ReciprocalConflictError(
-            f"{path}: quotes {a}->{b} and {b}->{a} multiply to {there[k] * home[k]:.12g}, not 1"
+            f"{path}: quotes {a}->{b} and {b}->{a} multiply to {rates.item(k - 1) * rates.item(k):.12g}, not 1"
         )
 
     loop = lo == hi

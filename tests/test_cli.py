@@ -312,6 +312,22 @@ class TestPerturb:
 
         assert json.loads(out, parse_constant=reject)["data"]["error"] == "OverflowError"
 
+    def test_first_order_non_positive_rate_is_error(self, capsys, tmp_path):
+        # 2 -> 1 is 0.5 + 0.5 * -800: the first quote in row order below zero
+        delta = self.write_delta(tmp_path, [800.0, -0.1])
+        args = ("perturb", "--rates", str(DATA / "triangle_ok.csv"), "--delta", str(delta))
+        code, doc = run_json(capsys, *args)
+        assert code == 1 and doc["verdict"] == "error"
+        assert doc["data"] == {
+            "error": "BadParamsError",
+            "message": "first-order rate 2->1 is -399.5, not positive; use --exact",
+        }
+        # a log delta of -1.5 leaves no first-order rate, but an exact one
+        delta = self.write_delta(tmp_path, [0.0, -1.5])
+        assert run_json(capsys, *args)[1]["data"]["error"] == "BadParamsError"
+        code, doc = run_json(capsys, *args, "--exact")
+        assert code == 0 and all(rate > 0.0 for _, _, rate in doc["data"]["rates"])
+
 
 class TestGen:
     @pytest.mark.parametrize("kind,extra", [

@@ -9,6 +9,7 @@ the same reference.
 """
 
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -329,4 +330,129 @@ def test_one_byte_mutations(tmp_path_factory, seed, position, byte):
     data[int(position * len(data))] = byte
     path = tmp_path_factory.getbasetemp() / "mutated.csv"
     path.write_bytes(bytes(data))
+    assert_same(path)
+
+
+# --- the C-pass screen of canonical files, and the order and drift screens
+
+SCREENED = {
+    "dst with a leading zero": "src,dst,rate\n1,02,2\n2,3,3\n",
+    "dst with a sign": "src,dst,rate\n1,+2,2\n2,3,3\n",
+    "index 1.0": "src,dst,rate\n1.0,2,2\n2,3,3\n",
+    "index 1e0": "src,dst,rate\n1e0,2,2\n2,3,3\n",
+    # as long as the digits of 100: only the screen for "e" in an index
+    # stops it where loadtxt reads an integer through a float
+    "index 1e2": "src,dst,rate\n" + "".join(f"{v},{v + 1},2\n" for v in range(1, 99)) + "99,1e2,2\n",
+    # the digits of 1000 run one byte past each field, and so past the file
+    "indices 1e3 ending the file": "src,dst,rate\n" + "".join(f"{v},{v + 1},2\n" for v in range(1, 1000)) + "1e3,1e3,2",
+    "# inside a rate": "src,dst,rate\n1,2,2#5\n2,3,3\n",
+    "rate 1_0": "src,dst,rate\n1,2,1_0\n2,3,3\n",
+    "four columns": "src,dst,rate\n1,2,2\n2,3,3,4\n",
+    "CR-only line ends": "src,dst,rate\r1,2,2\r2,3,3\r",
+    "CR-only row ends": "src,dst,rate\n1,2,2\r2,3,3\r",
+    "19-digit index": "src,dst,rate\n1,2,2\n2,1000000000000000000,3\n",
+    "NUL byte": "src,dst,rate\n1,2,2\x00\n2,3,3\n",
+    "blank first row": "src,dst,rate\n\n1,2,2\n",
+    "only blank rows": "src,dst,rate\n\n\n",
+    "a blank row and no last newline": "src,dst,rate\n1,2,2\n\n2,3,3",
+}
+
+
+@pytest.mark.parametrize("text", SCREENED.values(), ids=SCREENED.keys())
+def test_screened_sheets_reach_the_tokenizer(tmp_path, tokenizer_calls, text):
+    path = _write(tmp_path, text)
+    assert_same(path)
+    assert tokenizer_calls == [path]
+
+
+def _key_ordered(seed):
+    """The rows of a canonical sheet in the order save_rates writes them:
+    by pair (lo, hi), lo -> hi first."""
+    head, *rows = market_csv(seed, "pa", 60, skews=0, canonical=True).splitlines()
+
+    def key(row):
+        i, j = map(int, row.split(",")[:2])
+        return min(i, j), max(i, j), i > j
+
+    return head, sorted(rows, key=key)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_key_ordered_and_shuffled_sheets_agree(tmp_path, no_tokenizer, seed):
+    head, rows = _key_ordered(seed)
+    shuffled = random.Random(seed).sample(rows, len(rows))
+    got = [load_rates(_write(tmp_path, "\n".join([head, *r]) + "\n")) for r in (rows, shuffled)]
+    assert pickle.dumps(got[0]) == pickle.dumps(got[1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_duplicate_row_reads_the_same_in_either_order(tmp_path, seed):
+    # both copies keep their lines; every other row is shuffled
+    head, rows = _key_ordered(seed)
+    k = random.Random(seed).randrange(len(rows))
+    rows.insert(k + 1, rows[k])
+    others = [r for m, r in enumerate(rows) if m not in (k, k + 1)]
+    random.Random(seed).shuffle(others)
+    shuffled = others[:k] + rows[k : k + 2] + others[k:]
+    got = [assert_same(_write(tmp_path, "\n".join([head, *r]) + "\n")) for r in (rows, shuffled)]
+    assert got[0] == got[1] and "duplicate quote" in got[0][1]
+
+
+def _drifted_sheet(pairs):
+    """A path 1 - 2 - ... quoted both ways, each pair's rates a and b."""
+    rows = [f"{v},{v + 1},{a!r}\n{v + 1},{v},{b!r}" for v, (a, b) in enumerate(pairs, 1)]
+    return "src,dst,rate\n" + "\n".join(rows) + "\n"
+
+
+def _log_disagreements():
+    """Rates from 1e-300 to 1e300 whose np.log differs from math.log in the
+    last bit, where this platform's numpy has any."""
+    xs = 10.0 ** np.linspace(-300.0, 300.0, 100_001)
+    differ = xs[np.log(xs) != np.fromiter(map(math.log, xs.tolist()), float, xs.size)]
+    return differ.tolist() or [_log_disagreement()]
+
+
+DISAGREEMENTS = _log_disagreements()
+
+
+@st.composite
+def drifted_pairs(draw):
+    """Rate pairs from 1e-300 to 1e300 and a tolerance. Each pair's drift
+    log a + log b is planted at +-tol, a few ulps from it, or far off; or
+    tol is moved to within a few ulps of the drift as math.log or np.log
+    sums it. Half the rates a are ones whose two logs differ."""
+    tol = draw(st.floats(1e-15, 1e-3))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.one_of(st.sampled_from(DISAGREEMENTS), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)))
+        k = draw(st.integers(-4, 4))
+        target = draw(
+            st.sampled_from([tol, tol * (1.0 + k * 2.0**-52), tol * 0.5, tol * 2.0, 0.0])
+        ) * draw(st.sampled_from([1.0, -1.0]))
+        b = math.exp(target - math.log(a))
+        log = draw(st.sampled_from([None, math.log, lambda x: float(np.log(x))]))
+        drift = abs(log(a) + log(b)) if log else 0.0
+        if drift:
+            tol = drift * (1.0 + k * 2.0**-52)
+        pairs.append((a, b))
+    return pairs, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=drifted_pairs())
+def test_drift_screen_matches_math_log(tmp_path_factory, case):
+    pairs, tol = case
+    path = tmp_path_factory.getbasetemp() / "drift.csv"
+    path.write_text(_drifted_sheet(pairs))
+    assert_same(path, tol)
+
+
+def test_a_consistent_sheet_sends_no_pair_to_math_log(tmp_path, monkeypatch):
+    path = _write(tmp_path, market_csv(1, "complete", 250, one_sided=0.0, skews=0, canonical=True))
+    calls = []
+    log = math.log
+    monkeypatch.setattr(math, "log", lambda x: calls.append(x) or log(x))
+    got = load_rates(path)
+    monkeypatch.undo()
+    assert calls == [] and not got.filled
     assert_same(path)
