@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,21 +46,28 @@ from .graph import (
 class BasisSpec:
     """Ordered entry coordinates meant to determine a whole matrix.
 
-    A spec is just a record; :func:`is_basis` decides validity.
+    A spec is just a record; :func:`is_basis` decides validity. It holds its
+    pairs as an array and builds ``entries`` only when it is first read.
     """
 
     graph: MarketGraph
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs, fault = _vertex_pairs(self.entries, "entry", self.graph.n)
+        pairs, fault = _vertex_pairs(vars(self).pop("entries"), "entry", self.graph.n)
         if fault is not None:
             raise fault
-        object.__setattr__(self, "entries", tuple(zip(*pairs.T.tolist())))
+        pairs.setflags(write=False)
+        object.__setattr__(self, "_pairs", pairs)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self._pairs)
+
+
+# as MarketGraph.edges: the tuples are built from the array on first read
+BasisSpec.entries = cached_property(lambda spec: tuple(zip(*spec._pairs.T.tolist())))  # type: ignore[assignment]
+BasisSpec.entries.__set_name__(BasisSpec, "entries")
 
 
 @dataclass(frozen=True)
@@ -76,10 +84,10 @@ class BasisAssignment:
 def _entry_values(spec: BasisSpec, values, owner: str, noun: str) -> tuple[float, ...]:
     """``values`` as floats, one per entry of ``spec``, all finite; errors
     call them ``noun``, and "{owner} {noun}" where they are not finite."""
-    vals = tuple(float(v) for v in values)
+    vals = tuple(map(float, values))
     if len(vals) != spec.size:
         raise LengthMismatchError(f"{spec.size} basis entries but {len(vals)} {noun}")
-    if not all(math.isfinite(v) for v in vals):
+    if not all(map(math.isfinite, vals)):
         raise BadParamsError(f"{owner} {noun} must be finite")
     return vals
 
@@ -118,8 +126,8 @@ def canonical_basis(g: MarketGraph) -> BasisSpec:
     Entries are oriented (parent, child) and ordered by child index, so a
     given graph always gets the same basis.
     """
-    parents = (_connected_tree(g).parent[1:] + 1).tolist()
-    return BasisSpec(graph=g, entries=tuple(zip(parents, range(2, g.n + 1))))
+    parents = _connected_tree(g).parent[1:] + 1
+    return BasisSpec(graph=g, entries=np.column_stack((parents, np.arange(2, g.n + 1))))
 
 
 def row_basis(g: MarketGraph, k: int) -> BasisSpec:
@@ -142,7 +150,7 @@ def is_basis(g: MarketGraph, entries: Sequence[tuple[int, int]]) -> bool:
 
 
 def _require_basis(spec: BasisSpec) -> tuple[np.ndarray, TreeArrays]:
-    found = _spanning_entries(spec.graph, spec.entries, NotABasisError)
+    found = _spanning_entries(spec.graph, spec._pairs, NotABasisError)
     if found is None:
         raise NotABasisError("entries do not form a spanning tree of the graph")
     return found

@@ -124,7 +124,7 @@ def cmd_complete(args: argparse.Namespace) -> RunReport:
 def cmd_basis(args: argparse.Namespace) -> RunReport:
     g = _load(args, "graph", _graph_of)
     spec = canonical_basis(g)
-    data = {"entries": [list(e) for e in spec.entries]}
+    data = {"entries": spec._pairs.tolist()}
     return _report(args, _index_labels(g), data, dimension=spec.size)
 
 

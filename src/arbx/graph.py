@@ -74,9 +74,12 @@ def _vertex_pairs(items: Iterable[object], what: str, n: int) -> tuple[np.ndarra
     (k, 2) int64 array, a set's vertices ascending, and None; or, at the
     first item that is not a pair, the pairs before it and the error naming
     it (a BadParamsError, or a GraphIndexError for a vertex beyond int64),
-    for the caller to raise once it has checked those. One pass of C
-    iterators reads the items; only if it fails are they read one by one.
+    for the caller to raise once it has checked those. A (k, 2) int64 array
+    is such pairs already and is copied; other items are read by one pass of
+    C iterators, and only if it fails one by one.
     """
+    if isinstance(items, np.ndarray) and items.dtype == np.int64 and items.shape[1:] == (2,):
+        return items.copy(), None
     items = list(items)
     try:
         sets = any(issubclass(t, (set, frozenset)) for t in set(map(type, items)))
@@ -310,7 +313,13 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     src, dst = np.concatenate([a, b]), np.concatenate([b, a])
     key = src.astype(np.int64, copy=False) * n
     key += dst
-    pair = np.argsort(key)
+    if n <= 1 << 16 and (a < b).all() and (key[1 : a.size] > key[: a.size - 1]).all():
+        # a graph's own pairs: a row lists its steps back to lower goods, then
+        # its steps forward, each in pair order, so a stable (radix) sort of
+        # the steps b -> a, then a -> b, by their source places them
+        pair = (np.argsort(dst.astype(np.uint16), kind="stable") + a.size) % (2 * a.size)
+    else:
+        pair = np.argsort(key)
     indptr = np.zeros(n + 1, np.intp)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return indptr, dst[pair], pair
@@ -404,19 +413,24 @@ def _edge_arrays(n: int, edges: Iterable[object], strict: bool = False) -> tuple
     if n < 1:
         raise BadParamsError(f"vertex count must be >= 1, got {n}")
     pairs, fault = _vertex_pairs(edges, "edge", n)
-    # np.unique sorts stably, so ``first`` holds the first item of each edge
-    rows, first = np.unique(np.sort(pairs, axis=1), axis=0, return_index=True)
-    repeat = np.bincount(first, minlength=len(pairs)) == 0
-    out = ((pairs < 1) | (pairs > min(n, np.iinfo(np.int64).max))).any(axis=1)
-    bad = out | (repeat & strict)
-    if bad.any():
-        i, j = pairs[np.argmax(bad)].tolist()
-        if out[np.argmax(bad)]:
-            raise GraphIndexError(f"edge ({i}, {j}) out of range 1..{n}")
-        raise DuplicateEdgeError(f"duplicate edge {(min(i, j), max(i, j))}")
-    if fault is not None:
-        raise fault
-    lo, hi = rows.T - 1
+    top = min(n, np.iinfo(np.int64).max)
+    lo, hi = pairs.T - 1
+    # pairs in range and in order, as save_graph writes them, are the arrays
+    ordered = (lo[1:] > lo[:-1]) | (lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])
+    if fault is not None or not (((lo >= 0) & (lo <= hi) & (hi < top)).all() and ordered.all()):
+        # np.unique sorts stably, so ``first`` holds the first item of each edge
+        rows, first = np.unique(np.sort(pairs, axis=1), axis=0, return_index=True)
+        repeat = np.bincount(first, minlength=len(pairs)) == 0
+        out = ((pairs < 1) | (pairs > top)).any(axis=1)
+        bad = out | (repeat & strict)
+        if bad.any():
+            i, j = pairs[np.argmax(bad)].tolist()
+            if out[np.argmax(bad)]:
+                raise GraphIndexError(f"edge ({i}, {j}) out of range 1..{n}")
+            raise DuplicateEdgeError(f"duplicate edge {(min(i, j), max(i, j))}")
+        if fault is not None:
+            raise fault
+        lo, hi = rows.T - 1
     loop = lo == hi
     return pairs, lo[~loop], hi[~loop], lo[loop]
 
@@ -455,7 +469,7 @@ def spanning_tree(g: MarketGraph) -> SpanningTree:
 def _ids_of(g: MarketGraph, pairs: Iterable, error: type[Exception] = NotAnEdgeError) -> np.ndarray:
     """Directed edge ids of 1-based (i, j) pairs; ``error`` names the first
     that is not an edge, such as (1, 9) on fewer goods, (True, 2) or (1, 2, 3)."""
-    keys = list(pairs)
+    keys = pairs if isinstance(pairs, np.ndarray) else list(pairs)
     ij, fault = _vertex_pairs(keys, "edge", g.n)
     inside = ((ij >= 1) & (ij <= g.n)).all(axis=1)
     ids = np.where(inside, g._edge_ids(*np.where(inside, ij.T - 1, 0)), -1)
@@ -490,7 +504,7 @@ def _validate_tree(g: MarketGraph, t: SpanningTree) -> TreeArrays:
     edges, fault = _vertex_pairs(t.tree_edges, "tree edge", g.n)
     if fault is not None:
         raise TreeMismatchError(str(fault))
-    found = _spanning_entries(g, edges.tolist(), TreeMismatchError)
+    found = _spanning_entries(g, edges, TreeMismatchError)
     if found is None:
         raise TreeMismatchError("the tree edges do not form a spanning tree of the graph")
     try:

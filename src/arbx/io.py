@@ -7,6 +7,11 @@ Worked example: the row ``EUR,USD,1.25`` sets entry (EUR, USD) = 1.25, the
 price of one euro in dollars. Columns may use 1-based integer indices or
 arbitrary string labels; labels get indices in sorted order and the table is
 echoed in every report.
+
+Graph, basis and perturbation JSON laid out as ``save_graph``, the CLI's
+reports and ``json.dumps`` lay them out (keys in either order, spaces and
+newlines between tokens) is read in C passes, pair lists as int64 arrays;
+every other file goes to json.loads. The object or the error is the same.
 """
 
 from __future__ import annotations
@@ -17,9 +22,11 @@ import hashlib
 import json
 import math
 import re
+import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from io import BytesIO
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, permutations
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -119,18 +126,68 @@ def _decode(path: str | Path, data: bytes) -> str:
         raise ParseError(f"{path}: not UTF-8 text: invalid byte at offset {exc.start}") from None
 
 
-def _read_json(path: str | Path, data: bytes) -> object:
-    text = _decode(path, data)
+def _read_json(path: str | Path, data: bytes, kind: str, keys: tuple[str, str]) -> dict:
+    """The object of a ``kind`` file, which must hold ``keys``: the same
+    object from :func:`_members` in C passes, or else from json.loads."""
+    with suppress(ValueError):
+        return _members(data, keys)
     try:
-        return json.loads(text)
+        doc = json.loads(_decode(path, data))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or not doc.keys() >= set(keys):
+        raise ParseError(f"{path}: {kind} file needs '{keys[0]}' and '{keys[1]}'")
+    return doc
+
+
+def _index_pairs(text: bytes) -> np.ndarray:
+    """The JSON list of [i, j] pairs ``text`` as a (k, 2) int64 array, if
+    every i and j is a positive decimal integer below 2^63 - 1."""
+    # without spaces the text is "[[i,j],...,[i,j]]": its bytes other than
+    # digits are these brackets and commas, with digits in each slot only
+    compact = np.frombuffer(text.translate(None, b" \n"), np.uint8)
+    at = np.flatnonzero((compact < 48) | (compact > 57))
+    k = (at.size - 1) // 4
+    filled = (np.diff(at[: 4 * k + 1]) > 1).reshape(k, 4)
+    with warnings.catch_warnings():  # numpy 1 warns where it stops early
+        warnings.simplefilter("ignore", DeprecationWarning)
+        flat = text.translate(bytes.maketrans(b"[]", b"  ")) if k else b""
+        pairs = np.fromstring(flat, np.int64, sep=",").reshape(-1, 2)
+    # the parse stops at two tokens with only spaces between them; a token
+    # past int64 reads its largest value; a 0 that leads a token, or is one,
+    # is a digit that its value does not count
+    top = int(pairs.max(initial=0))
+    digits = sum(np.count_nonzero(pairs >= 10**p) for p in range(len(str(top))))
+    layout = compact[at].tobytes() == b"[" + (b"[,]," * k)[:-1] + b"]" and (filled == (0, 1, 1, 0)).all()
+    if not layout or len(pairs) != k or top == np.iinfo(np.int64).max or digits != compact.size - at.size:
+        raise ValueError("not a list of index pairs")
+    return pairs
+
+
+_SPACE = rb"[ \n]*"
+_PAIRS = (rb"\[.*\]", _index_pairs)
+_NUMS = (rb"\[[-+.0-9eE \n,]*\]", lambda text: json.JSONDecoder().decode(text.decode()))
+_MEMBERS = {"edges": _PAIRS, "entries": _PAIRS, "values": _NUMS, "deltas": _NUMS, "n": (rb"[1-9][0-9]{0,17}", int)}
+_MEMBERS["basis"] = (rb"\{.*\}", lambda text: _members(text, ("entries",), ("entries", "values")))
+
+
+def _members(data: bytes, *keysets: tuple[str, ...]) -> dict:
+    """The JSON object ``data`` with the keys of one of ``keysets``, in any
+    order, spaces and newlines between its tokens: one pattern per key order
+    (cached by re) splits it, and each value is read by its ``_MEMBERS``
+    reader. Any other text is a ValueError."""
+    comma = _SPACE + b"," + _SPACE
+    for keys in chain.from_iterable(map(permutations, keysets)):
+        members = comma.join(b'"%s"%s:%s(%s)' % (k.encode(), _SPACE, _SPACE, _MEMBERS[k][0]) for k in keys)
+        if match := re.fullmatch(b"%s\\{%s%s%s\\}%s" % (_SPACE, _SPACE, members, _SPACE, _SPACE), data, re.DOTALL):
+            return {key: _MEMBERS[key][1](text) for key, text in zip(keys, match.groups())}
+    raise ValueError("another layout")
 
 
 def _int_pairs(path: str | Path, pairs: object, what: str, build):
     """``build(pairs)`` for a file's list of [i, j] pairs; an item that is
     not a pair of integers is a ParseError naming the path."""
-    if not isinstance(pairs, list):
+    if not isinstance(pairs, (list, np.ndarray)):
         raise ParseError(f"{path}: {what} must be a list of [i, j] pairs")
     try:
         return build(pairs)
@@ -145,9 +202,7 @@ def load_graph(path: str | Path) -> MarketGraph:
 
 def _graph_of(path: str | Path, data: bytes) -> MarketGraph:
     """:func:`load_graph` of the file's bytes ``data``."""
-    doc = _read_json(path, data)
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
-        raise ParseError(f"{path}: graph file needs 'n' and 'edges'")
+    doc = _read_json(path, data, "graph", ("n", "edges"))
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError(f"{path}: 'n' must be an integer")
@@ -156,10 +211,8 @@ def _graph_of(path: str | Path, data: bytes) -> MarketGraph:
 
 def save_graph(path: str | Path, g: MarketGraph) -> None:
     """Write a graph file, its edges ascending, a loop at v as [v, v]."""
-    loops = g._loop_array
-    pairs = np.column_stack((np.concatenate([g._lo, loops]), np.concatenate([g._hi, loops])))
-    if loops.size:  # the simple edges are sorted; a loop at v goes ahead of v's
-        pairs = pairs[np.lexsort(pairs.T[::-1])]
+    loops = g._loop_array  # the edges are sorted; a loop at v goes ahead of the edges from v
+    pairs = np.insert(np.column_stack((g._lo, g._hi)), np.searchsorted(g._lo, loops), loops[:, None], axis=0)
     doc = {"n": g.n, "edges": (pairs + 1).tolist()}
     Path(path).write_text(_json_text(doc) + "\n", encoding="utf-8")
 
@@ -428,8 +481,10 @@ def rate_rows(
 def _quotes(values: np.ndarray, graph: MarketGraph) -> tuple[list[int], list[int], list[float]]:
     """The 0-based sources, targets and rates of :func:`rate_rows`."""
     src, dst = graph._edge_ends
-    # by undirected edge (lo, hi), then (lo, hi) ahead of (hi, lo)
-    order = np.lexsort((src > dst, np.maximum(src, dst), np.minimum(src, dst)))
+    e, ids = graph._lo.size, np.arange(src.size)
+    # pair k's quotes are ids k and E + k; a loop at v goes ahead of the pairs from v
+    before = 2 * np.searchsorted(graph._lo, graph._loop_array)
+    order = np.insert(ids[: 2 * e].reshape(2, e).T.ravel(), before, ids[2 * e :])
     return src[order].tolist(), dst[order].tolist(), values[order].tolist()
 
 
@@ -470,9 +525,7 @@ def load_basis(
 
 def _basis_of(path: str | Path, data: bytes, graph: MarketGraph, multiplicative: bool) -> BasisAssignment:
     """:func:`load_basis` of the file's bytes ``data``."""
-    doc = _read_json(path, data)
-    if not isinstance(doc, dict) or "entries" not in doc or "values" not in doc:
-        raise ParseError(f"{path}: basis file needs 'entries' and 'values'")
+    doc = _read_json(path, data, "basis", ("entries", "values"))
     spec = _int_pairs(path, doc["entries"], "entries", lambda e: BasisSpec(graph=graph, entries=e))
     values = _numbers(path, doc, "values", spec, "entries")
     if multiplicative:
@@ -493,9 +546,7 @@ def load_perturbation(path: str | Path, graph: MarketGraph) -> PerturbationVecto
 
 def _perturbation_of(path: str | Path, data: bytes, graph: MarketGraph) -> PerturbationVector:
     """:func:`load_perturbation` of the file's bytes ``data``."""
-    doc = _read_json(path, data)
-    if not isinstance(doc, dict) or "basis" not in doc or "deltas" not in doc:
-        raise ParseError(f"{path}: perturbation file needs 'basis' and 'deltas'")
+    doc = _read_json(path, data, "perturbation", ("basis", "deltas"))
     basis = doc["basis"]
     if not isinstance(basis, dict) or "entries" not in basis:
         raise ParseError(f"{path}: 'basis' needs 'entries'")
@@ -508,11 +559,11 @@ def _numbers(path: str | Path, doc: dict, key: str, spec: BasisSpec, entries: st
     """``doc[key]``, a list of numbers but not bools, one per entry of
     ``spec``, as floats; ``entries`` names the entries in the length error."""
     raw = doc[key]
-    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
+    if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:  # a JSON bool is neither
         raise ParseError(f"{path}: '{key}' must be a list of numbers")
     if len(raw) != spec.size:
         raise ParseError(f"{path}: {spec.size} {entries} but {len(raw)} {key}")
-    return [float(v) for v in raw]
+    return list(map(float, raw))
 
 
 @dataclass
