@@ -29,6 +29,7 @@ import argparse
 import gc
 import sys
 import time
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -56,12 +57,13 @@ from .io import (
     RatesFile,
     RunReport,
     _basis_of,
+    _rate_rows,
+    _Rows,
     _digest,
     _graph_of,
     _perturbation_of,
     _rates_of,
     _read_bytes,
-    rate_rows,
     save_graph,
     save_rates,
 )
@@ -98,8 +100,9 @@ def _rates(args: argparse.Namespace) -> RatesFile:
 def _check(args: argparse.Namespace, check: Callable[..., CheckResult], **options) -> RunReport:
     rates = _rates(args)
     result = check(log_of(rates.matrix), tol=args.tol, **options)
+    filled = np.fromiter(chain.from_iterable(rates.filled), np.int64).reshape(-1, 2).T - 1
     return _report(
-        args, rates.labels, {"filled_reciprocals": [list(p) for p in rates.filled]},
+        args, rates.labels, {"filled_reciprocals": _Rows(filled, range(1, rates.matrix.n + 1), np.arange(filled.shape[1]))},
         "ok" if result.ok else "violation", result.witness,
         cycles_checked=result.cycles_checked, max_abs_log_gain=result.max_abs_log_gain,
     )
@@ -118,13 +121,13 @@ def cmd_complete(args: argparse.Namespace) -> RunReport:
     assignment = _load(args, "basis", _basis_of, g, args.multiplicative)
     save_rates(args.out, exp_of(complete(assignment)))
     data = {"out": str(args.out), "rows": g._edge_count}
-    return _report(args, _index_labels(g), data, dimension=dimension(g))
+    return _report(args, _index_labels(g), data, dimension=assignment.spec.size)
 
 
 def cmd_basis(args: argparse.Namespace) -> RunReport:
     g = _load(args, "graph", _graph_of)
     spec = canonical_basis(g)
-    data = {"entries": spec._pairs.tolist()}
+    data = {"entries": _Rows(spec._pairs.T - 1, range(1, g.n + 1), np.arange(spec.size))}
     return _report(args, _index_labels(g), data, dimension=spec.size)
 
 
@@ -157,11 +160,12 @@ def cmd_perturb(args: argparse.Namespace) -> RunReport:
         if not np.all(np.isfinite(updated)):
             raise OverflowError("first-order rate update exceeds the float range")
     max_abs = float(np.max(np.abs(d_log.values), initial=0.0))
-    rows = rate_rows(updated, rates.matrix.graph, rates.labels)
+    rows = _rate_rows(updated, rates.matrix.graph, rates.labels)
     # a log delta at or below -1 leaves the first-order rate non-positive
     if not args.exact and not np.all(updated > 0.0):
-        src, dst, rate = next(row for row in rows if row[2] <= 0.0)
-        raise BadParamsError(f"first-order rate {src}->{dst} is {rate!r}, not positive; use --exact")
+        k = rows.order[np.argmax(updated[rows.order] <= 0.0)]
+        src, dst = (rates.labels[end[k]] for end in rows.columns[:2])
+        raise BadParamsError(f"first-order rate {src}->{dst} is {updated[k].item()!r}, not positive; use --exact")
     data = {"mode": "exact" if args.exact else "first-order", "rates": rows}
     return _report(args, rates.labels, data, basis_size=pert.spec.size, max_abs_log_delta=max_abs)
 
@@ -245,7 +249,8 @@ def main(argv: list[str] | None = None) -> int:
             # MemoryError() carries no text; the type name stands in for it
             data={"error": type(exc).__name__, "message": str(exc) or type(exc).__name__},
         )
-    print(report.to_json() if args.format == "json" else report.to_text())
+    sys.stdout.writelines(report._chunks(args.format))
+    sys.stdout.write("\n")
     return _EXIT[report.verdict]
 
 

@@ -25,11 +25,12 @@ import re
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 from io import BytesIO
-from itertools import chain, compress, islice, permutations
+from itertools import chain, compress, permutations, repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,38 +69,90 @@ _Quotes = tuple[tuple[str, ...], np.ndarray, np.ndarray]
 # marks exactly the boundaries between items.
 _FLAT = json.JSONEncoder(separators=("\x1f", ": ")).encode
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+_BLOCK = 4096  # rows a _Rows block renders at a time
+# a float's repr where json.dumps writes another text, once ±inf is None
+_JSON_FLOATS = {"inf": "null", "-inf": "null", "nan": "NaN"}
 
 
-def _json_text(value: object, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, with
-    ``indent`` before every line but the first.
+def _json_text(value: object) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte."""
+    return "".join(_json_chunks(value))
 
-    A flat list, or a list of non-empty flat rows, is encoded in one call of
-    the C encoder and laid out by replacing its separators; a dict with
-    string keys and every other list recurse; any other value is left to
-    json.dumps itself."""
+
+def _json_chunks(value: object, indent: str = "") -> Iterator[str]:
+    """:func:`_json_text` in pieces, with ``indent`` before every line but
+    the first, a :class:`_Rows` block one block at a time as its list form
+    with ±inf as null. A flat list is encoded in one call of the C encoder
+    and laid out by replacing its separators; a dict with string keys and
+    every other list recurse; any other value goes to json.dumps."""
     deeper = indent + "  "
-    if type(value) is dict and set(map(type, value)) <= {str}:
-        if not value:
-            return "{}"
-        items = (f"{deeper}{_FLAT(k)}: {_json_text(value[k], deeper)}" for k in sorted(value))
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-    if type(value) in (list, tuple) and value:
-        types = set(map(type, value))
-        if types <= _SCALARS:
-            body = _FLAT(value)[1:-1].replace("\x1f", ",\n" + deeper)
-        elif types <= {list, tuple} and all(value) and set(map(type, chain.from_iterable(value))) <= _SCALARS:
-            # no scalar ends in "]" or starts with "[", so "]\x1f[" only
-            # parts two rows; "\x1e", escaped in strings too, holds its place
-            cell = deeper + "  "
-            rows = _FLAT(value)[2:-2].replace("]\x1f[", "\x1e").replace("\x1f", ",\n" + cell)
-            body = "[\n" + cell + rows.replace("\x1e", f"\n{deeper}],\n{deeper}[\n{cell}") + f"\n{deeper}]"
-        else:
-            body = f",\n{deeper}".join(_json_text(item, deeper) for item in value)
-        return f"[\n{deeper}{body}\n{indent}]"
-    if type(value) in _SCALARS:
-        return _FLAT(value)
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    if type(value) is _Rows:
+        blocks = value._render(_json_cells, f",\n{deeper}[\n{deeper}  ", f",\n{deeper}  ", f"\n{deeper}]", _json_floats)
+        first = next(blocks, None)  # its rows lead with ",\n", where the list opens with "[\n"
+        yield from ["[]"] if first is None else chain(["[" + first[1:]], blocks, [f"\n{indent}]"])
+    elif type(value) in (dict, list, tuple) and not value or type(value) in _SCALARS:
+        yield _FLAT(value)
+    elif type(value) is dict and set(map(type, value)) <= {str}:
+        for sep, k in zip(chain(["{\n"], repeat(",\n")), sorted(value)):
+            yield f"{sep}{deeper}{_FLAT(k)}: "
+            yield from _json_chunks(value[k], deeper)
+        yield f"\n{indent}}}"
+    elif type(value) in (list, tuple) and set(map(type, value)) <= _SCALARS:
+        yield f"[\n{deeper}" + _FLAT(value)[1:-1].replace("\x1f", ",\n" + deeper) + f"\n{indent}]"
+    elif type(value) in (list, tuple):
+        for sep, item in zip(chain([f"[\n{deeper}"], repeat(f",\n{deeper}")), value):
+            yield sep
+            yield from _json_chunks(item, deeper)
+        yield f"\n{indent}]"
+    else:
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _json_cells(labels: Sequence) -> list[str]:
+    """Each label's JSON text, from one call of the C encoder."""
+    return _FLAT(list(labels))[1:-1].split("\x1f")
+
+
+def _json_floats(values: list[float]) -> Iterator[str]:
+    """Each value as json.dumps writes it once ±inf is None: its repr, or
+    null or NaN."""
+    texts = list(map(repr, values))
+    return map(_JSON_FLOATS.get, texts, texts)
+
+
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """Read-only report rows [labels[i], labels[j]] or [labels[i], labels[j],
+    value] over arrays, read _BLOCK rows at a time, so that no list per row
+    is held: ``columns`` are the 0-based i and j and maybe the float values,
+    and the rows are their positions ``order``."""
+
+    columns: Sequence[np.ndarray]
+    labels: Sequence
+    order: np.ndarray
+
+    def _blocks(self) -> Iterator[list[list]]:
+        """Each block's columns as lists."""
+        for start in range(0, len(self.order), _BLOCK):
+            yield [column[self.order[start : start + _BLOCK]].tolist() for column in self.columns]
+
+    def _render(self, encode: Callable, lead: str, sep: str, tail: str, numbers: Callable) -> Iterator[str]:
+        """Each block's text, a row as ``lead``, its cells parted by ``sep``
+        and ``tail``: a label as its item of ``encode(labels)`` and the
+        values as ``numbers(values)``."""
+        cells = list(encode(self.labels))
+        for src, dst, *values in self._blocks():
+            rows = zip(map(cells.__getitem__, src), map(cells.__getitem__, dst), *map(numbers, values))
+            yield lead + (tail + lead).join(map(sep.join, rows)) + tail
+
+    def tolist(self, null: bool = False) -> list[list]:
+        """The rows as lists; with ``null``, ±inf values as None."""
+        get, rows = self.labels.__getitem__, []
+        for src, dst, *values in self._blocks():
+            if null and values:
+                values = [[None if math.isinf(v) else v for v in values[0]]]
+            rows += map(list, zip(map(get, src), map(get, dst), *values))
+        return rows
 
 
 def _digest(data: bytes) -> str:
@@ -131,9 +184,10 @@ def _read_json(path: str | Path, data: bytes, kind: str, keys: tuple[str, str]) 
     object from :func:`_members` in C passes, or else from json.loads."""
     with suppress(ValueError):
         return _members(data, keys)
+    text = _decode(path, data)  # its ParseError is no JSON error
     try:
-        doc = json.loads(_decode(path, data))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or not doc.keys() >= set(keys):
         raise ParseError(f"{path}: {kind} file needs '{keys[0]}' and '{keys[1]}'")
@@ -212,9 +266,10 @@ def _graph_of(path: str | Path, data: bytes) -> MarketGraph:
 def save_graph(path: str | Path, g: MarketGraph) -> None:
     """Write a graph file, its edges ascending, a loop at v as [v, v]."""
     loops = g._loop_array  # the edges are sorted; a loop at v goes ahead of the edges from v
-    pairs = np.insert(np.column_stack((g._lo, g._hi)), np.searchsorted(g._lo, loops), loops[:, None], axis=0)
-    doc = {"n": g.n, "edges": (pairs + 1).tolist()}
-    Path(path).write_text(_json_text(doc) + "\n", encoding="utf-8")
+    order = np.insert(np.arange(g._lo.size), np.searchsorted(g._lo, loops), 2 * g._lo.size + np.arange(loops.size))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_json_chunks({"n": g.n, "edges": _Rows(g._edge_ends, range(1, g.n + 1), order)}))
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -383,10 +438,9 @@ def _label_table(path: str | Path, tokens: set[str]) -> tuple[tuple[str, ...], C
     if all(_DIGIT_TOKEN.fullmatch(t) for t in tokens):
         if not all(_INDEX_TOKEN.fullmatch(t) for t in tokens):
             raise ParseError(f"{path}: integer vertex indices are 1-based")
-        n = max(int(t) for t in tokens)
-        # an index beyond the count of distinct tokens names a good that is
-        # never quoted; say so before building a label per index
-        if n > len(tokens):
+        # an index beyond the count of distinct tokens names a good never
+        # quoted: say so before a label per index, or int() of a longer token
+        if max(map(len, tokens)) > len(str(len(tokens))) or (n := max(map(int, tokens))) > len(tokens):
             raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
         return tuple(str(i) for i in range(1, n + 1)), int
     labels = tuple(sorted(tokens))
@@ -475,40 +529,30 @@ def rate_rows(
     """Every edge's quotes as [src, dst, rate] rows: both directions per
     pair, loops once, in ascending edge order. ``values`` holds one rate per
     directed edge in edge-id order, like :attr:`RateMatrix.values`."""
-    return [[labels[i], labels[j], rate] for i, j, rate in zip(*_quotes(values, graph))]
+    return _rate_rows(values, graph, labels).tolist()
 
 
-def _quotes(values: np.ndarray, graph: MarketGraph) -> tuple[list[int], list[int], list[float]]:
-    """The 0-based sources, targets and rates of :func:`rate_rows`."""
-    src, dst = graph._edge_ends
-    e, ids = graph._lo.size, np.arange(src.size)
+def _rate_rows(values: np.ndarray, graph: MarketGraph, labels: Sequence[str]) -> _Rows:
+    """The rows of :func:`rate_rows` as a block over the graph's arrays."""
+    e, ids = graph._lo.size, np.arange(graph._edge_count)
     # pair k's quotes are ids k and E + k; a loop at v goes ahead of the pairs from v
     before = 2 * np.searchsorted(graph._lo, graph._loop_array)
     order = np.insert(ids[: 2 * e].reshape(2, e).T.ravel(), before, ids[2 * e :])
-    return src[order].tolist(), dst[order].tolist(), values[order].tolist()
+    return _Rows((*graph._edge_ends, values), labels, order)
 
 
 def save_rates(path: str | Path, r: RateMatrix, labels: Sequence[str] | None = None) -> None:
-    """Write every edge's quotes as CSV: both directions per pair, loops once.
-
-    The csv writer renders each label's cell once; the rows are then
-    formatted in one pass, a rate as its repr, which is how the writer
-    renders a float.
-    """
+    """Write every edge's quotes as CSV: both directions per pair, loops once,
+    rendered from the rate arrays a block at a time, each label's cell once
+    and a rate as its repr, which is how the csv writer renders a float."""
     names = tuple(labels) if labels else tuple(str(i) for i in range(1, r.n + 1))
     # a row of the cell and an empty one renders the cell as inside a quote row
     rendered: list[str] = []
-    csv.writer(SimpleNamespace(write=rendered.append), lineterminator="\n").writerows(
-        (name, "") for name in names
-    )
-    cell = [row[:-2] for row in rendered].__getitem__
-    src, dst, rates = _quotes(r.values, r.graph)
-    rows = map(",".join, zip(map(cell, src), map(cell, dst), map(repr, rates)))
+    csv.writer(SimpleNamespace(write=rendered.append), lineterminator="\n").writerows((lab, "") for lab in names)
+    cells = [row[:-2] for row in rendered]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("src,dst,rate")
-        # joined in blocks, so that no copy of the whole text is held
-        while block := "\n".join(islice(rows, 1 << 14)):
-            fh.write("\n" + block)
+        fh.writelines(_rate_rows(r.values, r.graph, names)._render(lambda _: cells, "\n", ",", "", partial(map, repr)))
         fh.write("\n")
 
 
@@ -588,15 +632,17 @@ class RunReport:
     def to_dict(self) -> dict:
         """The report as plain JSON values; a float beyond the float range
         (JSON has no infinity) is written as None."""
-        witness = None
-        if self.witness is not None:
-            gain = self.witness.multiplicative_gain
-            witness = {
-                "cycle": list(self.witness.cycle),
-                "log_gain": self.witness.log_gain,
-                # JSON has no infinity; null marks a gain beyond the float range
-                "multiplicative_gain": gain if math.isfinite(gain) else None,
-            }
+        return self._doc(partial(_Rows.tolist, null=True))
+
+    def _doc(self, rows: Callable[[_Rows], object]) -> dict:
+        # to_dict, with each row block in data as rows(block)
+        w = self.witness
+        witness = None if w is None else {
+            "cycle": list(w.cycle),
+            "log_gain": w.log_gain,
+            # JSON has no infinity; null marks a gain beyond the float range
+            "multiplicative_gain": w.multiplicative_gain if math.isfinite(w.multiplicative_gain) else None,
+        }
         return {
             "command": self.command,
             "verdict": self.verdict,
@@ -604,57 +650,50 @@ class RunReport:
             "metrics": dict(self.metrics),
             "inputs": dict(self.inputs),
             "labels": list(self.labels),
-            "data": {key: _inf_to_none(value) for key, value in self.data.items()},
+            "data": {k: rows(v) if type(v) is _Rows else _inf_to_none(v) for k, v in self.data.items()},
         }
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``."""
-        return _json_text(self.to_dict())
+        return "".join(self._chunks("json"))
 
     def to_text(self) -> str:
-        lines = [f"arbx {self.command}", f"verdict: {self.verdict}"]
-        if self.witness is not None:
-            path = " -> ".join(self._label(v) for v in self.witness.cycle)
-            lines.append(f"witness: {path}")
-            lines.append(f"  log gain: {self.witness.log_gain:.12g}")
-            lines.append(f"  multiplicative gain: {self.witness.multiplicative_gain:.12g}")
-        for key, value in self.data.items():
-            lines.extend(_render(key, value))
-        if self.labels:
-            lines.append(
-                "labels: " + " ".join(f"{lab}={k}" for k, lab in enumerate(self.labels, 1))
-            )
-        if self.metrics:
-            lines.append(
-                "metrics: " + " ".join(f"{k}={_num(v)}" for k, v in sorted(self.metrics.items()))
-            )
-        if self.inputs:
-            lines.append(
-                "inputs: " + " ".join(f"{k}={v}" for k, v in sorted(self.inputs.items()))
-            )
-        return "\n".join(lines)
+        return "".join(self._chunks("text"))
 
-    def _label(self, v: int) -> str:
-        if 1 <= v <= len(self.labels):
-            return self.labels[v - 1]
-        return str(v)
+    def _chunks(self, fmt: str) -> Iterator[str]:
+        """The text of :meth:`to_json` (``fmt`` "json") or :meth:`to_text`
+        in pieces, row blocks rendered one block at a time."""
+        if fmt == "json":
+            yield from _json_chunks(self._doc(lambda rows: rows))
+            return
+        yield f"arbx {self.command}\nverdict: {self.verdict}"
+        if (w := self.witness) is not None:
+            path = " -> ".join(self.labels[v - 1] if 1 <= v <= len(self.labels) else str(v) for v in w.cycle)
+            yield f"\nwitness: {path}\n  log gain: {w.log_gain:.12g}\n  multiplicative gain: {w.multiplicative_gain:.12g}"
+        for key, value in self.data.items():
+            if type(value) is _Rows:
+                yield f"\n{key}:"
+                yield from value._render(partial(map, str), "\n  ", ",", "", partial(map, _num))
+            else:
+                yield _render(key, value)
+        tail = {
+            "labels": [f"{lab}={k}" for k, lab in enumerate(self.labels, 1)],
+            "metrics": [f"{k}={_num(v)}" for k, v in sorted(self.metrics.items())],
+            "inputs": [f"{k}={v}" for k, v in sorted(self.inputs.items())],
+        }
+        yield "".join(f"\n{key}: " + " ".join(items) for key, items in tail.items() if items)
 
 
 def _inf_to_none(value: object) -> object:
     # NaN is left as it is: it marks a fault, not a value past the float range.
-    # A list of plain cells, or of rows of them, is copied by C-level passes.
+    # A flat list of plain cells is copied by C-level passes.
     if isinstance(value, float):
         return None if math.isinf(value) else value
     if not isinstance(value, list):
         return value
-    cells = value
-    types = set(map(type, value))
-    if types == {list}:  # rows: screen their cells
-        cells = list(chain.from_iterable(value))
-        types = set(map(type, cells))
-    if any(issubclass(t, list) for t in types) or math.inf in cells or -math.inf in cells:
+    if any(issubclass(t, list) for t in set(map(type, value))) or math.inf in value or -math.inf in value:
         return [_inf_to_none(item) for item in value]
-    return list(value) if cells is value else list(map(list, value))
+    return list(value)
 
 
 def _num(v: object) -> str:
@@ -663,11 +702,10 @@ def _num(v: object) -> str:
     return str(v)
 
 
-def _render(key: str, value: object) -> list[str]:
+def _render(key: str, value: object) -> str:
+    """The text lines of one data item, each after a newline."""
     if isinstance(value, list):
         if all(isinstance(item, list) for item in value):
-            lines = [f"{key}:"]
-            lines.extend("  " + ",".join(_num(cell) for cell in item) for item in value)
-            return lines
-        return [f"{key}: " + " ".join(_num(item) for item in value)]
-    return [f"{key}: {_num(value)}"]
+            return f"\n{key}:" + "".join("\n  " + ",".join(map(_num, item)) for item in value)
+        return f"\n{key}: " + " ".join(map(_num, value))
+    return f"\n{key}: {_num(value)}"
