@@ -12,8 +12,12 @@ main`` alike.
 script; :func:`main` runs one command and changes no process-wide state, so
 tests and library callers may call it in process. A ``cmd_*`` function
 returns its command's report: verdict, witness, labels, data, its own
-metrics and the digests of the files it read. :func:`main` times the call
-and adds it to the metrics as ``elapsed_ms``.
+metrics (with the size of the market it read: ``n`` goods, ``edges`` and
+``chords``) and the digests of the files it read. :func:`main` times the
+call and adds to the metrics ``elapsed_ms``, the spans of the layers that
+ran (``parse_ms``, ``tree_ms``, ``check_ms``; see :mod:`arbx.spans`) and
+``peak_rss_mb``, the process's peak resident set so far, where the
+``resource`` module exists.
 """
 
 from __future__ import annotations
@@ -29,8 +33,12 @@ import argparse
 import gc
 import sys
 import time
-from itertools import chain
 from typing import Callable
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 
@@ -67,6 +75,7 @@ from .io import (
     save_graph,
     save_rates,
 )
+from .spans import recording, span
 
 _EXIT = {"ok": 0, "violation": 2, "error": 1}
 
@@ -77,11 +86,19 @@ def _index_labels(g: MarketGraph) -> tuple[str, ...]:
 
 def _load(args: argparse.Namespace, key: str, parse: Callable, *extra):
     """``parse(path, data, *extra)`` of the input file ``args.<key>``, read
-    once: the report's ``inputs[key]`` records the digest of the bytes parsed."""
+    once: the report's ``inputs[key]`` records the digest of the bytes parsed.
+    The bytes are handed to the parser in a list it empties, so that it can
+    free them once parsed."""
     path = getattr(args, key)
-    data = _read_bytes(path)
-    vars(args).setdefault("_inputs", {})[key] = _digest(data)
-    return parse(path, data, *extra)
+    held = [_read_bytes(path)]
+    vars(args).setdefault("_inputs", {})[key] = _digest(held[0])
+    with span("parse_ms"):
+        return parse(path, held, *extra)
+
+
+def _sizes(g: MarketGraph) -> dict[str, int]:
+    # the market's goods, edges other than loops, and chords of its spanning tree
+    return {"n": g.n, "edges": g._lo.size, "chords": g._lo.size - g.n + 1}
 
 
 def _report(args, labels, data: dict, verdict="ok", witness=None, **metrics) -> RunReport:
@@ -99,11 +116,12 @@ def _rates(args: argparse.Namespace) -> RatesFile:
 
 def _check(args: argparse.Namespace, check: Callable[..., CheckResult], **options) -> RunReport:
     rates = _rates(args)
-    result = check(log_of(rates.matrix), tol=args.tol, **options)
-    filled = np.fromiter(chain.from_iterable(rates.filled), np.int64).reshape(-1, 2).T - 1
+    with span("check_ms"):
+        result = check(log_of(rates.matrix), tol=args.tol, **options)
+    filled = rates._filled_ends
     return _report(
-        args, rates.labels, {"filled_reciprocals": _Rows(filled, range(1, rates.matrix.n + 1), np.arange(filled.shape[1]))},
-        "ok" if result.ok else "violation", result.witness,
+        args, rates.labels, {"filled_reciprocals": _Rows(filled, range(1, rates.matrix.n + 1), np.arange(filled[0].size))},
+        "ok" if result.ok else "violation", result.witness, **_sizes(rates.matrix.graph),
         cycles_checked=result.cycles_checked, max_abs_log_gain=result.max_abs_log_gain,
     )
 
@@ -121,20 +139,20 @@ def cmd_complete(args: argparse.Namespace) -> RunReport:
     assignment = _load(args, "basis", _basis_of, g, args.multiplicative)
     save_rates(args.out, exp_of(complete(assignment)))
     data = {"out": str(args.out), "rows": g._edge_count}
-    return _report(args, _index_labels(g), data, dimension=assignment.spec.size)
+    return _report(args, _index_labels(g), data, dimension=assignment.spec.size, **_sizes(g))
 
 
 def cmd_basis(args: argparse.Namespace) -> RunReport:
     g = _load(args, "graph", _graph_of)
     spec = canonical_basis(g)
     data = {"entries": _Rows(spec._pairs.T - 1, range(1, g.n + 1), np.arange(spec.size))}
-    return _report(args, _index_labels(g), data, dimension=spec.size)
+    return _report(args, _index_labels(g), data, dimension=spec.size, **_sizes(g))
 
 
 def cmd_dim(args: argparse.Namespace) -> RunReport:
     g = _load(args, "graph", _graph_of)
     dim = dimension(g)
-    return _report(args, _index_labels(g), {"dimension": dim}, dimension=dim)
+    return _report(args, _index_labels(g), {"dimension": dim}, dimension=dim, **_sizes(g))
 
 
 def cmd_price(args: argparse.Namespace) -> RunReport:
@@ -144,7 +162,7 @@ def cmd_price(args: argparse.Namespace) -> RunReport:
     data = {"reference": args.ref, "prices_log": list(prices)}
     # inf past the float range, written as null in JSON
     data["prices_multiplicative"] = [_exp_or_inf(p) for p in prices]
-    return _report(args, rates.labels, data)
+    return _report(args, rates.labels, data, **_sizes(rates.matrix.graph))
 
 
 def cmd_perturb(args: argparse.Namespace) -> RunReport:
@@ -167,7 +185,7 @@ def cmd_perturb(args: argparse.Namespace) -> RunReport:
         src, dst = (rates.labels[end[k]] for end in rows.columns[:2])
         raise BadParamsError(f"first-order rate {src}->{dst} is {updated[k].item()!r}, not positive; use --exact")
     data = {"mode": "exact" if args.exact else "first-order", "rates": rows}
-    return _report(args, rates.labels, data, basis_size=pert.spec.size, max_abs_log_delta=max_abs)
+    return _report(args, rates.labels, data, basis_size=pert.spec.size, max_abs_log_delta=max_abs, **_sizes(rates.matrix.graph))
 
 
 def cmd_gen(args: argparse.Namespace) -> RunReport:
@@ -236,8 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        report = args.func(args)
-        report.metrics["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
+        with recording() as spans:
+            report = args.func(args)
+        report.metrics.update(spans, elapsed_ms=(time.perf_counter() - t0) * 1000.0, **_peak_rss())
     except (ArbxError, OverflowError, OSError, MemoryError) as exc:
         report = RunReport(
             command=args.command,
@@ -252,6 +271,14 @@ def main(argv: list[str] | None = None) -> int:
     sys.stdout.writelines(report._chunks(args.format))
     sys.stdout.write("\n")
     return _EXIT[report.verdict]
+
+
+def _peak_rss() -> dict[str, float]:
+    # ru_maxrss counts KiB on Linux and the BSDs, bytes on macOS
+    if resource is None:
+        return {}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {"peak_rss_mb": peak / (2**20 if sys.platform == "darwin" else 2**10)}
 
 
 def run() -> None:

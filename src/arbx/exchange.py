@@ -43,6 +43,10 @@ DEFAULT_TOL = 1e-9
 
 _LOG_MAX = math.log(float(np.finfo(np.float64).max))
 
+CHORD_STEPS = 4
+"""Recorded tree steps per good and per directed edge that the chord climb
+of :func:`check_no_arbitrage` may hold at a time."""
+
 
 def require_tol(tol: float) -> None:
     """Reject a tolerance that is not positive and finite; under NaN or
@@ -325,17 +329,34 @@ def _chord_gains(
     v: np.ndarray, t: TreeArrays, chords: np.ndarray, k: np.ndarray, m: np.ndarray
 ) -> np.ndarray:
     # log gain of each fundamental cycle (k, m, ..., top, ..., k), summed in
-    # walk order from 0.0 like cycle_log_gain, all chords in lock-step. The
-    # first step is the chord's own forward value v[chord]. In a BFS tree the
-    # ends of an edge differ in depth by at most one: the deeper end steps
-    # once, then both climb together until they meet. m's up-steps are added
-    # as they are climbed; k's steps are recorded and added afterwards in
-    # reverse, top first.
+    # walk order from 0.0 like cycle_log_gain. The first step is the chord's
+    # own forward value v[chord]. The chords climb in batches: chord k -> m
+    # records at most depth[k] steps (see _climb_chords), and a batch, one
+    # chord at least, at most CHORD_STEPS per good and per directed edge.
     gains = 0.0 + v[chords]
     if not chords.size:
         return gains
     # per vertex, the values of its steps to and from its parent
     up, down = v[t.to_parent], v[t.from_parent]
+    ends = np.cumsum(t.depth[k])
+    budget = CHORD_STEPS * (t.parent.size + v.size)
+    start = 0
+    while start < chords.size:
+        done = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + budget, "right")))
+        _climb_chords(gains[start:stop], up, down, t, k[start:stop], m[start:stop])
+        start = stop
+    return gains
+
+
+def _climb_chords(
+    gains: np.ndarray, up: np.ndarray, down: np.ndarray, t: TreeArrays, k: np.ndarray, m: np.ndarray
+) -> None:
+    # adds to gains the tree steps of the chords k -> m, all in lock-step. In
+    # a BFS tree the ends of an edge differ in depth by at most one: the
+    # deeper end steps once, then both climb together until they meet. m's
+    # up-steps are added as they are climbed; k's steps are recorded and
+    # added afterwards in reverse, top first.
     m_deeper, k_deeper = t.depth[m] > t.depth[k], t.depth[k] > t.depth[m]
     x, y = np.where(m_deeper, t.parent[m], m), np.where(k_deeper, t.parent[k], k)
     gains[m_deeper] += up[m[m_deeper]]
@@ -350,7 +371,6 @@ def _chord_gains(
         live, x, y = live[keep], px[keep], py[keep]
     for rows, values in reversed(steps):
         gains[rows] += values
-    return gains
 
 
 def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -367,7 +387,9 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
     All conditions are evaluated as array operations over the cached tree
     and the edge values: both ends of every chord climb the tree in
     lock-step, one tree step per numpy pass, until they meet, which is
-    O(total cycle length) element work. Each gain is summed in the order of
+    O(total cycle length) element work. The chords climb in batches whose
+    recorded steps stay within :data:`CHORD_STEPS` per good and per directed
+    edge, so memory is O(n + edges). Each gain is summed in the order of
     its walk, starting from 0.0, so it equals :func:`cycle_log_gain` of the
     fundamental cycle bit for bit; a gain beyond the float range is
     infinite, without a warning. Only the witness cycle is built in Python,

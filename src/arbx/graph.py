@@ -33,6 +33,7 @@ from .errors import (
     OracleSizeError,
     TreeMismatchError,
 )
+from .spans import span
 
 ORACLE_MAX_VERTICES = 8
 """Vertex cap for brute-force cycle enumeration and the checks built on it."""
@@ -310,21 +311,36 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     v's neighbours over the distinct 0-based pairs (a[k], b[k]) ascending;
     ``pair`` places each slot's step in the list a -> b, then b -> a. Built
     only where the pairs can span n vertices, so n * n stays in int64."""
-    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
-    key = src.astype(np.int64, copy=False) * n
-    key += dst
-    if n <= 1 << 16 and (a < b).all() and (key[1 : a.size] > key[: a.size - 1]).all():
-        # a graph's own pairs: a row lists its steps back to lower goods, then
-        # its steps forward, each in pair order, so a stable (radix) sort of
-        # the steps b -> a, then a -> b, by their source places them
-        pair = (np.argsort(dst.astype(np.uint16), kind="stable") + a.size) % (2 * a.size)
-    else:
-        pair = np.argsort(key)
+    upper, lower = np.bincount(a, minlength=n), np.bincount(b, minlength=n)
     indptr = np.zeros(n + 1, np.intp)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    np.cumsum(upper + lower, out=indptr[1:])
+    dst = np.concatenate([b, a])
+    if n <= 1 << 32 and (a < b).all() and _ascending(a, b).all():
+        # a graph's own pairs: row v lists its steps back to lower goods, then
+        # its steps forward, each in pair order. The forward steps of all rows
+        # are in that order already, and a radix sort of b, one stable pass
+        # per 16-bit digit, the low digit first, orders the backward ones;
+        # each step's slot is then counted from the rows before its own.
+        back = np.argsort(b.astype(np.uint16), kind="stable")
+        if n > 1 << 16:
+            back = back[np.argsort((b >> 16).astype(np.uint16)[back], kind="stable")]
+        k = np.arange(a.size)
+        pair = np.empty(2 * a.size, np.intp)
+        pair[np.cumsum(lower)[a] + k] = k
+        pair[(np.cumsum(upper) - upper)[b[back]] + k] = back + a.size
+    else:
+        key = np.concatenate([a, b]).astype(np.int64, copy=False) * n
+        key += dst
+        pair = np.argsort(key)
     return indptr, dst[pair], pair
 
 
+def _ascending(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each pair (lo, hi) comes after the one before it."""
+    return (lo[1:] > lo[:-1]) | (lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])
+
+
+@span("tree_ms")
 def _bfs_tree(n: int, a: np.ndarray, b: np.ndarray) -> TreeArrays:
     """Breadth-first tree from vertex 0 over the pairs (a[k], b[k]), one
     level at a time, as a queue over sorted rows would find it: each level's
@@ -416,8 +432,7 @@ def _edge_arrays(n: int, edges: Iterable[object], strict: bool = False) -> tuple
     top = min(n, np.iinfo(np.int64).max)
     lo, hi = pairs.T - 1
     # pairs in range and in order, as save_graph writes them, are the arrays
-    ordered = (lo[1:] > lo[:-1]) | (lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])
-    if fault is not None or not (((lo >= 0) & (lo <= hi) & (hi < top)).all() and ordered.all()):
+    if fault is not None or not (((lo >= 0) & (lo <= hi) & (hi < top)).all() and _ascending(lo, hi).all()):
         # np.unique sorts stably, so ``first`` holds the first item of each edge
         rows, first = np.unique(np.sort(pairs, axis=1), axis=0, return_index=True)
         repeat = np.bincount(first, minlength=len(pairs)) == 0

@@ -25,7 +25,7 @@ import re
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from io import BytesIO
 from itertools import chain, compress, permutations, repeat
 from pathlib import Path
@@ -54,6 +54,7 @@ _CANONICAL_HEADER = b"src,dst,rate\n"
 _ROW_BYTES = b"0123456789,\n.eE+-"
 _HEADER_LETTERS = _CANONICAL_HEADER.translate(None, _ROW_BYTES)
 _QUOTE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("rate", np.float64)])
+_SCAN = 1 << 16  # bytes a screen pass reads at a time
 
 # np.log's and math.log's drifts differ by at most 18u(|log a| + |log b|), u = 2^-53,
 # when each log is within 4 ulps (numpy tests float64 log to 1, glibc documents 1)
@@ -170,6 +171,13 @@ def _read_bytes(path: str | Path) -> bytes:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _taken(data: bytes | list[bytes]) -> bytes:
+    """A file's bytes, handed over: a list holding them is emptied, so that
+    the parser that takes them holds the only reference and frees them by
+    dropping it. A plain argument stays referenced by the call."""
+    return data.pop() if isinstance(data, list) else data
+
+
 def _decode(path: str | Path, data: bytes) -> str:
     """The file as text, one leading BOM dropped; an invalid byte is a
     ParseError naming its offset in the file."""
@@ -251,12 +259,12 @@ def _int_pairs(path: str | Path, pairs: object, what: str, build):
 
 def load_graph(path: str | Path) -> MarketGraph:
     """Read a graph file: {"n": int, "edges": [[i, j], ...]}, 1-based."""
-    return _graph_of(path, _read_bytes(path))
+    return _graph_of(path, [_read_bytes(path)])
 
 
-def _graph_of(path: str | Path, data: bytes) -> MarketGraph:
-    """:func:`load_graph` of the file's bytes ``data``."""
-    doc = _read_json(path, data, "graph", ("n", "edges"))
+def _graph_of(path: str | Path, data: bytes | list[bytes]) -> MarketGraph:
+    """:func:`load_graph` of the file's bytes ``data`` (see :func:`_taken`)."""
+    doc = _read_json(path, _taken(data), "graph", ("n", "edges"))
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError(f"{path}: 'n' must be an integer")
@@ -275,17 +283,39 @@ def save_graph(path: str | Path, g: MarketGraph) -> None:
 @dataclass(frozen=True)
 class RatesFile:
     """Parsed rates CSV: the matrix, the label table, and which directed
-    entries were filled in as exact reciprocals rather than quoted."""
+    entries were filled in as exact reciprocals rather than quoted.
+
+    The loader keeps the filled entries as 0-based (i, j) arrays,
+    ``_filled_ends``, and builds ``filled`` from them when it is first read,
+    as :attr:`MarketGraph.edges` is built; a file constructed directly
+    stores ``filled`` as given."""
 
     matrix: RateMatrix
     labels: tuple[str, ...]
     filled: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def _of_arrays(cls, matrix: RateMatrix, labels: tuple[str, ...], ends: tuple[np.ndarray, np.ndarray]) -> RatesFile:
+        rates = object.__new__(cls)
+        for name, value in (("matrix", matrix), ("labels", labels), ("_filled_ends", ends)):
+            object.__setattr__(rates, name, value)
+        return rates
 
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label) + 1
         except ValueError:
             raise ParseError(f"unknown label {label!r}") from None
+
+
+def _filled_pairs(rates: RatesFile) -> tuple[tuple[int, int], ...]:
+    i, j = rates._filled_ends
+    return tuple(zip((i + 1).tolist(), (j + 1).tolist()))
+
+
+# A non-data descriptor, shadowed by the ``filled`` that __init__ stores.
+RatesFile.filled = cached_property(_filled_pairs)  # type: ignore[assignment]
+RatesFile.filled.__set_name__(RatesFile, "filled")
 
 
 def _first_bad_row(path: str | Path, lines: np.ndarray, quotes: list[list[str]]) -> None:
@@ -331,13 +361,14 @@ def _bad_rates(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _key_order(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
-    """The quote keys in ascending order, the order that sorts them, and a
-    mask of each repeat of an earlier row's key. A quote's key is
-    (lo * n + hi) * 2, plus 1 if it runs from hi to lo, so the quotes of a
-    pair are adjacent, lo -> hi first, as in every written sheet."""
+    """The keys of the quotes of the 1-based indices i and j in ascending
+    order, the order that sorts them, and a mask of each repeat of an
+    earlier row's key. A quote's key is (lo * n + hi) * 2 over its 0-based
+    goods, plus 1 if it runs from hi to lo, so the quotes of a pair are
+    adjacent, lo -> hi first, as in every written sheet."""
     # n is at most the distinct tokens, twice the rows, so 2 n^2 fits in
     # int64 for any file below ~10^9 rows
-    key = (np.minimum(i, j) * n + np.maximum(i, j)) * 2 + (i > j)
+    key = (np.minimum(i, j) * n + np.maximum(i, j) - (n + 1)) * 2 + (i > j)
     repeat = np.zeros(len(key), bool)
     if (key[1:] > key[:-1]).all():  # in order already: no sort, no repeat
         return key, slice(None), repeat
@@ -345,6 +376,14 @@ def _key_order(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.nda
     keys = key[order]
     repeat[order[1:][keys[1:] == keys[:-1]]] = True
     return keys, order, repeat
+
+
+def _found(buf: np.ndarray, start: int, stop: int, byte: int, fold: int = 0) -> np.ndarray:
+    """The offsets in ``buf[start:stop]`` of the bytes that read ``byte``
+    once OR-ed with ``fold``, found a block at a time, so that no mask is
+    sized by the file."""
+    blocks = range(start, stop, _SCAN)
+    return np.concatenate([np.flatnonzero((buf[k : min(k + _SCAN, stop)] | fold) == byte) + k for k in blocks])
 
 
 def _canonical_quotes(data: bytes) -> _Quotes | None:
@@ -363,32 +402,42 @@ def _canonical_quotes(data: bytes) -> _Quotes | None:
         rows = np.loadtxt(BytesIO(data), _QUOTE_ROW, delimiter=",", skiprows=1, ndmin=1, comments=None)
     except ValueError:  # another width, an empty field, not a number, beyond int64
         return None
-    i, j, rates = rows["src"], rows["dst"], rows["rate"]
+    i, j = rows["src"], rows["dst"]
     buf = np.frombuffer(data, np.uint8)
-    starts = np.flatnonzero(buf[end - 1 : -1] == 10) + end  # past each newline but a last one
+    starts = _found(buf, end - 1, len(buf) - 1, ord("\n"))  # past each newline but a last one
+    starts += 1
     n = int(max(i.max(), j.max()))
     # as in the label table, the indices must name every good up to the
     # largest; past twice the row count some surely do not, and that is
     # checked first, so the mask is sized by the file, not by one index
     if len(starts) != len(rows) or min(i.min(), j.min()) < 1 or n > 2 * len(rows):
         return None
-    digits = [sum((k >= 10**p for p in range(1, len(str(n)))), 1) for k in (i, j)]
-    first, second = starts + digits[0], starts + digits[0] + 1 + digits[1]
-    if not (second < np.append(starts[1:], len(data))).all() or not (buf[np.stack((first, second))] == 44).all():
-        return None
-    if data.find(b"e", end) >= 0 or data.find(b"E", end) >= 0:  # only in rates
-        at = np.flatnonzero((buf[end:] | 32) == ord("e")) + end
-        if (at < second[np.searchsorted(starts, at, "right") - 1]).any():
+    # each index must end at a comma inside its row: step past the delimiter
+    # before it and over its digits, counted in place
+    comma = starts - 1
+    for k in (i, j):
+        comma += 2
+        for p in range(1, len(str(n))):
+            comma += k >= 10**p
+        if not ((comma[:-1] < starts[1:]).all() and comma[-1] < len(buf) and (buf[comma] == 44).all()):
             return None
+    if data.find(b"e", end) >= 0 or data.find(b"E", end) >= 0:  # only in rates
+        at = _found(buf, end, len(buf), ord("e"), 32)
+        if (at < comma[np.searchsorted(starts, at, "right") - 1]).any():
+            return None
+    del buf, starts, comma
     quoted = np.zeros(n + 1, bool)
     quoted[i] = quoted[j] = True
     if not quoted[1:].all():
         return None
-    keys, order, repeat = _key_order(n, i - 1, j - 1)
-    not_positive, tiny = _bad_rates(rates)
-    if (not_positive | tiny | repeat).any():
+    keys, order, repeat = _key_order(n, i, j)
+    del i, j
+    # a contiguous rate column, so that the parsed rows are freed
+    rates = np.ascontiguousarray(rows["rate"][order])
+    del rows
+    if repeat.any() or any(mask.any() for mask in _bad_rates(rates)):
         return None
-    return tuple(map(str, range(1, n + 1))), keys, rates[order]
+    return tuple(map(str, range(1, n + 1))), keys, rates
 
 
 def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
@@ -398,8 +447,8 @@ def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
     lines, src, dst, rate_text = _rate_columns(path, data)
     labels, to_index = _label_table(path, {*src, *dst})
     n, count = len(labels), len(lines)
-    i = np.fromiter(map(to_index, src), np.int64, count) - 1
-    j = np.fromiter(map(to_index, dst), np.int64, count) - 1
+    i = np.fromiter(map(to_index, src), np.int64, count)
+    j = np.fromiter(map(to_index, dst), np.int64, count)
     rates, junk = _parse_rates(rate_text)
     keys, order, repeat = _key_order(n, i, j)
     not_positive, tiny = _bad_rates(rates)
@@ -470,30 +519,30 @@ def load_rates(path: str | Path, tol: float = DEFAULT_TOL) -> RatesFile:
     errors. Both give the same result, drifts judged as by math.log.
     """
     require_tol(tol)
-    return _rates_of(path, _read_bytes(path), tol)
+    return _rates_of(path, [_read_bytes(path)], tol)
 
 
-def _rates_of(path: str | Path, data: bytes, tol: float) -> RatesFile:
-    """:func:`load_rates` of the file's bytes ``data``, ``tol`` checked."""
+def _rates_of(path: str | Path, data: bytes | list[bytes], tol: float) -> RatesFile:
+    """:func:`load_rates` of the file's bytes ``data``, ``tol`` checked.
+
+    Each array is dropped once read: the bytes once parsed, then the quote
+    keys, so that the graph is searched beside only the edge values, the
+    label table and the filled entries."""
+    data = _taken(data)
     labels, keys, rates = _canonical_quotes(data) or _tokenized_quotes(path, data)
-    del data  # only the parsers read it; free it before the graph is built
+    del data
     n = len(labels)
 
     # the quotes by pair (lo, hi) ascending; a pair quoted both ways is its
     # lo -> hi quote followed by its hi -> lo one
-    pair, down = keys >> 1, (keys & 1).astype(bool)
-    lo, hi = pair // n, pair % n
+    down = (keys & 1).astype(bool)
+    keys >>= 1  # the pair's lo * n + hi
     first = np.ones(len(keys), bool)
-    first[1:] = pair[1:] != pair[:-1]
-    both = np.flatnonzero(~first)
-    there, home = rates[both - 1], rates[both]
-    logs = np.log(there), np.log(home)
-    drift = np.abs(logs[0] + logs[1])
-    near = np.flatnonzero(np.abs(drift - tol) <= _LOG_BAND * (np.abs(logs[0]) + np.abs(logs[1])))
-    drift[near] = [abs(math.log(a) + math.log(b)) for a, b in zip(there[near].tolist(), home[near].tolist())]
-    conflict = np.flatnonzero(drift > tol)
-    if conflict.size:
-        k = int(both[conflict[0]])
+    first[1:] = keys[1:] != keys[:-1]
+    lo, hi = np.divmod(keys, n)
+    del keys
+    k = _first_conflict(rates, first, tol)
+    if k is not None:
         a, b = labels[lo[k]], labels[hi[k]]
         raise ReciprocalConflictError(
             f"{path}: quotes {a}->{b} and {b}->{a} multiply to {rates.item(k - 1) * rates.item(k):.12g}, not 1"
@@ -502,25 +551,41 @@ def _rates_of(path: str | Path, data: bytes, tol: float) -> RatesFile:
     loop = lo == hi
     edge = first & ~loop
     graph = MarketGraph._of_arrays(n, lo[edge], hi[edge], lo[loop])
-    if not is_connected(graph):
-        raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
-    # each quote's directed edge id, and the reverse of each one-sided quote
+    # each quote's directed edge id: pair k's lo -> hi quote is id k, its
+    # hi -> lo quote E + k, and the loop at loops[l] 2E + l
     e = graph._lo.size
-    ids = np.cumsum(edge) - 1 + e * down
+    ids = np.cumsum(edge)
+    ids -= 1
+    np.add(ids, e, out=ids, where=down)
     ids[loop] = 2 * e + np.arange(graph._loop_array.size)
-    alone = edge.copy()
-    alone[:-1] &= first[1:]
     values = np.empty(graph._edge_count)
     values[ids] = rates
-    values[ids[alone] + np.where(down[alone], -e, e)] = 1.0 / rates[alone]
-    # filled in the order of the quotes they complete, by (src, dst)
-    src, dst = np.where(down, hi, lo)[alone], np.where(down, lo, hi)[alone]
+    # the quotes alone in their pair, each filled by its reciprocal, in the
+    # order of the quotes they complete, by (src, dst)
+    edge[:-1] &= first[1:]
+    ids, lo, hi, down, rates = ids[edge], lo[edge], hi[edge], down[edge], rates[edge]
+    values[ids + np.where(down, -e, e)] = 1.0 / rates
+    src, dst = np.where(down, hi, lo), np.where(down, lo, hi)
     order = np.argsort(src * n + dst)
-    return RatesFile(
-        matrix=RateMatrix._of(graph, values),
-        labels=labels,
-        filled=tuple(zip((dst[order] + 1).tolist(), (src[order] + 1).tolist())),
-    )
+    filled = dst[order], src[order]
+    del first, loop, edge, ids, lo, hi, down, rates, src, dst, order
+    if not is_connected(graph):
+        raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
+    return RatesFile._of_arrays(RateMatrix._of(graph, values), labels, filled)
+
+
+def _first_conflict(rates: np.ndarray, first: np.ndarray, tol: float) -> int | None:
+    """The position of the second quote of the first pair quoted both ways
+    whose quotes' logs add up to more than ``tol`` in magnitude, as math.log
+    sums them (see ``_LOG_BAND``), or None."""
+    both = np.flatnonzero(~first)
+    there, home = rates[both - 1], rates[both]
+    logs = np.log(there), np.log(home)
+    drift = np.abs(logs[0] + logs[1])
+    near = np.flatnonzero(np.abs(drift - tol) <= _LOG_BAND * (np.abs(logs[0]) + np.abs(logs[1])))
+    drift[near] = [abs(math.log(a) + math.log(b)) for a, b in zip(there[near].tolist(), home[near].tolist())]
+    conflict = np.flatnonzero(drift > tol)
+    return int(both[conflict[0]]) if conflict.size else None
 
 
 def rate_rows(
@@ -564,12 +629,12 @@ def load_basis(
     Values are log-domain by default; ``multiplicative`` converts positive
     rates on load.
     """
-    return _basis_of(path, _read_bytes(path), graph, multiplicative)
+    return _basis_of(path, [_read_bytes(path)], graph, multiplicative)
 
 
-def _basis_of(path: str | Path, data: bytes, graph: MarketGraph, multiplicative: bool) -> BasisAssignment:
-    """:func:`load_basis` of the file's bytes ``data``."""
-    doc = _read_json(path, data, "basis", ("entries", "values"))
+def _basis_of(path: str | Path, data: bytes | list[bytes], graph: MarketGraph, multiplicative: bool) -> BasisAssignment:
+    """:func:`load_basis` of the file's bytes ``data`` (see :func:`_taken`)."""
+    doc = _read_json(path, _taken(data), "basis", ("entries", "values"))
     spec = _int_pairs(path, doc["entries"], "entries", lambda e: BasisSpec(graph=graph, entries=e))
     values = _numbers(path, doc, "values", spec, "entries")
     if multiplicative:
@@ -585,12 +650,12 @@ def load_perturbation(path: str | Path, graph: MarketGraph) -> PerturbationVecto
     Deltas are log-domain. The embedded basis may carry "values" (the basis
     file shape); they are not needed here and are ignored.
     """
-    return _perturbation_of(path, _read_bytes(path), graph)
+    return _perturbation_of(path, [_read_bytes(path)], graph)
 
 
-def _perturbation_of(path: str | Path, data: bytes, graph: MarketGraph) -> PerturbationVector:
-    """:func:`load_perturbation` of the file's bytes ``data``."""
-    doc = _read_json(path, data, "perturbation", ("basis", "deltas"))
+def _perturbation_of(path: str | Path, data: bytes | list[bytes], graph: MarketGraph) -> PerturbationVector:
+    """:func:`load_perturbation` of the file's bytes ``data`` (see :func:`_taken`)."""
+    doc = _read_json(path, _taken(data), "perturbation", ("basis", "deltas"))
     basis = doc["basis"]
     if not isinstance(basis, dict) or "entries" not in basis:
         raise ParseError(f"{path}: 'basis' needs 'entries'")

@@ -10,6 +10,7 @@ import json
 import math
 import operator
 import random
+import re
 import sys
 from collections import deque
 from pathlib import Path
@@ -44,6 +45,22 @@ from arbx.graph import _vertex, _vertex_pairs, is_connected, new_graph
 from arbx.io import RatesFile, _label_table
 
 KINDS = ("tree", "gnp-connected", "preferential-attachment", "complete")
+
+# the metrics main stamps that differ from run to run: the run's time, the
+# spans of the layers that ran, and the process's peak resident set
+RUN_METRICS = ("elapsed_ms", "parse_ms", "tree_ms", "check_ms", "peak_rss_mb")
+_RUN_VALUE = re.compile(r"\b(%s)(\"?[:=] ?)[0-9.e+-]+" % "|".join(RUN_METRICS))
+
+
+def steady(report):
+    """``report`` without what differs from run to run, the metrics of
+    RUN_METRICS: a report dict loses them (in place, and is returned), and
+    a printed report, json or text, keeps their names but not their values."""
+    if isinstance(report, str):
+        return _RUN_VALUE.sub(r"\1\2", report)
+    for key in RUN_METRICS:
+        report["metrics"].pop(key, None)
+    return report
 CYCLIC_KINDS = ("gnp-connected", "preferential-attachment", "complete")
 
 
@@ -412,3 +429,44 @@ def reference_inf_to_none(value):
     if isinstance(value, list):
         return [reference_inf_to_none(item) for item in value]
     return value
+
+
+# --- the chord climb and the adjacency as they were before the climb ran in
+# --- batches and the adjacency was placed by counting, kept as references
+
+
+def reference_chord_gains(v, t, chords, k, m):
+    """Every chord's fundamental-cycle gain, all chords climbing in one
+    lock-step pass whose k-side steps are all recorded, then added in
+    reverse, top first."""
+    gains = 0.0 + v[chords]
+    if not chords.size:
+        return gains
+    up, down = v[t.to_parent], v[t.from_parent]
+    m_deeper, k_deeper = t.depth[m] > t.depth[k], t.depth[k] > t.depth[m]
+    x, y = np.where(m_deeper, t.parent[m], m), np.where(k_deeper, t.parent[k], k)
+    gains[m_deeper] += up[m[m_deeper]]
+    steps = [(k_deeper, down[k[k_deeper]])]
+    live = np.flatnonzero(x != y)
+    x, y = x[live], y[live]
+    while live.size:
+        gains[live] += up[x]
+        steps.append((live, down[y]))
+        px, py = t.parent[x], t.parent[y]
+        keep = px != py
+        live, x, y = live[keep], px[keep], py[keep]
+    for rows, values in reversed(steps):
+        gains[rows] += values
+    return gains
+
+
+def reference_csr(n, a, b):
+    """(indptr, nbrs, pair) of ``graph._csr`` from one argsort of every
+    step's key src * n + dst, the steps listed a -> b, then b -> a."""
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    key = src.astype(np.int64, copy=False) * n
+    key += dst
+    pair = np.argsort(key)
+    indptr = np.zeros(n + 1, np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[pair], pair

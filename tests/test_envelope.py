@@ -1,8 +1,9 @@
 """The run envelope every CLI command shares.
 
 Each ``cmd_*`` returns its command's own metrics, data and the digests of
-the files it read; ``main`` adds ``elapsed_ms``. One table pins what every
-command reports, and an error report carries no metrics and no inputs.
+the files it read; ``main`` adds the run metrics: ``elapsed_ms``,
+``peak_rss_mb`` and the spans of the layers that ran. One table pins what
+every command reports, and an error report carries no metrics and no inputs.
 """
 
 import hashlib
@@ -16,22 +17,33 @@ from hypothesis import strategies as st
 
 from arbx.cli import build_parser, main
 from arbx.io import RunReport, _inf_to_none
-from helpers import reference_inf_to_none
+from helpers import RUN_METRICS, reference_inf_to_none, steady
 
 DATA = Path(__file__).parent / "data"
 TRIANGLE, K3 = DATA / "triangle_ok.csv", DATA / "k3.json"
 
-# command: (metrics keys but elapsed_ms, data keys)
+# the size of the market a command read, the same triangle in every run below
+SIZES = {"n": 3, "edges": 3, "chords": 1}
+READ = {"parse_ms", "tree_ms"}  # the spans of every command that reads a market
+CHECK = {"cycles_checked", "max_abs_log_gain", *SIZES}
+
+# command: (metrics keys but the run metrics, the spans among them, data keys)
 ENVELOPE = {
-    "check": ({"cycles_checked", "max_abs_log_gain"}, {"filled_reciprocals"}),
-    "oracle": ({"cycles_checked", "max_abs_log_gain"}, {"filled_reciprocals"}),
-    "complete": ({"dimension"}, {"out", "rows"}),
-    "basis": ({"dimension"}, {"entries"}),
-    "dim": ({"dimension"}, {"dimension"}),
-    "price": (set(), {"reference", "prices_log", "prices_multiplicative"}),
-    "perturb": ({"basis_size", "max_abs_log_delta"}, {"mode", "rates"}),
-    "gen": ({"edge_count"}, {"out", "kind", "n", "seed"}),
+    "check": (CHECK, READ | {"check_ms"}, {"filled_reciprocals"}),
+    "oracle": (CHECK, READ | {"check_ms"}, {"filled_reciprocals"}),
+    "complete": ({"dimension", *SIZES}, READ, {"out", "rows"}),
+    "basis": ({"dimension", *SIZES}, READ, {"entries"}),
+    "dim": ({"dimension", *SIZES}, READ, {"dimension"}),
+    "price": (set(SIZES), READ, {"reference", "prices_log", "prices_multiplicative"}),
+    "perturb": ({"basis_size", "max_abs_log_delta", *SIZES}, READ, {"mode", "rates"}),
+    "gen": ({"edge_count"}, set(), {"out", "kind", "n", "seed"}),
 }
+
+
+def _metrics(command):
+    # every metrics key of a successful run through main
+    metrics, spans, _ = ENVELOPE[command]
+    return metrics | spans | {"elapsed_ms", "peak_rss_mb"}
 
 
 def _delta(tmp_path, deltas=(0.25, -0.1)):
@@ -91,10 +103,14 @@ def test_every_command_reports_its_envelope(capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(Path(p)) or read_bytes(p))
         code, doc = _main_json(capsys, argv)
         monkeypatch.undo()
-        metrics, data = ENVELOPE[argv[0]]
+        metrics, _, data = ENVELOPE[argv[0]]
         assert code == 0 and doc["command"] == argv[0], argv
-        assert set(doc["metrics"]) == metrics | {"elapsed_ms"}, argv
-        assert isinstance(doc["metrics"]["elapsed_ms"], float) and doc["metrics"]["elapsed_ms"] >= 0
+        assert set(doc["metrics"]) == _metrics(argv[0]), argv
+        run = {k: v for k, v in doc["metrics"].items() if k in RUN_METRICS}
+        assert all(isinstance(v, float) and v >= 0 for v in run.values()), (argv, run)
+        assert doc["metrics"]["peak_rss_mb"] > 0, argv
+        if SIZES.keys() <= metrics:
+            assert {k: doc["metrics"][k] for k in SIZES} == SIZES, argv
         assert set(doc["data"]) == data, argv
         assert sorted(reads) == sorted(inputs.values()), argv
         assert doc["inputs"] == {
@@ -107,7 +123,7 @@ def test_text_report_lists_the_same_metrics(capsys, tmp_path):
         main(argv)
         line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("metrics: "))
         keys = {item.split("=")[0] for item in line[len("metrics: "):].split()}
-        assert keys == ENVELOPE[argv[0]][0] | {"elapsed_ms"}, argv
+        assert keys == _metrics(argv[0]), argv
 
 
 def test_error_report_has_no_metrics_and_no_inputs(capsys, tmp_path):
@@ -123,8 +139,8 @@ def test_a_command_called_alone_carries_no_elapsed_ms(capsys, tmp_path):
         args = build_parser().parse_args(argv)
         alone = args.func(args).to_dict()
         _, doc = _main_json(capsys, argv)
-        assert "elapsed_ms" not in alone["metrics"], argv
-        del doc["metrics"]["elapsed_ms"]
+        assert not alone["metrics"].keys() & set(RUN_METRICS), argv
+        steady(doc)
         if "out" in doc["data"]:
             alone["data"]["out"] = doc["data"]["out"]
         assert alone == doc, argv

@@ -1,0 +1,184 @@
+"""Peak memory of the check and price path, and the batched chord climb.
+
+The rates reader drops each array once it is read and takes its input's
+bytes over, so that a check or price run holds at any moment only what its
+next step reads; the chord climb records its tree steps in batches of at
+most ``CHORD_STEPS`` per good and per directed edge. Peaks are traced by
+tracemalloc, in process.
+"""
+
+import json
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import arbx.exchange as exchange
+from arbx import exp_of, generate_graph, log_of
+from arbx.cli import main
+from arbx.exchange import LogRateMatrix, _chord_gains, check_no_arbitrage
+from arbx.graph import _connected_tree, _csr, new_graph
+from arbx.io import _graph_of, _rates_of, load_rates, save_rates
+from helpers import (
+    random_log_matrix,
+    reference_check_no_arbitrage,
+    reference_chord_gains,
+    reference_csr,
+    reference_load_rates,
+    same_bits,
+)
+
+DATA = Path(__file__).parent / "data"
+MiB = 2**20
+
+
+def _peak(fn, *args):
+    """``fn(*args)`` and the peak it traced above what was traced before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def _grid(side: int):
+    n = side * side
+    right = [(v, v + 1) for v in range(1, n + 1) if v % side]
+    down = [(v, v + side) for v in range(1, n - side + 1)]
+    return new_graph(n, right + down)
+
+
+@pytest.fixture(scope="module")
+def k250(tmp_path_factory):
+    path = tmp_path_factory.mktemp("k250") / "rates.csv"
+    save_rates(path, exp_of(random_log_matrix(generate_graph("complete", 250), 7)))
+    return path
+
+
+@pytest.mark.parametrize("command", [["check"], ["price", "--ref", "1"]])
+def test_check_and_price_of_k250_peak_at_5_5_mib(k250, command, capsys):
+    argv = [command[0], "--rates", str(k250), *command[1:], "--format", "json"]
+    assert main(argv) == 0  # modules and caches of a first run are not the run's
+    code, peak = _peak(main, argv)
+    capsys.readouterr()
+    assert code == 0 and peak <= 5.5 * MiB, peak / MiB
+
+
+def test_load_rates_peaks_at_100_bytes_per_row(tmp_path):
+    path = tmp_path / "pa.csv"
+    g = generate_graph("pa", 20_000, m=3, seed=11)
+    save_rates(path, exp_of(random_log_matrix(g, 11)))
+    rows = 2 * g._lo.size
+    load_rates(path)
+    rates, peak = _peak(load_rates, path)
+    assert rates.matrix.graph == g and peak <= 100 * rows, peak / rows
+
+
+@pytest.mark.parametrize("side", [150, 300])
+def test_check_of_a_grid_peaks_linear_in_goods_and_edges(side):
+    g = _grid(side)
+    e = random_log_matrix(g, side)
+    _connected_tree(g)  # cached, as a loaded sheet's tree is
+    result, peak = _peak(check_no_arbitrage, e)
+    assert result.ok and result.cycles_checked == 2 * g._lo.size - g.n + 1
+    assert peak <= 128 * (g.n + g._lo.size), peak / (g.n + g._lo.size)
+
+
+# --- the batched climb against the lock-step one
+
+
+def _climb_graphs():
+    yield "grid40", _grid(40)
+    yield "ring500", new_graph(500, [(v, v % 500 + 1) for v in range(1, 501)])
+    yield "path300", new_graph(300, [(v, v + 1) for v in range(1, 300)])
+    yield "pa2000", generate_graph("pa", 2000, m=3, seed=5)
+    yield "K40", generate_graph("complete", 40)
+    yield "one", new_graph(1, [(1, 1)])
+
+
+CLIMB_GRAPHS = dict(_climb_graphs())
+
+
+def _chords(g):
+    t = _connected_tree(g)
+    a, b = g._lo, g._hi
+    chords = np.flatnonzero((t.parent[a] != b) & (t.parent[b] != a))
+    return t, chords, a[chords], b[chords]
+
+
+@pytest.mark.parametrize("steps", [0, 1, exchange.CHORD_STEPS])
+@pytest.mark.parametrize("name", CLIMB_GRAPHS)
+def test_batched_gains_equal_the_lock_step_climb(monkeypatch, name, steps):
+    g = CLIMB_GRAPHS[name]
+    batches = []
+    climb = exchange._climb_chords
+    monkeypatch.setattr(exchange, "CHORD_STEPS", steps)
+    monkeypatch.setattr(exchange, "_climb_chords", lambda gains, *rest: batches.append(gains.size) or climb(gains, *rest))
+    rng = np.random.default_rng(steps)
+    t, chords, k, m = _chords(g)
+    # values of many magnitudes, so that the order of every addition shows
+    v = rng.standard_normal(g._edge_count) * 10.0 ** rng.integers(-8, 9, g._edge_count)
+    got = _chord_gains(v, t, chords, k, m)
+    assert same_bits(got, reference_chord_gains(v, t, chords, k, m))
+    assert sum(batches) == chords.size
+    # a batch takes one chord at least, and more while its climbs fit the budget
+    depths = t.depth[k]
+    if steps == 0:
+        assert len(batches) >= np.count_nonzero(depths)
+    elif depths.sum() > steps * (g.n + g._edge_count):
+        assert len(batches) > 1
+
+
+def test_a_small_budget_keeps_the_verdict_and_the_witness(monkeypatch):
+    g = _grid(30)
+    e = random_log_matrix(g, 30)
+    t, chords, k, m = _chords(g)
+    bad = e.with_entry(int(k[400]) + 1, int(m[400]) + 1, e.value(int(k[400]) + 1, int(m[400]) + 1) + 1e-6)
+    for steps in (0, 1):
+        monkeypatch.setattr(exchange, "CHORD_STEPS", steps)
+        for matrix in (e, bad, LogRateMatrix._of(g, -e.values)):
+            assert check_no_arbitrage(matrix) == reference_check_no_arbitrage(matrix)
+    assert not check_no_arbitrage(bad).ok
+
+
+# --- the adjacency, placed by counting, against the sorted keys
+
+
+@pytest.mark.parametrize("name", ["path70000", "pa100000"])
+def test_adjacency_equals_the_sorted_key_reference(name):
+    if name == "path70000":  # above 2^16 goods: two radix passes
+        g = new_graph(70_000, [(v, v + 1) for v in range(1, 70_000)])
+    else:
+        g = generate_graph("pa", 100_000, m=3, seed=1)
+    for a, b in ((g._lo, g._hi), (g._hi, g._lo)):  # a graph's own pairs, then others
+        got, want = _csr(g.n, a, b), reference_csr(g.n, a, b)
+        assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(got, want))
+
+
+# --- the reader: filled entries built when read, bytes taken over
+
+
+def test_filled_is_built_when_first_read(tmp_path, capsys):
+    path = tmp_path / "one_sided.csv"
+    path.write_text("src,dst,rate\n1,2,2.0\n2,3,4.0\n3,1,0.125\n1,3,8.0\n")
+    rates = load_rates(path)
+    assert "filled" not in vars(rates)
+    assert rates.filled == ((2, 1), (3, 2)) == reference_load_rates(path).filled
+    assert "filled" in vars(rates) and rates.filled is rates.filled
+    assert main(["check", "--rates", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["filled_reciprocals"] == [[2, 1], [3, 2]]
+
+
+def test_the_parsers_take_the_bytes_over():
+    held = [(DATA / "triangle_ok.csv").read_bytes()]
+    rates = _rates_of(DATA / "triangle_ok.csv", held, 1e-9)
+    assert held == [] and log_of(rates.matrix).n == 3
+    held = [(DATA / "k3.json").read_bytes()]
+    assert _graph_of(DATA / "k3.json", held).n == 3 and held == []

@@ -1,0 +1,103 @@
+"""The span recorder, and the run metrics ``main`` stamps beside
+``elapsed_ms``: the spans of the layers that ran, the process's peak
+resident set, and the size of the market a command read."""
+
+import csv
+import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import arbx.cli as cli
+import arbx.spans as spans
+from arbx import exp_of, generate_graph
+from arbx.cli import main
+from arbx.io import save_rates
+from arbx.spans import recording, span
+from helpers import random_log_matrix
+
+DATA = Path(__file__).parent / "data"
+TRIANGLE = DATA / "triangle_ok.csv"
+
+
+def _main_json(capsys, *argv):
+    code = main([*argv, "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_nested_spans_count_their_own_time(monkeypatch):
+    clock = SimpleNamespace(now=0.0)
+    monkeypatch.setattr(spans, "perf_counter", lambda: clock.now)
+    with recording() as totals:
+        with span("parse_ms"):
+            clock.now += 1.0
+            with span("tree_ms"):
+                clock.now += 0.25
+            clock.now += 0.5
+        with span("tree_ms"):
+            clock.now += 0.125
+    assert totals == {"parse_ms": 1500.0, "tree_ms": 375.0}
+
+
+def test_a_span_outside_a_recording_only_runs_its_block():
+    @span("f_ms")
+    def f(x):
+        return 2 * x
+
+    with span("outside_ms"):
+        assert f(3) == 6
+    with recording() as totals:
+        assert f(4) == 8
+    assert set(totals) == {"f_ms"} and totals["f_ms"] >= 0.0
+    assert spans._recording.get() is None
+
+
+def test_main_stamps_the_spans_within_elapsed_ms(capsys):
+    code, doc = _main_json(capsys, "check", "--rates", str(TRIANGLE))
+    metrics = doc["metrics"]
+    assert code == 0 and {"parse_ms", "tree_ms", "check_ms"} <= metrics.keys()
+    assert metrics["parse_ms"] + metrics["tree_ms"] + metrics["check_ms"] <= metrics["elapsed_ms"]
+
+
+def test_peak_rss_is_the_process_peak_in_mib(capsys, monkeypatch):
+    import resource
+
+    _, doc = _main_json(capsys, "check", "--rates", str(TRIANGLE))
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert 0 < doc["metrics"]["peak_rss_mb"] <= after / (2**20 if sys.platform == "darwin" else 2**10)
+    # ru_maxrss counts KiB on Linux, bytes on macOS
+    usage = SimpleNamespace(ru_maxrss=3 * 2**20)
+    monkeypatch.setattr(cli, "resource", SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage))
+    for platform, mib in (("linux", 3072.0), ("darwin", 3.0)):
+        monkeypatch.setattr(sys, "platform", platform)
+        assert cli._peak_rss() == {"peak_rss_mb": mib}
+
+
+def test_no_peak_rss_without_the_resource_module(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "resource", None)
+    code, doc = _main_json(capsys, "check", "--rates", str(TRIANGLE))
+    assert code == 0 and "elapsed_ms" in doc["metrics"] and "peak_rss_mb" not in doc["metrics"]
+
+
+def test_the_canonical_and_the_csv_reader_report_the_same_sizes(capsys, tmp_path):
+    # g01..g60 sort like 1..60: both sheets make the same graph and tree
+    plain, labelled = tmp_path / "k60.csv", tmp_path / "k60_labelled.csv"
+    save_rates(plain, exp_of(random_log_matrix(generate_graph("complete", 60), 3)))
+    rows = list(csv.reader(plain.read_text().splitlines()))
+    with labelled.open("w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0]] + [[f"g{int(a):02d}", f"g{int(b):02d}", r] for a, b, r in rows[1:]])
+    sizes = {"n": 60, "edges": 1770, "chords": 1711, "cycles_checked": 1770 + 1711}
+    for path in (plain, labelled):
+        _, doc = _main_json(capsys, "check", "--rates", str(path))
+        assert {k: doc["metrics"][k] for k in sizes} == sizes, path
+
+
+def test_edges_leave_loops_out(capsys, tmp_path):
+    path = tmp_path / "looped.csv"
+    path.write_text("src,dst,rate\n1,1,1.0\n1,2,2.0\n2,3,4.0\n3,1,0.125\n")
+    for command in (("check",), ("price", "--ref", "1")):
+        _, doc = _main_json(capsys, command[0], "--rates", str(path), *command[1:])
+        assert {k: doc["metrics"][k] for k in ("n", "edges", "chords")} == {"n": 3, "edges": 3, "chords": 1}
+    assert doc["metrics"].get("cycles_checked") is None
+    _, doc = _main_json(capsys, "check", "--rates", str(path))
+    assert doc["metrics"]["cycles_checked"] == 1 + 3 + 1

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import arbx
+from helpers import steady
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(arbx.__file__).resolve().parents[1]
@@ -125,7 +126,7 @@ class TestCliBlasDefault:
             proc = child(["-m", "arbx.cli"], *argv, "--format", "json", blas=blas)
             assert proc.returncode in (0, 2), proc.stderr
             doc = json.loads(proc.stdout)
-            del doc["metrics"]["elapsed_ms"]
+            steady(doc)
             reports.append((proc.returncode, doc))
         assert reports[0] == reports[1]
 
@@ -176,7 +177,7 @@ class TestProgramEntry:
         outs = []
         for proc in runs:
             assert proc.returncode == code and proc.stderr == ""
-            outs.append(re.sub(r"elapsed_ms\"?[:=] ?[0-9.e+-]+", "elapsed_ms", proc.stdout))
+            outs.append(steady(proc.stdout))
         assert outs[0] == outs[1]
 
     def test_run_freezes_and_keeps_exit_handlers(self):
