@@ -431,16 +431,19 @@ def check_no_arbitrage_oracle(
 
     Evaluates antisymmetry plus every simple cycle of the graph instead of a
     fundamental set. Ground truth for differential tests; refuses graphs
-    beyond ``max_n`` vertices.
+    beyond ``max_n`` vertices; sums each cycle as :func:`cycle_log_gain` does.
     """
     require_tol(tol)
     if e.graph.n > max_n:
         raise OracleSizeError(f"{e.graph.n} vertices exceeds the oracle limit of {max_n}")
     _connected_tree(e.graph)
     _, sums = _antisymmetry_gains(e)
-    conditions: list[Condition] = [
-        ((i, j), (i, j, i), s) for (i, j), s in zip(e.graph.simple_edges, sums.tolist())
-    ]
+    conditions: list[Condition] = [((i, j), (i, j, i), s) for (i, j), s in zip(e.graph.simple_edges, sums.tolist())]
+    src, dst = e.graph._edge_ends
+    value = dict(zip(zip((src + 1).tolist(), (dst + 1).tolist()), e.values.tolist()))
     for cycle in enumerate_simple_cycles(e.graph, max_n=max_n):
-        conditions.append(((cycle[0], cycle[1]), cycle, cycle_log_gain(e, cycle)))
+        gain = 0.0
+        for step in zip(cycle, cycle[1:]):
+            gain += value[step]
+        conditions.append(((cycle[0], cycle[1]), cycle, gain))
     return _verdict(conditions, tol)

@@ -588,31 +588,28 @@ def enumerate_simple_cycles(
     if max_len < 1:
         return []
     out: list[tuple[int, ...]] = [(v, v) for v in g.loops]
+    adjacent = [(), *map(g.neighbors, range(1, g.n + 1))]
+    # depth first from each good s on a stack of neighbor iterators, with no
+    # recursion limit; a cycle lowest at s needs two neighbors above s
     for s in range(1, g.n + 1):
-        _extend_cycles(g, s, [s], {s}, max_len, out)
+        if len(adjacent[s]) < 2 or adjacent[s][-2] < s:
+            continue
+        path, on_path, stack = [s], {s}, [iter(adjacent[s])]
+        while stack:
+            for w in stack[-1]:
+                if w == s:
+                    # canonical direction: second vertex below the last one
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        out.append((*path, s))
+                elif w > s and w not in on_path and len(path) < max_len:
+                    path.append(w)
+                    on_path.add(w)
+                    stack.append(iter(adjacent[w]))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
     return out
-
-
-def _extend_cycles(
-    g: MarketGraph,
-    s: int,
-    path: list[int],
-    on_path: set[int],
-    max_len: int,
-    out: list[tuple[int, ...]],
-) -> None:
-    u = path[-1]
-    for w in g.neighbors(u):
-        if w == s:
-            # canonical direction: second vertex below the last one
-            if len(path) >= 3 and path[1] < path[-1]:
-                out.append((*path, s))
-        elif w > s and w not in on_path and len(path) < max_len:
-            path.append(w)
-            on_path.add(w)
-            _extend_cycles(g, s, path, on_path, max_len, out)
-            path.pop()
-            on_path.discard(w)
 
 
 def generate_graph(

@@ -40,9 +40,6 @@ from .errors import BadParamsError, NotConnectedError, ParseError, ReciprocalCon
 from .exchange import DEFAULT_TOL, ArbitrageWitness, RateMatrix, require_tol
 from .graph import MarketGraph, is_connected, new_graph
 
-_INDEX_TOKEN = re.compile(r"[1-9][0-9]*")
-_DIGIT_TOKEN = re.compile(r"[0-9]+")
-
 # A canonical rates file: the bare header (a BOM allowed), then one or more
 # rows of two 1-based indices and a decimal rate, each ending in "\n" but for
 # the last; one np.loadtxt pass parses it, the csv tokenizer any other file.
@@ -84,8 +81,8 @@ def _json_chunks(value: object, indent: str = "") -> Iterator[str]:
     """:func:`_json_text` in pieces, with ``indent`` before every line but
     the first, a :class:`_Rows` block one block at a time as its list form
     with ±inf as null. A flat list is encoded in one call of the C encoder
-    and laid out by replacing its separators; a dict with string keys and
-    every other list recurse; any other value goes to json.dumps."""
+    and laid out by replacing its separators; a dict with string keys
+    recurses; any other value, a nested list among them, goes to json.dumps."""
     deeper = indent + "  "
     if type(value) is _Rows:
         blocks = value._render(_json_cells, f",\n{deeper}[\n{deeper}  ", f",\n{deeper}  ", f"\n{deeper}]", _json_floats)
@@ -100,11 +97,6 @@ def _json_chunks(value: object, indent: str = "") -> Iterator[str]:
         yield f"\n{indent}}}"
     elif type(value) in (list, tuple) and set(map(type, value)) <= _SCALARS:
         yield f"[\n{deeper}" + _FLAT(value)[1:-1].replace("\x1f", ",\n" + deeper) + f"\n{indent}]"
-    elif type(value) in (list, tuple):
-        for sep, item in zip(chain([f"[\n{deeper}"], repeat(f",\n{deeper}")), value):
-            yield sep
-            yield from _json_chunks(item, deeper)
-        yield f"\n{indent}]"
     else:
         yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
@@ -484,8 +476,8 @@ def _parse_rates(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _label_table(path: str | Path, tokens: set[str]) -> tuple[tuple[str, ...], Callable[[str], int]]:
-    if all(_DIGIT_TOKEN.fullmatch(t) for t in tokens):
-        if not all(_INDEX_TOKEN.fullmatch(t) for t in tokens):
+    if all(t.isascii() and t.isdigit() for t in tokens):
+        if any(t.startswith("0") for t in tokens):
             raise ParseError(f"{path}: integer vertex indices are 1-based")
         # an index beyond the count of distinct tokens names a good never
         # quoted: say so before a label per index, or int() of a longer token

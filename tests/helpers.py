@@ -36,12 +36,13 @@ from arbx.errors import (
     DuplicateEdgeError,
     GraphIndexError,
     NotConnectedError,
+    OracleSizeError,
     ParseError,
     ReciprocalConflictError,
     TreeMismatchError,
 )
-from arbx.exchange import RateMatrix, require_tol
-from arbx.graph import _vertex, _vertex_pairs, is_connected, new_graph
+from arbx.exchange import RateMatrix, _antisymmetry_gains, _verdict, require_tol
+from arbx.graph import ORACLE_MAX_VERTICES, _connected_tree, _vertex, _vertex_pairs, is_connected, new_graph
 from arbx.io import RatesFile, _label_table
 
 KINDS = ("tree", "gnp-connected", "preferential-attachment", "complete")
@@ -470,3 +471,51 @@ def reference_csr(n, a, b):
     indptr = np.zeros(n + 1, np.intp)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return indptr, dst[pair], pair
+
+
+# --- the brute-force oracle as it was before it read its cycles' steps from
+# --- one value table and walked them without recursion, kept as the reference
+
+
+def reference_simple_cycles(g, max_len=None, *, max_n=ORACLE_MAX_VERTICES):
+    """``enumerate_simple_cycles`` as a recursive depth-first search, one
+    ``g.neighbors`` call per step."""
+    if g.n > max_n:
+        raise OracleSizeError(f"{g.n} vertices exceeds the oracle limit of {max_n}")
+    if max_len is None:
+        max_len = max(g.n, 1)
+    if max_len < 1:
+        return []
+    out = [(v, v) for v in g.loops]
+    for s in range(1, g.n + 1):
+        _reference_extend_cycles(g, s, [s], {s}, max_len, out)
+    return out
+
+
+def _reference_extend_cycles(g, s, path, on_path, max_len, out):
+    u = path[-1]
+    for w in g.neighbors(u):
+        if w == s:
+            # canonical direction: second vertex below the last one
+            if len(path) >= 3 and path[1] < path[-1]:
+                out.append((*path, s))
+        elif w > s and w not in on_path and len(path) < max_len:
+            path.append(w)
+            on_path.add(w)
+            _reference_extend_cycles(g, s, path, on_path, max_len, out)
+            path.pop()
+            on_path.discard(w)
+
+
+def reference_oracle(e, tol=1e-9, *, max_n=ORACLE_MAX_VERTICES):
+    """``check_no_arbitrage_oracle`` as one ``cycle_log_gain`` call per cycle
+    of the recursive enumeration."""
+    require_tol(tol)
+    if e.graph.n > max_n:
+        raise OracleSizeError(f"{e.graph.n} vertices exceeds the oracle limit of {max_n}")
+    _connected_tree(e.graph)
+    _, sums = _antisymmetry_gains(e)
+    conditions = [((i, j), (i, j, i), s) for (i, j), s in zip(e.graph.simple_edges, sums.tolist())]
+    for cycle in reference_simple_cycles(e.graph, max_n=max_n):
+        conditions.append(((cycle[0], cycle[1]), cycle, cycle_log_gain(e, cycle)))
+    return _verdict(conditions, tol)

@@ -78,3 +78,17 @@ def test_invalid_utf8_is_an_error_report(tmp_path, kind):
     offset = K3_FILES[kind][1].index(b"\xff")
     assert doc["data"]["message"] == f"{files[kind]}: not UTF-8 text: invalid byte at offset {offset}"
     assert proc.returncode == 1
+
+
+def test_oracle_on_a_ring_of_1500_goods_ends_in_a_report(tmp_path):
+    # its one cycle is longer than the default recursion limit
+    n = 1500
+    rates = tmp_path / "ring.csv"
+    # one unit doubles on every odd step and halves on every even one
+    rows = (f"{v},{v % n + 1},{2.0 if v % 2 else 0.5}\n{v % n + 1},{v},{0.5 if v % 2 else 2.0}\n" for v in range(1, n + 1))
+    rates.write_text("src,dst,rate\n" + "".join(rows))
+    proc = _cli("oracle", "--rates", rates, "--max-n", 5000)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "ok" and doc["metrics"]["cycles_checked"] == n + 1

@@ -4,16 +4,21 @@ The rates reader drops each array once it is read and takes its input's
 bytes over, so that a check or price run holds at any moment only what its
 next step reads; the chord climb records its tree steps in batches of at
 most ``CHORD_STEPS`` per good and per directed edge. Peaks are traced by
-tracemalloc, in process.
+tracemalloc, in process; a CLI child whose address space is capped below
+what its check needs ends in the MemoryError report.
 """
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import arbx
 import arbx.exchange as exchange
 from arbx import exp_of, generate_graph, log_of
 from arbx.cli import main
@@ -89,6 +94,44 @@ def test_check_of_a_grid_peaks_linear_in_goods_and_edges(side):
     result, peak = _peak(check_no_arbitrage, e)
     assert result.ok and result.cycles_checked == 2 * g._lo.size - g.n + 1
     assert peak <= 128 * (g.n + g._lo.size), peak / (g.n + g._lo.size)
+
+
+# A child that may grow its address space by CAP_MARGIN after importing the
+# CLI; it reads its own size where Linux shows it.
+_CAPPED_CHILD = """
+import resource, sys
+import arbx.cli
+with open("/proc/self/statm") as f:
+    cap = int(f.read().split()[0]) * resource.getpagesize() + %d
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+raise SystemExit(arbx.cli.main(sys.argv[1:]))
+"""
+CAP_MARGIN = 16 * MiB
+
+
+def test_check_beyond_its_address_space_ends_in_the_error_envelope(tmp_path):
+    # the check of a 300 x 300 grid needs 32 to 64 MiB more than the import
+    pytest.importorskip("resource")
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("the child reads its address space from /proc/self/statm")
+    side, n = 300, 300 * 300
+    rows = ["src,dst,rate"]
+    for v in range(1, n + 1):
+        for w in ((v + 1,) if v % side else ()) + ((v + side,) if v + side <= n else ()):
+            rows.append(f"{v},{w},2.0\n{w},{v},0.5")
+    sheet = tmp_path / "grid.csv"
+    sheet.write_text("\n".join(rows) + "\n")
+    src = str(Path(arbx.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD % CAP_MARGIN, "check", "--rates", str(sheet), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "error" and doc["data"]["error"] == "MemoryError"
 
 
 # --- the batched climb against the lock-step one
