@@ -431,12 +431,17 @@ def check_no_arbitrage_oracle(
 
     Evaluates antisymmetry plus every simple cycle of the graph instead of a
     fundamental set. Ground truth for differential tests; refuses graphs
-    beyond ``max_n`` vertices; sums each cycle as :func:`cycle_log_gain` does.
+    beyond ``max_n`` vertices or with more chords than the complete graph on
+    :data:`ORACLE_MAX_VERTICES` goods; sums each cycle as :func:`cycle_log_gain` does.
     """
     require_tol(tol)
     if e.graph.n > max_n:
         raise OracleSizeError(f"{e.graph.n} vertices exceeds the oracle limit of {max_n}")
     _connected_tree(e.graph)
+    # c chords close at most 2^c - 1 simple cycles: allow the C(cap - 1, 2) chords of K(cap)
+    chords, most = e.graph._lo.size - e.graph.n + 1, math.comb(ORACLE_MAX_VERTICES - 1, 2)
+    if chords > most:
+        raise OracleSizeError(f"{chords} chords exceeds the oracle limit of {most}, the chords of K{ORACLE_MAX_VERTICES}")
     _, sums = _antisymmetry_gains(e)
     conditions: list[Condition] = [((i, j), (i, j, i), s) for (i, j), s in zip(e.graph.simple_edges, sums.tolist())]
     src, dst = e.graph._edge_ends

@@ -315,15 +315,13 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     indptr = np.zeros(n + 1, np.intp)
     np.cumsum(upper + lower, out=indptr[1:])
     dst = np.concatenate([b, a])
-    if n <= 1 << 32 and (a < b).all() and _ascending(a, b).all():
+    if n <= 1 << 16 and (a < b).all() and _ascending(a, b).all():
         # a graph's own pairs: row v lists its steps back to lower goods, then
         # its steps forward, each in pair order. The forward steps of all rows
-        # are in that order already, and a radix sort of b, one stable pass
-        # per 16-bit digit, the low digit first, orders the backward ones;
-        # each step's slot is then counted from the rows before its own.
+        # are in that order already, and one stable sort of b as 16-bit
+        # numbers orders the backward ones; each step's slot is then counted
+        # from the rows before its own.
         back = np.argsort(b.astype(np.uint16), kind="stable")
-        if n > 1 << 16:
-            back = back[np.argsort((b >> 16).astype(np.uint16)[back], kind="stable")]
         k = np.arange(a.size)
         pair = np.empty(2 * a.size, np.intp)
         pair[np.cumsum(lower)[a] + k] = k

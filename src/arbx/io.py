@@ -743,14 +743,11 @@ class RunReport:
 
 def _inf_to_none(value: object) -> object:
     # NaN is left as it is: it marks a fault, not a value past the float range.
-    # A flat list of plain cells is copied by C-level passes.
     if isinstance(value, float):
         return None if math.isinf(value) else value
-    if not isinstance(value, list):
-        return value
-    if any(issubclass(t, list) for t in set(map(type, value))) or math.inf in value or -math.inf in value:
+    if isinstance(value, list):
         return [_inf_to_none(item) for item in value]
-    return list(value)
+    return value
 
 
 def _num(v: object) -> str:

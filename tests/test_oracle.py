@@ -5,14 +5,22 @@ The oracle reads each cycle's steps from one table of the edge values and
 walks the cycles on an explicit stack; the reference calls
 ``cycle_log_gain`` once per cycle of a recursive walk. Their results must be
 equal bit for bit, witness included, and the same errors must be raised.
+A graph with more chords than K8 is refused before any cycle is walked.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arbx
 from arbx import LogRateMatrix, check_no_arbitrage_oracle, enumerate_simple_cycles
-from arbx.errors import ArbxError
+from arbx.cli import main
+from arbx.errors import ArbxError, OracleSizeError
 from arbx.graph import new_graph
 from helpers import reference_oracle, reference_simple_cycles
 
@@ -98,3 +106,34 @@ def test_cycles_equal_the_recursive_walk(seed):
 def test_cycle_longer_than_the_recursion_limit():
     ring = new_graph(3000, [(v, v % 3000 + 1) for v in range(1, 3001)])
     assert enumerate_simple_cycles(ring, max_n=3000) == [(*range(1, 3001), 1)]
+
+
+def test_more_chords_than_k8_are_refused_before_the_walk():
+    # K8 has 21 chords; a ninth good hung on one of its goods adds none,
+    # hung on two it adds a 22nd
+    k8 = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
+    assert check_no_arbitrage_oracle(LogRateMatrix.from_values(new_graph(9, k8 + [(1, 9)]), {}), max_n=9).ok
+    with pytest.raises(OracleSizeError, match="22 chords exceeds the oracle limit of 21"):
+        check_no_arbitrage_oracle(LogRateMatrix.from_values(new_graph(9, k8 + [(1, 9), (2, 9)]), {}), max_n=9)
+
+
+def test_cli_oracle_on_k12_ends_in_a_size_report(tmp_path, capsys):
+    # K12 has 59,740,609 simple cycles: the run must end at once in a report
+    graph, basis, rates = (tmp_path / name for name in ("k12.json", "basis.json", "k12.csv"))
+    main(["gen", "--kind", "complete", "--n", "12", "--seed", "1", "--out", str(graph)])
+    capsys.readouterr()
+    main(["basis", "--graph", str(graph), "--format", "json"])
+    entries = json.loads(capsys.readouterr().out)["data"]["entries"]
+    basis.write_text(json.dumps({"entries": entries, "values": [0.01 * k for k in range(len(entries))]}))
+    assert main(["complete", "--graph", str(graph), "--basis", str(basis), "--out", str(rates)]) == 0
+    src = str(Path(arbx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "arbx.cli", "oracle", "--rates", str(rates), "--max-n", "12", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["data"] == {
+        "error": "OracleSizeError",
+        "message": "55 chords exceeds the oracle limit of 21, the chords of K8",
+    }
