@@ -15,9 +15,9 @@ returns its command's report: verdict, witness, labels, data, its own
 metrics (with the size of the market it read: ``n`` goods, ``edges`` and
 ``chords``) and the digests of the files it read. :func:`main` times the
 call and adds to the metrics ``elapsed_ms``, the spans of the layers that
-ran (``parse_ms``, ``tree_ms``, ``check_ms``; see :mod:`arbx.spans`) and
-``peak_rss_mb``, the process's peak resident set so far, where the
-``resource`` module exists.
+ran (``parse_ms``, ``tree_ms``, ``check_ms``, ``write_ms``; see
+:mod:`arbx.spans`) and ``peak_rss_mb``, the process's peak resident set so
+far, where the ``resource`` module exists.
 """
 
 from __future__ import annotations
@@ -137,7 +137,9 @@ def cmd_oracle(args: argparse.Namespace) -> RunReport:
 def cmd_complete(args: argparse.Namespace) -> RunReport:
     g = _load(args, "graph", _graph_of)
     assignment = _load(args, "basis", _basis_of, g, args.multiplicative)
-    save_rates(args.out, exp_of(complete(assignment)))
+    rates = exp_of(complete(assignment))
+    with span("write_ms"):
+        save_rates(args.out, rates)
     data = {"out": str(args.out), "rows": g._edge_count}
     return _report(args, _index_labels(g), data, dimension=assignment.spec.size, **_sizes(g))
 
@@ -190,7 +192,8 @@ def cmd_perturb(args: argparse.Namespace) -> RunReport:
 
 def cmd_gen(args: argparse.Namespace) -> RunReport:
     g = generate_graph(args.kind, args.n, p=args.p, m=args.m, seed=args.seed)
-    save_graph(args.out, g)
+    with span("write_ms"):
+        save_graph(args.out, g)
     data = {"out": str(args.out), "kind": args.kind, "n": g.n, "seed": args.seed}
     return _report(args, _index_labels(g), data, edge_count=g._lo.size + g._loop_array.size)
 

@@ -26,7 +26,6 @@ import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, partial
-from io import BytesIO
 from itertools import chain, compress, permutations, repeat
 from pathlib import Path
 from types import SimpleNamespace
@@ -41,17 +40,18 @@ from .exchange import DEFAULT_TOL, ArbitrageWitness, RateMatrix, require_tol
 from .graph import MarketGraph, is_connected, new_graph
 
 # A canonical rates file: the bare header (a BOM allowed), then one or more
-# rows of two 1-based indices and a decimal rate, each ending in "\n" but for
-# the last; one np.loadtxt pass parses it, the csv tokenizer any other file.
-# The screen is made of C passes: a translate shows only row bytes follow the
-# header; loadtxt reads each line as two int64 and a float (none blank or of
-# another width); each index is exactly its own digits, its comma right after
-# them and no "e" or "E" inside, which numpy 1.24 would read through a float.
+# rows of two 1-based indices, each exactly its digits, and a rate that
+# float() reads, written with digits and ".eE+-" only, each row ending in
+# "\n" but for the last. _quote_block reads it a block of rows at a time in
+# C passes, the csv tokenizer any other file.
 _CANONICAL_HEADER = b"src,dst,rate\n"
-_ROW_BYTES = b"0123456789,\n.eE+-"
-_HEADER_LETTERS = _CANONICAL_HEADER.translate(None, _ROW_BYTES)
-_QUOTE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("rate", np.float64)])
-_SCAN = 1 << 16  # bytes a screen pass reads at a time
+_SCAN = 1 << 16  # bytes a block of rows reaches before its last row ends
+_FIELDS = bytes.maketrans(b"\n", b",")  # a block's rows as one comma-separated run of fields
+_RUN = 18  # digits that np.fromstring reads into an int64 without saturating
+_POW10 = np.array([10**f for f in range(_RUN + 1)]).astype(np.longdouble)  # exact from int64
+# a long double of 64 (x87) or 113 (IEEE quad) significand bits holds every
+# _RUN-digit integer and 10^f up to 10^27, so that their quotient rounds once
+_EXACT_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
 
 # np.log's and math.log's drifts differ by at most 18u(|log a| + |log b|), u = 2^-53,
 # when each log is within 4 ulps (numpy tests float64 log to 1, glibc documents 1)
@@ -370,66 +370,103 @@ def _key_order(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.nda
     return keys, order, repeat
 
 
-def _found(buf: np.ndarray, start: int, stop: int, byte: int, fold: int = 0) -> np.ndarray:
-    """The offsets in ``buf[start:stop]`` of the bytes that read ``byte``
-    once OR-ed with ``fold``, found a block at a time, so that no mask is
-    sized by the file."""
-    blocks = range(start, stop, _SCAN)
-    return np.concatenate([np.flatnonzero((buf[k : min(k + _SCAN, stop)] | fold) == byte) + k for k in blocks])
-
-
 def _canonical_quotes(data: bytes) -> _Quotes | None:
     """:func:`_tokenized_quotes` of a canonical file, in C passes; None for
     any other file and for every file the tokenizer must reject.
 
-    numpy parses each rate with the routine ``float()`` uses, so the values
-    are the same to the bit; no text, row list or string column is built."""
+    The columns are allocated once from the count of newlines and filled a
+    block of whole rows at a time by :func:`_quote_block`, whose temporaries
+    are sized by the block; no text, row list or string column is built."""
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    end = start + len(_CANONICAL_HEADER)
-    if not data.startswith(_CANONICAL_HEADER, start) or data[end : end + 1] in (b"", b"\n"):
-        return None  # no first row, where loadtxt would warn of no data
-    if data.translate(None, _ROW_BYTES) != data[:start] + _HEADER_LETTERS:
-        return None
-    try:
-        rows = np.loadtxt(BytesIO(data), _QUOTE_ROW, delimiter=",", skiprows=1, ndmin=1, comments=None)
-    except ValueError:  # another width, an empty field, not a number, beyond int64
-        return None
-    i, j = rows["src"], rows["dst"]
-    buf = np.frombuffer(data, np.uint8)
-    starts = _found(buf, end - 1, len(buf) - 1, ord("\n"))  # past each newline but a last one
-    starts += 1
-    n = int(max(i.max(), j.max()))
+    lo = start + len(_CANONICAL_HEADER)
+    if not data.startswith(_CANONICAL_HEADER, start) or data[lo : lo + 1] in (b"", b"\n"):
+        return None  # no first row
+    count = data.count(b"\n", lo) + (data[-1] != 10)
+    i, j, rates = np.empty(count, np.int64), np.empty(count, np.int64), np.empty(count)
     # as in the label table, the indices must name every good up to the
-    # largest; past twice the row count some surely do not, and that is
-    # checked first, so the mask is sized by the file, not by one index
-    if len(starts) != len(rows) or min(i.min(), j.min()) < 1 or n > 2 * len(rows):
+    # largest; past twice the row count some surely do not, so no wider
+    # index is read, and the mask below is sized by the file
+    wide, row = len(str(2 * count)), 0
+    while lo < len(data):
+        hi = data.find(b"\n", lo + _SCAN) + 1 or len(data)
+        if (block := _quote_block(data, lo, hi, wide)) is None:
+            return None
+        k = row + len(block[0])
+        i[row:k], j[row:k], rates[row:k] = block
+        row, lo = k, hi
+    n = int(max(i.max(), j.max()))
+    if n > 2 * count:
         return None
-    # each index must end at a comma inside its row: step past the delimiter
-    # before it and over its digits, counted in place
-    comma = starts - 1
-    for k in (i, j):
-        comma += 2
-        for p in range(1, len(str(n))):
-            comma += k >= 10**p
-        if not ((comma[:-1] < starts[1:]).all() and comma[-1] < len(buf) and (buf[comma] == 44).all()):
-            return None
-    if data.find(b"e", end) >= 0 or data.find(b"E", end) >= 0:  # only in rates
-        at = _found(buf, end, len(buf), ord("e"), 32)
-        if (at < comma[np.searchsorted(starts, at, "right") - 1]).any():
-            return None
-    del buf, starts, comma
     quoted = np.zeros(n + 1, bool)
     quoted[i] = quoted[j] = True
     if not quoted[1:].all():
         return None
     keys, order, repeat = _key_order(n, i, j)
     del i, j
-    # a contiguous rate column, so that the parsed rows are freed
-    rates = np.ascontiguousarray(rows["rate"][order])
-    del rows
+    rates = rates[order]
     if repeat.any() or any(mask.any() for mask in _bad_rates(rates)):
         return None
     return tuple(map(str, range(1, n + 1))), keys, rates
+
+
+def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The src, dst and rate columns of the whole rows ``data[lo:hi]``, or
+    None if a row is not canonical or an index is wider than ``wide``.
+
+    The bytes other than digits place every field, so its width is known
+    before one np.fromstring pass reads each row as three runs of at most
+    _RUN digits, which it cannot saturate: the indices, and a plain rate
+    ``a.b`` as the integer N of its digits; a rate of any other form reads
+    0. A plain rate is N / 10^f, f the digits of b, and both are exact in a
+    long double (see _EXACT_QUOTIENT): their quotient v is rounded once,
+    and x = float64(v) once more. Rounding is monotone and every float64
+    midpoint is a long double, so v is on the same side of each midpoint as
+    N / 10^f, or on one: x is float()'s value unless v is a midpoint, where
+    v - x is half the gap to x's neighbour and 2v - x (exact) is that
+    neighbour, a float64 other than x. Such a rate, one of another form,
+    and any where no long double is exact, goes to float() on its own
+    bytes."""
+    buf = np.frombuffer(data, np.uint8, hi - lo, lo)
+    at = np.flatnonzero((buf < 48) | (buf > 57))
+    kind = buf[at]
+    if data[hi - 1] != 10:  # the file's last row, without its newline
+        at, kind = np.append(at, hi - lo), np.append(kind, np.uint8(10))
+    # each row's marks: its two commas, its only ones, then its rate's, then its end
+    end = np.flatnonzero(kind == 10)
+    first = np.concatenate([[0], end[:-1] + 1])
+    if kind.tobytes().translate(None, b",\n.eE+-") or (end - first < 2).any():
+        return None
+    if np.count_nonzero(kind == 44) != 2 * end.size or (kind[first] != 44).any() or (kind[first + 1] != 44).any():
+        return None
+    plain = (end - first == 3) & (kind[first + 2] == 46)
+    c1, c2, point, end = at[first], at[first + 1], at[first + 2], at[end]
+    start = np.concatenate([[0], end[:-1] + 1])
+    widths = np.concatenate([c1 - start, c2 - c1 - 1])  # the indices': 1 to wide digits, no leading 0
+    if widths.min() < 1 or widths.max() > wide or (buf[start] == 48).any() or (buf[c1 + 1] == 48).any():
+        return None
+    if (end - c2 < 2).any():  # an empty rate
+        return None
+    f, run = end - point - 1, end - c2 - 2  # a plain rate's digits after its point, and all of them
+    plain &= (run > 0) & (run <= _RUN) & _EXACT_QUOTIENT
+    text = buf.copy()  # any other rate becomes a 0 and points
+    other = np.flatnonzero(~plain)
+    text[c2[other] + 1] = 48
+    gone = run[other]
+    text[np.repeat(c2[other] + 2 - np.cumsum(gone) + gone, gone) + np.arange(gone.sum())] = 46
+    runs = np.fromstring(text[: end[-1]].tobytes().translate(_FIELDS, b"."), np.int64, sep=",")
+    ok = np.flatnonzero(plain)
+    v = runs[2::3][ok].astype(np.longdouble)
+    v /= _POW10[f[ok]]
+    rates = np.empty(end.size)
+    rates[ok] = v
+    x = rates[ok].astype(np.longdouble)
+    beyond = v + v - x
+    slow = np.concatenate([other, ok[(beyond.astype(np.float64).astype(np.longdouble) == beyond) & (v != x)]])
+    try:
+        rates[slow] = [float(data[lo + a + 1 : lo + b]) for a, b in zip(c2[slow].tolist(), end[slow].tolist())]
+    except ValueError:  # not a number
+        return None
+    return runs[0::3], runs[1::3], rates
 
 
 def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:

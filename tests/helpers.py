@@ -49,7 +49,7 @@ KINDS = ("tree", "gnp-connected", "preferential-attachment", "complete")
 
 # the metrics main stamps that differ from run to run: the run's time, the
 # spans of the layers that ran, and the process's peak resident set
-RUN_METRICS = ("elapsed_ms", "parse_ms", "tree_ms", "check_ms", "peak_rss_mb")
+RUN_METRICS = ("elapsed_ms", "parse_ms", "tree_ms", "check_ms", "write_ms", "peak_rss_mb")
 _RUN_VALUE = re.compile(r"\b(%s)(\"?[:=] ?)[0-9.e+-]+" % "|".join(RUN_METRICS))
 
 

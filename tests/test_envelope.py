@@ -31,12 +31,12 @@ CHECK = {"cycles_checked", "max_abs_log_gain", *SIZES}
 ENVELOPE = {
     "check": (CHECK, READ | {"check_ms"}, {"filled_reciprocals"}),
     "oracle": (CHECK, READ | {"check_ms"}, {"filled_reciprocals"}),
-    "complete": ({"dimension", *SIZES}, READ, {"out", "rows"}),
+    "complete": ({"dimension", *SIZES}, READ | {"write_ms"}, {"out", "rows"}),
     "basis": ({"dimension", *SIZES}, READ, {"entries"}),
     "dim": ({"dimension", *SIZES}, READ, {"dimension"}),
     "price": (set(SIZES), READ, {"reference", "prices_log", "prices_multiplicative"}),
     "perturb": ({"basis_size", "max_abs_log_delta", *SIZES}, READ, {"mode", "rates"}),
-    "gen": ({"edge_count"}, set(), {"out", "kind", "n", "seed"}),
+    "gen": ({"edge_count"}, {"write_ms"}, {"out", "kind", "n", "seed"}),
 }
 
 

@@ -3,14 +3,17 @@
 ``load_rates`` parses whole columns at once; on every input it must raise
 what the reference raises, with the same message, or return the same labels,
 fills, graph and matrix, bits included. Canonical files (bare indices and
-plain decimal rates, see ``arbx.io._CANONICAL_HEADER``) are parsed in one
-``np.loadtxt`` pass, every other file by the csv tokenizer; both are held to
-the same reference.
+decimal rates, see ``arbx.io._CANONICAL_HEADER``) are read in C passes, a
+plain rate as one exact long-double quotient and any other rate by
+``float()``; every other file goes to the csv tokenizer. Both are held to the
+same reference.
 """
 
 import math
 import pickle
 import random
+import re
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -198,7 +201,7 @@ def test_fuzzed_files(tmp_path_factory, text):
     assert_same(path)
 
 
-# --- the one-pass column parser of canonical files
+# --- the column parser of canonical files
 
 
 @pytest.fixture
@@ -340,8 +343,8 @@ SCREENED = {
     "dst with a sign": "src,dst,rate\n1,+2,2\n2,3,3\n",
     "index 1.0": "src,dst,rate\n1.0,2,2\n2,3,3\n",
     "index 1e0": "src,dst,rate\n1e0,2,2\n2,3,3\n",
-    # as long as the digits of 100: only the screen for "e" in an index
-    # stops it where loadtxt reads an integer through a float
+    # as long as the digits of 100: only an index's own digits are read, so
+    # the "e" stops it where a reader of integers through floats would not
     "index 1e2": "src,dst,rate\n" + "".join(f"{v},{v + 1},2\n" for v in range(1, 99)) + "99,1e2,2\n",
     # the digits of 1000 run one byte past each field, and so past the file
     "indices 1e3 ending the file": "src,dst,rate\n" + "".join(f"{v},{v + 1},2\n" for v in range(1, 1000)) + "1e3,1e3,2",
@@ -456,3 +459,115 @@ def test_a_consistent_sheet_sends_no_pair_to_math_log(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert calls == [] and not got.filled
     assert_same(path)
+
+
+# --- the quote kernel: every rate float()'s bits, plain ones by one division
+
+
+def _kernel_rates(texts):
+    """The rates the quote kernel reads from rows "1,1,<text>", one block."""
+    data = "".join(f"1,1,{t}\n" for t in texts).encode()
+    block = arbx.io._quote_block(data, 0, len(data), 1)
+    assert block is not None, texts
+    return block[2]
+
+
+def _near_midpoint(x, digits, step):
+    """The midpoint between the double x and the next one up, rounded to
+    ``digits`` significant digits and moved ``step`` units in its last one,
+    written without an exponent."""
+    mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+    unit = Decimal(1).scaleb(mid.adjusted() - digits + 1)
+    return format(mid.quantize(unit) + step * unit, "f")
+
+
+def _dotted(digits, at):
+    return digits[:at] + "." + digits[at:]
+
+
+def _near_midpoints(exponents, digits):
+    """Texts of _near_midpoint for doubles m * 2^e, m of 53 bits."""
+    doubles = st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), exponents)
+    return st.builds(_near_midpoint, doubles, digits, st.integers(-1, 1))
+
+
+RATE_TEXTS = st.one_of(
+    st.floats(1e-8, 1e17).map(repr),
+    st.builds(lambda x, k: "%.*g" % (k, x), st.floats(1e-8, 1e17), st.integers(1, 17)),
+    st.builds(_dotted, st.text("0123456789", min_size=1, max_size=18), st.integers(0, 18)),
+    _near_midpoints(st.integers(-62, 4), st.integers(15, 18)),
+    # 18 digits in the binades of 64 and 2^53, whose lower parts (below 100
+    # and 10^16) have a last digit of 10 to 15 ulps of a 64-bit long double:
+    # one text in about 250 rounds onto a float64 midpoint on x87
+    _near_midpoints(st.sampled_from([-46, 1]), st.just(18)),
+)
+# on x87 the last two read wrongly if a quotient rounded onto a midpoint went on to float64
+FIXED_TEXTS = ["9007199254740993", "9007199254740993.0", "0.30000000000000004", ".5", "5.", "1.e5"]
+FIXED_TEXTS += ["94.3362381326613999", "91.8095376814758950"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts=st.lists(RATE_TEXTS, min_size=1, max_size=12))
+def test_kernel_rates_are_the_bits_of_float(texts):
+    assert same_bits(_kernel_rates(texts), [float(t) for t in texts])
+
+
+def test_fixed_kernel_rates_are_the_bits_of_float():
+    assert same_bits(_kernel_rates(FIXED_TEXTS), [float(t) for t in FIXED_TEXTS])
+
+
+@pytest.fixture
+def float_calls(monkeypatch):
+    """The rate texts the kernel hands to float()."""
+    calls = []
+    monkeypatch.setattr(arbx.io, "float", lambda text: calls.append(text) or float(text), raising=False)
+    return calls
+
+
+def test_only_rates_of_another_form_go_to_float(tmp_path, no_tokenizer, float_calls):
+    # a path quoted both ways, its rates plain but every seventh pair's in
+    # e-notation: each of those costs one float() call, and no other rate does
+    def text(k, rate):
+        return "%e" % rate if k % 7 == 0 else repr(rate)
+
+    pairs = [(1.0 + k / 700, 1.0 / (1.0 + k / 700)) for k in range(1, 300)]
+    rows = [f"{k},{k + 1},{text(k, a)}\n{k + 1},{k},{text(k, b)}" for k, (a, b) in enumerate(pairs, 1)]
+    assert_same(_write(tmp_path, "src,dst,rate\n" + "\n".join(rows) + "\n"), tol=1e-5)
+    assert len(float_calls) == 2 * (299 // 7) and all(b"e" in t for t in float_calls)
+
+
+def test_no_digit_run_past_int64_reaches_fromstring(tmp_path, monkeypatch):
+    # np.fromstring reads a run past int64's largest value as that value
+    seen = []
+    fromstring = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda text, *a, **k: seen.append(text) or fromstring(text, *a, **k))
+    rates = ["12345678901234567890.5", "0.000000000000000000000123", "1234567890123456789", "0.0123456789012345678"]
+    rates += ["1.2345678901234567e-300", "123456789012345678.0", ".999999999999999999", "99999999999999999999."]
+    for rate in rates:
+        assert_same(_write(tmp_path, f"src,dst,rate\n1,2,{rate}\n2,3,7.5\n"))
+    assert_same(_write(tmp_path, "src,dst,rate\n1,2,2.5\n2,10000000000000000000,3.5\n"))
+    assert len(seen) == len(rates)
+    assert max(len(run) for text in seen for run in re.findall(rb"[0-9]+", text)) <= 18
+
+
+@pytest.fixture
+def float_only(monkeypatch):
+    """The kernel where no long double is exact: every rate goes to float()."""
+    monkeypatch.setattr(arbx.io, "_EXACT_QUOTIENT", False)
+
+
+@pytest.mark.parametrize("text", CANONICAL.values(), ids=CANONICAL.keys())
+def test_canonical_sheets_without_an_exact_long_double(tmp_path, no_tokenizer, float_only, float_calls, text):
+    test_canonical_sheets_take_the_column_path(tmp_path, None, text)
+    assert len(float_calls) == text.count("\n") - 1 + (not text.endswith("\n"))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_canonical_markets_without_an_exact_long_double(tmp_path, no_tokenizer, float_only, seed):
+    test_canonical_markets_are_identical(tmp_path, None, seed)
+
+
+@pytest.mark.parametrize("kind", ["complete", "pa", "tree"])
+@pytest.mark.parametrize("loops", [False, True])
+def test_saved_index_sheets_without_an_exact_long_double(tmp_path, no_tokenizer, float_only, kind, loops):
+    test_saved_index_sheets_take_the_column_path(tmp_path, None, kind, loops)

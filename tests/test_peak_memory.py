@@ -196,7 +196,7 @@ def test_a_small_budget_keeps_the_verdict_and_the_witness(monkeypatch):
 
 @pytest.mark.parametrize("name", ["path70000", "pa100000"])
 def test_adjacency_equals_the_sorted_key_reference(name):
-    if name == "path70000":  # above 2^16 goods: two radix passes
+    if name == "path70000":  # above 2^16 goods: the argsort
         g = new_graph(70_000, [(v, v + 1) for v in range(1, 70_000)])
     else:
         g = generate_graph("pa", 100_000, m=3, seed=1)

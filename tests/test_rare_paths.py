@@ -56,8 +56,8 @@ def test_a_perturbation_basis_needs_entries(tmp_path, basis):
 
 def test_an_index_written_with_an_exponent_is_a_label(tmp_path):
     # a canonical layout on a path of 100 goods, but index 100 reads "1e2":
-    # as long as "100", so only the exponent screen (numpy 1.24) or loadtxt
-    # (numpy 2) can send the sheet to the tokenizer, which reads a label
+    # as long as "100", so only the rule that an index is its own digits can
+    # send the sheet to the tokenizer, which reads a label
     rows = [f"{k},{k + 1},2.0\n{k + 1},{k},0.5\n" for k in range(1, 100)]
     path = tmp_path / "r.csv"
     path.write_text("src,dst,rate\n" + "".join(rows).replace("100", "1e2"))

@@ -5,6 +5,7 @@ resident set, and the size of the market a command read."""
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -57,6 +58,21 @@ def test_main_stamps_the_spans_within_elapsed_ms(capsys):
     metrics = doc["metrics"]
     assert code == 0 and {"parse_ms", "tree_ms", "check_ms"} <= metrics.keys()
     assert metrics["parse_ms"] + metrics["tree_ms"] + metrics["check_ms"] <= metrics["elapsed_ms"]
+
+
+def test_complete_and_gen_time_their_writes(capsys, monkeypatch, tmp_path):
+    # each writer runs inside write_ms: a writer slowed by 50 ms shows there
+    for name in ("save_rates", "save_graph"):
+        monkeypatch.setattr(cli, name, lambda *args, write=getattr(cli, name): write(*args) or time.sleep(0.05))
+    out = str(tmp_path / "out")
+    basis = ["--basis", str(DATA / "k3_basis_mult.json"), "--multiplicative"]
+    for argv in (
+        ["gen", "--kind", "pa", "--n", "6", "--m", "2", "--seed", "1", "--out", out],
+        ["complete", "--graph", str(DATA / "k3.json"), *basis, "--out", out],
+    ):
+        code, doc = _main_json(capsys, *argv)
+        metrics = doc["metrics"]
+        assert code == 0 and 50.0 <= metrics["write_ms"] <= metrics["elapsed_ms"], argv
 
 
 def test_peak_rss_is_the_process_peak_in_mib(capsys, monkeypatch):
