@@ -4,8 +4,9 @@ matrices, coefficient extraction, and the price-potential representation.
 A set of entry coordinates is a basis exactly when its undirected edges form
 a spanning tree of the graph: tree entries are free, every chord entry is
 then forced by its fundamental cycle, and a non-spanning set leaves some
-component's relative prices undetermined. :func:`dimension_by_rank` verifies
-the resulting dimension count independently, by exact rational elimination.
+component's relative prices undetermined. :func:`dimension_by_rank` recounts
+the dimension by exact rational elimination over the fundamental cycles; each
+holds its own chord, so their rank is the chord count by construction.
 """
 
 from __future__ import annotations
@@ -266,12 +267,16 @@ def dimension(g: MarketGraph) -> int:
 
 
 def dimension_by_rank(g: MarketGraph, *, max_n: int = ORACLE_MAX_VERTICES) -> int:
-    """Independent dimension computation via exact linear algebra.
+    """The dimension by exact elimination over the fundamental cycles.
 
     One variable per undirected non-loop edge (antisymmetry already folded
     in), one zero-sum constraint per fundamental cycle, coefficients +-1;
     the dimension is the edge count minus the exact rank of the constraint
-    system over the rationals. No floating-point judgment is involved.
+    system over the rationals. No floating-point judgment is involved. Each
+    row holds its own chord and no other, so the rank is the chord count by
+    construction: the check that does not depend on the tree is
+    ``tests/test_basis.py::TestDimension::test_all_cycles_add_no_rank``,
+    which ranks every simple cycle (n <= 6).
     """
     from fractions import Fraction  # only here: keeps fractions and decimal out of a CLI run
 

@@ -211,17 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name: str, func, help_text: str, *inputs: str) -> argparse.ArgumentParser:
-        # the subcommand, with --format and a required path option per input
-        # file: the file of --<key> is the report's inputs[key]
+        # the subcommand, with --format, a required path option per input
+        # file (the file of --<key> is the report's inputs[key]) and, with a
+        # rates sheet, the --tol that judges its reciprocal conflicts
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
         for key in inputs:
             p.add_argument(f"--{key}", required=True)
+        if "rates" in inputs:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.set_defaults(func=func)
         return p
 
-    p = add("check", cmd_check, "verify a rates file is arbitrage-free", "rates")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    add("check", cmd_check, "verify a rates file is arbitrage-free", "rates")
 
     p = add("complete", cmd_complete, "fill a full rate matrix from a basis", "graph", "basis")
     p.add_argument("--multiplicative", action="store_true", help="basis values are rates, not logs")
@@ -232,11 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("price", cmd_price, "print the price potential of consistent rates", "rates")
     p.add_argument("--ref", required=True, help="label of the reference good (price 0)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("perturb", cmd_perturb, "propagate basis-rate perturbations", "rates", "delta")
     p.add_argument("--exact", action="store_true", help="exact update instead of first order")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("gen", cmd_gen, "generate a seeded connected test graph")
     p.add_argument("--kind", required=True, choices=("complete", "tree", "gnp", "pa"))
@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = add("oracle", cmd_oracle, "brute-force check over every simple cycle", "rates")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-n", type=int, default=ORACLE_MAX_VERTICES, dest="max_n")
 
     return parser

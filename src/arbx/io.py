@@ -133,6 +133,8 @@ class _Rows:
         """Each block's text, a row as ``lead``, its cells parted by ``sep``
         and ``tail``: a label as its item of ``encode(labels)`` and the
         values as ``numbers(values)``."""
+        if not len(self.order):
+            return
         cells = list(encode(self.labels))
         for src, dst, *values in self._blocks():
             rows = zip(map(cells.__getitem__, src), map(cells.__getitem__, dst), *map(numbers, values))
@@ -310,16 +312,6 @@ RatesFile.filled = cached_property(_filled_pairs)  # type: ignore[assignment]
 RatesFile.filled.__set_name__(RatesFile, "filled")
 
 
-def _first_bad_row(path: str | Path, lines: np.ndarray, quotes: list[list[str]]) -> None:
-    """Raise for the first quote row of another width or with an empty src
-    or dst; run only once a column check has found one."""
-    for lineno, row in zip(lines.tolist(), quotes):
-        if len(row) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        if not row[0].strip() or not row[1].strip():
-            raise ParseError(f"{path}:{lineno}: empty src or dst")
-
-
 def _rate_columns(
     path: str | Path, data: bytes
 ) -> tuple[np.ndarray, list[str], list[str], list[str]]:
@@ -336,12 +328,16 @@ def _rate_columns(
     quotes = list(compress(body, filled))
     if not quotes:
         raise ParseError(f"{path}: no rate rows")
-    if set(map(len, quotes)) != {3}:
-        _first_bad_row(path, lines, quotes)
-    src, dst, rate = (list(map(str.strip, col)) for col in zip(*quotes))
-    if not (all(src) and all(dst)):
-        _first_bad_row(path, lines, quotes)
-    return lines, src, dst, rate
+    if set(map(len, quotes)) == {3}:
+        src, dst, rate = (list(map(str.strip, col)) for col in zip(*quotes))
+        if all(src) and all(dst):
+            return lines, src, dst, rate
+    # a column check failed: name the first row at fault
+    for lineno, row in zip(lines.tolist(), quotes):
+        if len(row) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        if not row[0].strip() or not row[1].strip():
+            raise ParseError(f"{path}:{lineno}: empty src or dst")
 
 
 def _bad_rates(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -498,11 +494,6 @@ def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
 def _parse_rates(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Every rate text as a float, plus a mask of the texts that are not
     numbers (their value reads 1.0)."""
-    try:
-        return np.fromiter(map(float, texts), float, len(texts)), np.zeros(len(texts), bool)
-    except ValueError:
-        pass
-    # some text is not a number: find every such row, for the error's line
     values, junk = np.ones(len(texts)), np.zeros(len(texts), bool)
     for k, text in enumerate(texts):
         try:

@@ -87,7 +87,10 @@ class TestCheck:
         assert code == 1
         assert doc["data"]["error"] == "NotConnectedError"
 
-    @pytest.mark.parametrize("command", [["check"], ["price", "--ref", "1"]])
+    @pytest.mark.parametrize(
+        "command",
+        [["check"], ["price", "--ref", "1"], ["perturb", "--delta", "no-such-delta.json"], ["oracle"]],
+    )
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_is_error(self, capsys, command, tol):
         code, doc = run_json(
@@ -393,6 +396,25 @@ class TestReports:
         with pytest.raises(SystemExit) as exc:
             main(["check"])  # missing --rates
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "--graph", "g.json"],
+            ["dim", "--graph", "g.json"],
+            ["complete", "--graph", "g.json", "--basis", "b.json", "--out", "r.csv"],
+            ["gen", "--kind", "tree", "--n", "3", "--seed", "1", "--out", "g.json"],
+        ],
+    )
+    def test_tolerance_is_a_usage_error_without_rates(self, capsys, tmp_path, monkeypatch, argv):
+        # --tol judges a rates sheet's reciprocal conflicts; these read none
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "1e-9"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "arbx: error: unrecognized arguments: --tol 1e-9" in err
+        assert not any(tmp_path.iterdir())
 
     def test_schema_stable_across_commands(self, capsys, tmp_path):
         gfile = tmp_path / "g.json"

@@ -78,6 +78,31 @@ def test_an_empty_block_is_an_empty_list():
     assert report.to_text() == RunReport("check", "ok", None, {}, {}, (), {"filled_reciprocals": []}).to_text()
 
 
+class _CountedLabels(tuple):
+    """Labels that count how often they are read whole, as an encoder reads them."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_an_empty_block_encodes_no_label(monkeypatch):
+    # check's filled_reciprocals is empty on every sheet quoted both ways
+    names = tuple(map(str, range(1, 1001)))
+    labels = _CountedLabels(names)
+    rows = _Rows([np.zeros(0, np.int64)] * 2, labels, np.zeros(0, np.int64))
+    cells = mock.Mock(wraps=arbx_io._json_cells)
+    monkeypatch.setattr(arbx_io, "_json_cells", cells)
+    report = RunReport("check", "ok", None, {}, {}, names, {"filled_reciprocals": rows})
+    json_text, text = report.to_json(), report.to_text()
+    assert not cells.called and labels.reads == 0
+    listed = RunReport("check", "ok", None, {}, {}, names, {"filled_reciprocals": []})
+    assert json_text == listed.to_json() and '"filled_reciprocals": []' in json_text
+    assert text == listed.to_text() and "\nfilled_reciprocals:\n" in text
+
+
 def test_to_dict_writes_infinities_as_none_and_keeps_nan():
     g = arbx.new_graph(2, [(1, 2), (2, 2)])  # pair (1, 2), then the loop at 2
     rows = arbx_io._rate_rows(np.array([2.0, math.inf, math.nan]), g, ("a", "b"))
