@@ -69,6 +69,7 @@ from .io import (
     _Rows,
     _digest,
     _graph_of,
+    _index_labels,
     _perturbation_of,
     _rates_of,
     _read_bytes,
@@ -78,10 +79,6 @@ from .io import (
 from .spans import recording, span
 
 _EXIT = {"ok": 0, "violation": 2, "error": 1}
-
-
-def _index_labels(g: MarketGraph) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(1, g.n + 1))
 
 
 def _load(args: argparse.Namespace, key: str, parse: Callable, *extra):
@@ -141,20 +138,20 @@ def cmd_complete(args: argparse.Namespace) -> RunReport:
     with span("write_ms"):
         save_rates(args.out, rates)
     data = {"out": str(args.out), "rows": g._edge_count}
-    return _report(args, _index_labels(g), data, dimension=assignment.spec.size, **_sizes(g))
+    return _report(args, _index_labels(g.n), data, dimension=assignment.spec.size, **_sizes(g))
 
 
 def cmd_basis(args: argparse.Namespace) -> RunReport:
     g = _load(args, "graph", _graph_of)
     spec = canonical_basis(g)
     data = {"entries": _Rows(spec._pairs.T - 1, range(1, g.n + 1), np.arange(spec.size))}
-    return _report(args, _index_labels(g), data, dimension=spec.size, **_sizes(g))
+    return _report(args, _index_labels(g.n), data, dimension=spec.size, **_sizes(g))
 
 
 def cmd_dim(args: argparse.Namespace) -> RunReport:
     g = _load(args, "graph", _graph_of)
     dim = dimension(g)
-    return _report(args, _index_labels(g), {"dimension": dim}, dimension=dim, **_sizes(g))
+    return _report(args, _index_labels(g.n), {"dimension": dim}, dimension=dim, **_sizes(g))
 
 
 def cmd_price(args: argparse.Namespace) -> RunReport:
@@ -195,7 +192,7 @@ def cmd_gen(args: argparse.Namespace) -> RunReport:
     with span("write_ms"):
         save_graph(args.out, g)
     data = {"out": str(args.out), "kind": args.kind, "n": g.n, "seed": args.seed}
-    return _report(args, _index_labels(g), data, edge_count=g._lo.size + g._loop_array.size)
+    return _report(args, _index_labels(g.n), data, edge_count=g._lo.size + g._loop_array.size)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -26,7 +26,8 @@ import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, compress, permutations, repeat
+from io import BytesIO, TextIOWrapper
+from itertools import chain, permutations, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
@@ -312,32 +313,44 @@ RatesFile.filled = cached_property(_filled_pairs)  # type: ignore[assignment]
 RatesFile.filled.__set_name__(RatesFile, "filled")
 
 
-def _rate_columns(
-    path: str | Path, data: bytes
-) -> tuple[np.ndarray, list[str], list[str], list[str]]:
-    """The quote rows as stripped src, dst and rate columns, plus each row's
-    line in the file. Blank rows are skipped but still counted; the first
-    row of another width, or with an empty src or dst, is an error."""
-    rows = list(csv.reader(_decode(path, data).splitlines()))
-    if not rows or [c.strip().lower() for c in rows[0]] != ["src", "dst", "rate"]:
-        raise ParseError(f"{path}: first line must be the header 'src,dst,rate'")
-    body = rows[1:]
-    # a row is blank when its cells, joined, are only whitespace
-    filled = list(map(bool, map(str.strip, map("".join, body))))
-    lines = np.flatnonzero(filled) + 2
-    quotes = list(compress(body, filled))
-    if not quotes:
+def _index_labels(n: int) -> tuple[str, ...]:
+    """The labels of n goods named by their 1-based indices."""
+    return tuple(map(str, range(1, n + 1)))
+
+
+def _rate_columns(path: str | Path, data: bytes) -> tuple[list[int], list[str], list[str], list[str], np.ndarray, list[int]]:
+    """Each quote row's line, stripped src and dst (one string per label)
+    and rate text, and its rate, in one walk of the csv reader; a text that
+    is not a number reads 1.0 and its position is listed. Rows end at CR, LF
+    or CRLF outside quotes; blank ones are skipped, and the first row of
+    another width, with an empty src or dst, or rejected by csv is an error."""
+    _decode(path, data)  # a byte that is not UTF-8 is the first error; the reader decodes a chunk at a time
+    reader = csv.reader(TextIOWrapper(BytesIO(data), "utf-8-sig", newline=""))
+    names, lines, src, dst, texts, rates, junk = {}, [], [], [], [], [], []
+    try:
+        if [c.strip().lower() for c in next(reader, [])] != ["src", "dst", "rate"]:
+            raise ParseError(f"{path}: first line must be the header 'src,dst,rate'")
+        start = reader.line_num + 1  # the line the next row starts on
+        for row in reader:
+            if len(row) == 3 and (a := row[0].strip()) and (b := row[1].strip()):
+                lines.append(start)
+                src.append(names.setdefault(a, a))
+                dst.append(names.setdefault(b, b))
+                texts.append(text := row[2].strip())
+                try:
+                    rates.append(float(text))
+                except ValueError:  # not a number
+                    junk.append(len(rates))
+                    rates.append(1.0)
+            elif "".join(row).strip():  # not blank
+                fault = "empty src or dst" if len(row) == 3 else f"expected 3 columns, got {len(row)}"
+                raise ParseError(f"{path}:{start}: {fault}")
+            start = reader.line_num + 1
+    except csv.Error as exc:  # a field past csv's size limit, say
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    if not texts:
         raise ParseError(f"{path}: no rate rows")
-    if set(map(len, quotes)) == {3}:
-        src, dst, rate = (list(map(str.strip, col)) for col in zip(*quotes))
-        if all(src) and all(dst):
-            return lines, src, dst, rate
-    # a column check failed: name the first row at fault
-    for lineno, row in zip(lines.tolist(), quotes):
-        if len(row) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        if not row[0].strip() or not row[1].strip():
-            raise ParseError(f"{path}:{lineno}: empty src or dst")
+    return lines, src, dst, texts, np.array(rates), junk
 
 
 def _bad_rates(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,7 +415,7 @@ def _canonical_quotes(data: bytes) -> _Quotes | None:
     rates = rates[order]
     if repeat.any() or any(mask.any() for mask in _bad_rates(rates)):
         return None
-    return tuple(map(str, range(1, n + 1))), keys, rates
+    return _index_labels(n), keys, rates
 
 
 def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -469,19 +482,17 @@ def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
     """The label table, the quote keys of :func:`_key_order` ascending and
     the rates in that order, read through the csv tokenizer, which raises
     every error of the rows, the labels and the rates."""
-    lines, src, dst, rate_text = _rate_columns(path, data)
+    lines, src, dst, rate_text, rates, junk = _rate_columns(path, data)
     labels, to_index = _label_table(path, {*src, *dst})
-    n, count = len(labels), len(lines)
-    i = np.fromiter(map(to_index, src), np.int64, count)
-    j = np.fromiter(map(to_index, dst), np.int64, count)
-    rates, junk = _parse_rates(rate_text)
-    keys, order, repeat = _key_order(n, i, j)
+    i, j = (np.fromiter(map(to_index, column), np.int64, len(column)) for column in (src, dst))
+    keys, order, repeat = _key_order(len(labels), i, j)
     not_positive, tiny = _bad_rates(rates)
-    bad = junk | not_positive | tiny | repeat
+    bad = not_positive | tiny | repeat
+    bad[junk] = True
     if bad.any():
         k = int(np.argmax(bad))
         where = f"{path}:{lines[k]}"
-        if junk[k]:
+        if k in junk:
             raise ParseError(f"{where}: rate {rate_text[k]!r} is not a number")
         if not_positive[k]:
             raise ParseError(f"{where}: rate must be positive and finite, got {rate_text[k]}")
@@ -489,18 +500,6 @@ def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
             raise ParseError(f"{where}: rate {rate_text[k]} is too small: its reciprocal overflows")
         raise ParseError(f"{where}: duplicate quote {src[k]}->{dst[k]}")
     return labels, keys, rates[order]
-
-
-def _parse_rates(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Every rate text as a float, plus a mask of the texts that are not
-    numbers (their value reads 1.0)."""
-    values, junk = np.ones(len(texts)), np.zeros(len(texts), bool)
-    for k, text in enumerate(texts):
-        try:
-            values[k] = float(text)
-        except ValueError:
-            junk[k] = True
-    return values, junk
 
 
 def _label_table(path: str | Path, tokens: set[str]) -> tuple[tuple[str, ...], Callable[[str], int]]:
@@ -511,7 +510,7 @@ def _label_table(path: str | Path, tokens: set[str]) -> tuple[tuple[str, ...], C
         # quoted: say so before a label per index, or int() of a longer token
         if max(map(len, tokens)) > len(str(len(tokens))) or (n := max(map(int, tokens))) > len(tokens):
             raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
-        return tuple(str(i) for i in range(1, n + 1)), int
+        return _index_labels(n), int
     labels = tuple(sorted(tokens))
     position = {lab: k + 1 for k, lab in enumerate(labels)}
     return labels, position.__getitem__
@@ -531,7 +530,8 @@ def load_rates(path: str | Path, tol: float = DEFAULT_TOL) -> RatesFile:
     earliest line with a bad rate or a repeated quote (the rate first on one
     line), then the first conflicting pair in ascending (i, j) order, then
     connectivity. A bad rate is one that is not a positive finite number or
-    whose reciprocal overflows. Each check runs over whole columns.
+    whose reciprocal overflows. Each check past the row layout runs over
+    whole columns.
 
     A canonical file (see ``_CANONICAL_HEADER``) whose rows pass the checks
     up to the bad rates is parsed in C passes, unsorted if in key order;
@@ -630,7 +630,7 @@ def save_rates(path: str | Path, r: RateMatrix, labels: Sequence[str] | None = N
     """Write every edge's quotes as CSV: both directions per pair, loops once,
     rendered from the rate arrays a block at a time, each label's cell once
     and a rate as its repr, which is how the csv writer renders a float."""
-    names = tuple(labels) if labels else tuple(str(i) for i in range(1, r.n + 1))
+    names = tuple(labels) if labels else _index_labels(r.n)
     # a row of the cell and an empty one renders the cell as inside a quote row
     rendered: list[str] = []
     csv.writer(SimpleNamespace(write=rendered.append), lineterminator="\n").writerows((lab, "") for lab in names)

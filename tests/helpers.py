@@ -141,11 +141,17 @@ def reference_load_rates(path, tol=1e-9):
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: invalid byte at offset {exc.start}") from None
-    table = list(csv.reader(text.splitlines()))
-    if not table or [c.strip().lower() for c in table[0]] != ["src", "dst", "rate"]:
+    # rows end only at CR, LF or CRLF outside quotes; each is numbered by
+    # the line it starts on
+    reader = csv.reader(io.StringIO(text, newline=""))
+    table, start = [], 1
+    for row in reader:
+        table.append((start, row))
+        start = reader.line_num + 1
+    if not table or [c.strip().lower() for c in table[0][1]] != ["src", "dst", "rate"]:
         raise ParseError(f"{path}: first line must be the header 'src,dst,rate'")
     rows = []
-    for lineno, row in enumerate(table[1:], start=2):
+    for lineno, row in table[1:]:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != 3:

@@ -80,6 +80,37 @@ def test_invalid_utf8_is_an_error_report(tmp_path, kind):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("at, line", [(0, 1), (1, 2), (2, 4)])
+def test_a_field_past_the_csv_limit_is_an_error_report(tmp_path, at, line):
+    # csv refuses a field of more than 131,072 characters; the row after
+    # the quoted newline starts on line 4
+    rows = ["src,dst,rate", '"a\nb",c,2', "c,d,3"]
+    rows.insert(at, "x" * 140_000 + ",y,2")
+    rates = tmp_path / "rates.csv"
+    rates.write_text("\n".join(rows) + "\n")
+    proc = _cli("check", "--rates", rates)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["data"] == {
+        "error": "ParseError",
+        "message": f"{rates}:{line}: field larger than field limit (131072)",
+    }
+    assert proc.returncode == 1
+
+
+def test_a_nul_byte_ends_in_a_report(tmp_path):
+    # csv reads it as a character from Python 3.11 on and refuses it before
+    rates = tmp_path / "rates.csv"
+    rates.write_text("src,dst,rate\nx\0y,z,2\n")
+    proc = _cli("check", "--rates", rates)
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    if sys.version_info < (3, 11):
+        assert doc["data"]["error"] == "ParseError" and doc["data"]["message"].startswith(f"{rates}:2: ")
+        assert proc.returncode == 1
+    else:
+        assert doc["labels"] == ["x\0y", "z"] and proc.returncode == 0
+
+
 def test_oracle_on_a_ring_of_1500_goods_ends_in_a_report(tmp_path):
     # its one cycle is longer than the default recursion limit
     n = 1500

@@ -201,6 +201,70 @@ def test_fuzzed_files(tmp_path_factory, text):
     assert_same(path)
 
 
+# --- rows end only at CR, LF or CRLF outside quotes
+
+
+def test_a_quoted_newline_stays_in_its_label(tmp_path):
+    # "a\nb" and ab are two goods
+    got = assert_same(_write(tmp_path, 'src,dst,rate\n"a\nb",c,2\nab,c,3\nc,"a\nb",0.5\n'))
+    assert got.labels == ("a\nb", "ab", "c")
+    assert got.filled == ((3, 2),)
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_a_line_boundary_of_str_splitlines_ends_no_row(tmp_path, sep):
+    got = assert_same(_write(tmp_path, f"src,dst,rate\nEU{sep}R,USD,2\nUSD,JPY,150\n"))
+    assert got.labels == (f"EU{sep}R", "JPY", "USD")
+
+
+LINES = {
+    "after a quoted newline": ('"a\nb",c,1.5\nc,d,zz\n', ":4: rate 'zz' is not a number"),
+    "a row spanning lines is numbered by its first": ('a,b,2\n\n"c\n\nd",e\n', ":4: expected 3 columns, got 2"),
+    "CRLF": ("1,2,2\r\n\r\n2,3,x\r\n", ":4: rate 'x' is not a number"),
+    "lone CR": ("1,2,2\r\r2,3,x\r", ":4: rate 'x' is not a number"),
+    "a quoted CRLF": ('"a\r\nb",c,2\r\nc,d,0\r\n', ":4: rate must be positive and finite, got 0"),
+}
+
+
+@pytest.mark.parametrize("text, message", LINES.values(), ids=LINES.keys())
+def test_rows_are_numbered_by_the_line_they_start_on(tmp_path, text, message):
+    path = tmp_path / "r.csv"
+    path.write_bytes(("src,dst,rate\n" + text).encode())
+    got = assert_same(path)
+    assert isinstance(got, tuple) and message in got[1]
+
+
+def _csv_cell(draw, text):
+    """A cell's text, quoted where it must be and at random elsewhere."""
+    must = any(c in text for c in ',"\r\n')
+    return '"' + text.replace('"', '""') + '"' if must or draw(st.integers(0, 3)) == 0 else text
+
+
+SHEET_LABELS = st.sampled_from(["EUR", "USD", " JPY ", "a,b", "a\nb", 'say "x"', "1", "2", "3", "10", "02"])
+SHEET_RATES = st.sampled_from(["2", "0.5", "1.0", " 4 ", "1e3", "0", "-1", "nan", "inf", "1e-320", "x", ""])
+SHEET_CELLS = st.one_of(SHEET_LABELS, SHEET_RATES, st.sampled_from(["", " ", "\t", "  \t "]))
+SHEET_HEADERS = st.sampled_from(["src,dst,rate"] * 4 + ["SRC, dst ,Rate", '"src","dst","rate"', "src,dst", "src,dst,rate,"])
+
+
+@st.composite
+def quoted_sheets(draw):
+    """Sheets with quoted cells, blank and whitespace-only rows, rows of 0 to
+    4 cells, good, bad and junk rates, LF, CRLF or CR endings and maybe a BOM."""
+    quote = st.tuples(SHEET_LABELS, SHEET_LABELS, SHEET_RATES)
+    rows = draw(st.lists(st.one_of(quote, quote, quote, st.lists(SHEET_CELLS, max_size=4)), max_size=8))
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    lines = [draw(SHEET_HEADERS)] + [",".join(_csv_cell(draw, c) for c in row) for row in rows]
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(line + draw(ends) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=quoted_sheets())
+def test_quoted_sheets_match_the_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "quoted_rates.csv"
+    path.write_bytes(text.encode())
+    assert_same(path)
+
+
 # --- the column parser of canonical files
 
 
