@@ -33,7 +33,6 @@ from .graph import (
     SMALL_LEVEL,
     MarketGraph,
     TreeArrays,
-    _bfs_tree,
     _connected_tree,
     _spanning_entries,
     _vertex,
@@ -48,7 +47,8 @@ class BasisSpec:
     """Ordered entry coordinates meant to determine a whole matrix.
 
     A spec is just a record; :func:`is_basis` decides validity. It holds its
-    pairs as an array and builds ``entries`` only when it is first read.
+    pairs as an array and builds ``entries`` only when it is first read; the
+    search that makes it a basis runs once, when a completion first needs it.
     """
 
     graph: MarketGraph
@@ -64,6 +64,14 @@ class BasisSpec:
     @property
     def size(self) -> int:
         return len(self._pairs)
+
+    @cached_property
+    def _found(self) -> tuple[np.ndarray, TreeArrays]:
+        # the basis's edge ids and search tree, found once per spec
+        found = _spanning_entries(self.graph, self._pairs, NotABasisError)
+        if found is None:
+            raise NotABasisError("entries do not form a spanning tree of the graph")
+        return found
 
 
 # as MarketGraph.edges: the tuples are built from the array on first read
@@ -150,13 +158,6 @@ def is_basis(g: MarketGraph, entries: Sequence[tuple[int, int]]) -> bool:
     return _spanning_entries(g, entries) is not None
 
 
-def _require_basis(spec: BasisSpec) -> tuple[np.ndarray, TreeArrays]:
-    found = _spanning_entries(spec.graph, spec._pairs, NotABasisError)
-    if found is None:
-        raise NotABasisError("entries do not form a spanning tree of the graph")
-    return found
-
-
 def _climb(t: TreeArrays, values: np.ndarray) -> np.ndarray:
     # potentials down a breadth-first tree from good 1 at 0: each vertex
     # adds the value of its step from its parent to the parent's potential,
@@ -184,15 +185,6 @@ def _climb(t: TreeArrays, values: np.ndarray) -> np.ndarray:
     return p
 
 
-def _potentials(
-    n: int, entries: Sequence[tuple[int, int]], values: Sequence[float]
-) -> list[float]:
-    # entry (i, j) = v of a spanning tree pins p[j-1] - p[i-1] = v
-    i, j = np.array(entries, dtype=np.intp).reshape(-1, 2).T - 1
-    vals = np.asarray(values, dtype=float)
-    return _climb(_bfs_tree(n, i, j), np.concatenate([vals, -vals])).tolist()
-
-
 def _differences(g: MarketGraph, prices: Sequence[float] | np.ndarray) -> np.ndarray:
     # edge values in edge-id order: prices[j-1] - prices[i-1] for (i, j), 0 on loops
     p = np.asarray(prices, dtype=float)
@@ -201,11 +193,9 @@ def _differences(g: MarketGraph, prices: Sequence[float] | np.ndarray) -> np.nda
     return np.concatenate([forward, -forward, np.zeros(g._loop_array.size)])
 
 
-def _complete(
-    g: MarketGraph, found: tuple[np.ndarray, TreeArrays], values: Sequence[float]
-) -> LogRateMatrix:
-    # the completion over a basis that _require_basis found
-    ids, tree = found
+def _complete(spec: BasisSpec, values: Sequence[float]) -> LogRateMatrix:
+    # the completion over the basis of a spec
+    g, (ids, tree) = spec.graph, spec._found
     basis = np.array(values, dtype=float)
     # the search steps along entry k as pair k and against it as pair m + k
     out = _differences(g, _climb(tree, np.concatenate([basis, -basis])))
@@ -226,7 +216,7 @@ def complete(a: BasisAssignment) -> LogRateMatrix:
     basis tree and good by good along small ones, and is bit-for-bit
     deterministic.
     """
-    return _complete(a.spec.graph, _require_basis(a.spec), a.values)
+    return _complete(a.spec, a.values)
 
 
 def epsilon_matrices(spec: BasisSpec) -> EpsilonBasis:
@@ -235,13 +225,9 @@ def epsilon_matrices(spec: BasisSpec) -> EpsilonBasis:
     These matrices form a linear basis of the arbitrage-free space, and the
     coordinate read-off property holds exactly, not within tolerance.
     """
-    found = _require_basis(spec)
-    mats = []
-    for k in range(spec.size):
-        unit = [0.0] * spec.size
-        unit[k] = 1.0
-        mats.append(_complete(spec.graph, found, unit))
-    return EpsilonBasis(spec=spec, matrices=tuple(mats))
+    spec._found  # a spec that is no basis raises before any matrix
+    units = (np.arange(spec.size) == k for k in range(spec.size))
+    return EpsilonBasis(spec=spec, matrices=tuple(_complete(spec, unit) for unit in units))
 
 
 def decompose(
@@ -252,7 +238,7 @@ def decompose(
     Read directly off the basis coordinates; no system is solved. The sum of
     coefficient-weighted unit responses reproduces ``e``.
     """
-    ids, _ = _require_basis(spec)
+    ids = spec._found[0]
     if e.graph != spec.graph:
         raise GraphMismatchError("matrix and basis live on different graphs")
     if not check_no_arbitrage(e, tol).ok:

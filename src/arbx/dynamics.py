@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, _complete, _entry_values, _require_basis
+from .basis import BasisSpec, _complete, _entry_values
 from .errors import GraphMismatchError, NotArbitrageFreeError, SpecMismatchError
 from .exchange import DEFAULT_TOL, LogRateMatrix, RateMatrix, _dense, check_no_arbitrage, exp_of
 
@@ -42,8 +42,7 @@ class PerturbationOperator:
     spec: BasisSpec
 
     def __post_init__(self) -> None:
-        # the basis's edge ids and search tree, found once per operator
-        object.__setattr__(self, "_found", _require_basis(self.spec))
+        self.spec._found  # the spec's search, which raises unless it is a basis
 
 
 def build_operator(spec: BasisSpec) -> PerturbationOperator:
@@ -59,7 +58,7 @@ def propagate_log(op: PerturbationOperator, d: PerturbationVector) -> LogRateMat
     """
     if d.spec != op.spec:
         raise SpecMismatchError("perturbation and operator use different bases")
-    return _complete(op.spec.graph, op._found, d.deltas)
+    return _complete(op.spec, d.deltas)
 
 
 def propagate_multiplicative_first_order(

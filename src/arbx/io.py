@@ -27,7 +27,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, partial
 from io import BytesIO, TextIOWrapper
-from itertools import chain, permutations, repeat
+from itertools import chain, islice, permutations, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
@@ -141,12 +141,10 @@ class _Rows:
             rows = zip(map(cells.__getitem__, src), map(cells.__getitem__, dst), *map(numbers, values))
             yield lead + (tail + lead).join(map(sep.join, rows)) + tail
 
-    def tolist(self, null: bool = False) -> list[list]:
-        """The rows as lists; with ``null``, ±inf values as None."""
+    def tolist(self) -> list[list]:
+        """The rows as lists."""
         get, rows = self.labels.__getitem__, []
         for src, dst, *values in self._blocks():
-            if null and values:
-                values = [[None if math.isinf(v) else v for v in values[0]]]
             rows += map(list, zip(map(get, src), map(get, dst), *values))
         return rows
 
@@ -318,39 +316,44 @@ def _index_labels(n: int) -> tuple[str, ...]:
     return tuple(map(str, range(1, n + 1)))
 
 
-def _rate_columns(path: str | Path, data: bytes) -> tuple[list[int], list[str], list[str], list[str], np.ndarray, list[int]]:
-    """Each quote row's line, stripped src and dst (one string per label)
-    and rate text, and its rate, in one walk of the csv reader; a text that
-    is not a number reads 1.0 and its position is listed. Rows end at CR, LF
-    or CRLF outside quotes; blank ones are skipped, and the first row of
-    another width, with an empty src or dst, or rejected by csv is an error."""
+def _quote_rows(path: str | Path, data: bytes) -> Iterator[tuple[int, str, str, str]]:
+    """Each quote row's line and its stripped src, dst and rate text, in one
+    walk of the csv reader. Rows end at CR, LF or CRLF outside quotes; blank
+    ones are skipped, and the first row of another width, with an empty src
+    or dst, or rejected by csv is an error."""
     _decode(path, data)  # a byte that is not UTF-8 is the first error; the reader decodes a chunk at a time
     reader = csv.reader(TextIOWrapper(BytesIO(data), "utf-8-sig", newline=""))
-    names, lines, src, dst, texts, rates, junk = {}, [], [], [], [], [], []
     try:
         if [c.strip().lower() for c in next(reader, [])] != ["src", "dst", "rate"]:
             raise ParseError(f"{path}: first line must be the header 'src,dst,rate'")
         start = reader.line_num + 1  # the line the next row starts on
         for row in reader:
             if len(row) == 3 and (a := row[0].strip()) and (b := row[1].strip()):
-                lines.append(start)
-                src.append(names.setdefault(a, a))
-                dst.append(names.setdefault(b, b))
-                texts.append(text := row[2].strip())
-                try:
-                    rates.append(float(text))
-                except ValueError:  # not a number
-                    junk.append(len(rates))
-                    rates.append(1.0)
+                yield start, a, b, row[2].strip()
             elif "".join(row).strip():  # not blank
                 fault = "empty src or dst" if len(row) == 3 else f"expected 3 columns, got {len(row)}"
                 raise ParseError(f"{path}:{start}: {fault}")
             start = reader.line_num + 1
     except csv.Error as exc:  # a field past csv's size limit, say
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    if not texts:
+
+
+def _rate_columns(path: str | Path, data: bytes) -> tuple[list[str], list[str], np.ndarray, list[int]]:
+    """The src and dst of each of :func:`_quote_rows` (one string per label)
+    and its rate; a text that is not a number reads 1.0 and its position is
+    listed."""
+    names, src, dst, rates, junk = {}, [], [], [], []
+    for _, a, b, text in _quote_rows(path, data):
+        src.append(names.setdefault(a, a))
+        dst.append(names.setdefault(b, b))
+        try:
+            rates.append(float(text))
+        except ValueError:  # not a number
+            junk.append(len(rates))
+            rates.append(1.0)
+    if not rates:
         raise ParseError(f"{path}: no rate rows")
-    return lines, src, dst, texts, np.array(rates), junk
+    return src, dst, np.array(rates), junk
 
 
 def _bad_rates(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -482,7 +485,7 @@ def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
     """The label table, the quote keys of :func:`_key_order` ascending and
     the rates in that order, read through the csv tokenizer, which raises
     every error of the rows, the labels and the rates."""
-    lines, src, dst, rate_text, rates, junk = _rate_columns(path, data)
+    src, dst, rates, junk = _rate_columns(path, data)
     labels, to_index = _label_table(path, {*src, *dst})
     i, j = (np.fromiter(map(to_index, column), np.int64, len(column)) for column in (src, dst))
     keys, order, repeat = _key_order(len(labels), i, j)
@@ -491,14 +494,15 @@ def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
     bad[junk] = True
     if bad.any():
         k = int(np.argmax(bad))
-        where = f"{path}:{lines[k]}"
+        line, a, b, text = next(islice(_quote_rows(path, data), k, None))  # walked again to name it
+        where = f"{path}:{line}"
         if k in junk:
-            raise ParseError(f"{where}: rate {rate_text[k]!r} is not a number")
+            raise ParseError(f"{where}: rate {text!r} is not a number")
         if not_positive[k]:
-            raise ParseError(f"{where}: rate must be positive and finite, got {rate_text[k]}")
+            raise ParseError(f"{where}: rate must be positive and finite, got {text}")
         if tiny[k]:
-            raise ParseError(f"{where}: rate {rate_text[k]} is too small: its reciprocal overflows")
-        raise ParseError(f"{where}: duplicate quote {src[k]}->{dst[k]}")
+            raise ParseError(f"{where}: rate {text} is too small: its reciprocal overflows")
+        raise ParseError(f"{where}: duplicate quote {a}->{b}")
     return labels, keys, rates[order]
 
 
@@ -715,12 +719,12 @@ class RunReport:
                 raise ValueError(f"metric {key} must be non-negative")
 
     def to_dict(self) -> dict:
-        """The report as plain JSON values; a float beyond the float range
-        (JSON has no infinity) is written as None."""
-        return self._doc(partial(_Rows.tolist, null=True))
+        """The report as plain JSON values, :meth:`to_json` read back; a
+        float beyond the float range (JSON has no infinity) is None."""
+        return json.loads(self.to_json())
 
-    def _doc(self, rows: Callable[[_Rows], object]) -> dict:
-        # to_dict, with each row block in data as rows(block)
+    def _doc(self) -> dict:
+        # the report's JSON document, each row block in data as it is
         w = self.witness
         witness = None if w is None else {
             "cycle": list(w.cycle),
@@ -735,7 +739,7 @@ class RunReport:
             "metrics": dict(self.metrics),
             "inputs": dict(self.inputs),
             "labels": list(self.labels),
-            "data": {k: rows(v) if type(v) is _Rows else _inf_to_none(v) for k, v in self.data.items()},
+            "data": {k: v if type(v) is _Rows else _inf_to_none(v) for k, v in self.data.items()},
         }
 
     def to_json(self) -> str:
@@ -749,20 +753,20 @@ class RunReport:
         """The text of :meth:`to_json` (``fmt`` "json") or :meth:`to_text`
         in pieces, row blocks rendered one block at a time."""
         if fmt == "json":
-            yield from _json_chunks(self._doc(lambda rows: rows))
+            yield from _json_chunks(self._doc())
             return
         yield f"arbx {self.command}\nverdict: {self.verdict}"
         if (w := self.witness) is not None:
-            path = " -> ".join(self.labels[v - 1] if 1 <= v <= len(self.labels) else str(v) for v in w.cycle)
+            path = " -> ".join(_cell(self.labels[v - 1]) if 1 <= v <= len(self.labels) else str(v) for v in w.cycle)
             yield f"\nwitness: {path}\n  log gain: {w.log_gain:.12g}\n  multiplicative gain: {w.multiplicative_gain:.12g}"
         for key, value in self.data.items():
             if type(value) is _Rows:
                 yield f"\n{key}:"
-                yield from value._render(partial(map, str), "\n  ", ",", "", partial(map, _num))
+                yield from value._render(partial(map, _cell), "\n  ", ",", "", partial(map, _num))
             else:
                 yield _render(key, value)
         tail = {
-            "labels": [f"{lab}={k}" for k, lab in enumerate(self.labels, 1)],
+            "labels": [f"{_cell(lab)}={k}" for k, lab in enumerate(self.labels, 1)],
             "metrics": [f"{k}={_num(v)}" for k, v in sorted(self.metrics.items())],
             "inputs": [f"{k}={v}" for k, v in sorted(self.inputs.items())],
         }
@@ -784,10 +788,19 @@ def _num(v: object) -> str:
     return str(v)
 
 
+def _cell(v: object) -> str:
+    """A label or row cell of the text report: a number by :func:`_num`, a
+    string as it is or, where it holds a space, a comma, "=", a double quote,
+    CR or LF, as a CSV cell (in double quotes, each inner one doubled)."""
+    if not isinstance(v, str):
+        return _num(v)
+    return '"' + v.replace('"', '""') + '"' if re.search('[ ,="\r\n]', v) else v
+
+
 def _render(key: str, value: object) -> str:
     """The text lines of one data item, each after a newline."""
     if isinstance(value, list):
         if all(isinstance(item, list) for item in value):
-            return f"\n{key}:" + "".join("\n  " + ",".join(map(_num, item)) for item in value)
+            return f"\n{key}:" + "".join("\n  " + ",".join(map(_cell, item)) for item in value)
         return f"\n{key}: " + " ".join(map(_num, value))
     return f"\n{key}: {_num(value)}"

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -471,6 +473,34 @@ class TestReports:
         steady(doc)
         golden = json.loads((GOLDEN / "check_triangle_ok.json").read_text())
         assert doc == golden
+
+    @pytest.mark.parametrize("sheet", [
+        'src,dst,rate\n"a\nb",c,2\nc,"a\nb",0.5\n',
+        "src,dst,rate\nEU R,USD,2\n",
+        'src,dst,rate\n"x,y",z,2\nz,w,3\n',
+    ])
+    def test_text_labels_read_back(self, capsys, tmp_path, sheet):
+        # the labels line is one CSV row parted by spaces; a cell is label=k at its last "="
+        rates = tmp_path / "r.csv"
+        rates.write_text(sheet, newline="")
+        _, text = run(capsys, "check", "--rates", str(rates))
+        _, doc = run_json(capsys, "check", "--rates", str(rates))
+        line = text[text.index("\nlabels: ") + len("\nlabels: ") :]
+        cells = next(csv.reader(io.StringIO(line, newline=""), delimiter=" "))
+        assert [cell.rpartition("=")[::2] for cell in cells] == [(lab, str(k)) for k, lab in enumerate(doc["labels"], 1)]
+
+    def test_text_rows_and_witness_read_back(self, capsys, tmp_path):
+        rates, delta = tmp_path / "r.csv", tmp_path / "d.json"
+        rates.write_text('src,dst,rate\n"x,y",z,2\nz,w,3\n')
+        delta.write_text(json.dumps({"basis": {"entries": [[2, 3], [3, 1]]}, "deltas": [0.0, 0.0]}))
+        _, text = run(capsys, "perturb", "--rates", str(rates), "--delta", str(delta))
+        _, doc = run_json(capsys, "perturb", "--rates", str(rates), "--delta", str(delta))
+        block = text[text.index("\nrates:\n") : text.index("\nlabels: ")].splitlines()[2:]
+        rows = list(csv.reader(line.strip() for line in block))
+        assert [row[:2] for row in rows] == [row[:2] for row in doc["data"]["rates"]]
+        rates.write_text("src,dst,rate\nEU R,USD,2\nUSD,JPY,3\nJPY,EU R,0.2\n")
+        code, text = run(capsys, "check", "--rates", str(rates))
+        assert code == 2 and '\nwitness: JPY -> USD -> "EU R" -> JPY\n' in text
 
     def test_violation_requires_witness(self):
         with pytest.raises(ValueError):

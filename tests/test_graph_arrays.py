@@ -28,7 +28,9 @@ from arbx import (
     build_operator,
     canonical_basis,
     complete,
+    decompose,
     dimension,
+    epsilon_matrices,
     generate_graph,
     is_basis,
     is_connected,
@@ -37,9 +39,8 @@ from arbx import (
     propagate_log,
     spanning_tree,
 )
-from arbx import dynamics
-from arbx.basis import _potentials
-from arbx.graph import SMALL_LEVEL
+from arbx import basis
+from arbx.graph import SMALL_LEVEL, _spanning_entries
 from helpers import (
     random_assignment,
     reference_bfs,
@@ -156,9 +157,6 @@ def _assert_same_values(g, seed):
     for spec in (canonical_basis(g), _random_tree_spec(g, seed)):
         values = tuple(rng.uniform(-3.0, 3.0) for _ in spec.entries)
         assert is_basis(g, spec.entries)
-        assert _potentials(g.n, spec.entries, values) == reference_potentials(
-            g.n, spec.entries, values
-        )
         e = complete(BasisAssignment(spec=spec, values=values))
         assert same_bits(e.entries, reference_complete(spec, values))
         edges = reference_bfs(g).tree_edges
@@ -271,18 +269,27 @@ def test_graph_from_sorted_arrays(name):
 
 
 def test_operator_searches_its_basis_once(monkeypatch):
+    # one spanning search per spec, however many completions read it
     spec = _random_tree_spec(GRAPHS["pa"], 13)
-    op = build_operator(spec)
     with pytest.raises(NotABasisError):
         PerturbationOperator(spec=BasisSpec(graph=spec.graph, entries=spec.entries[1:]))
+    searches = []
 
-    def no_search(spec):
-        raise AssertionError("the operator's basis was searched again")
+    def search(*args):
+        searches.append(args)
+        return _spanning_entries(*args)
 
-    monkeypatch.setattr(dynamics, "_require_basis", no_search)
+    monkeypatch.setattr(basis, "_spanning_entries", search)
+    op = build_operator(spec)
+    assert vars(op) == {"spec": spec}
     deltas = tuple(random.Random(13).uniform(-1.0, 1.0) for _ in spec.entries)
     got = propagate_log(op, PerturbationVector(spec=spec, deltas=deltas))
-    assert same_bits(got.entries, complete(BasisAssignment(spec=spec, values=deltas)).entries)
+    for _ in range(2):
+        e = complete(BasisAssignment(spec=spec, values=deltas))
+        assert same_bits(got.entries, e.entries)
+    assert decompose(e, spec) == list(deltas)
+    assert len(epsilon_matrices(spec).matrices) == spec.size
+    assert len(searches) == 1
 
 
 def _peak(fn, *args) -> int:
