@@ -27,12 +27,12 @@ from .errors import (
     NotCompleteError,
     OracleSizeError,
 )
-from .exchange import DEFAULT_TOL, LogRateMatrix, check_no_arbitrage
+from .exchange import DEFAULT_TOL, LogRateMatrix, _check, check_no_arbitrage
 from .graph import (
     ORACLE_MAX_VERTICES,
-    SMALL_LEVEL,
     MarketGraph,
     TreeArrays,
+    _climb,
     _connected_tree,
     _spanning_entries,
     _vertex,
@@ -67,11 +67,12 @@ class BasisSpec:
 
     @cached_property
     def _found(self) -> tuple[np.ndarray, TreeArrays]:
-        # the basis's edge ids and search tree, found once per spec
+        # the basis's edge ids and the search tree's arrays that _climb reads,
+        # found once per spec
         found = _spanning_entries(self.graph, self._pairs, NotABasisError)
         if found is None:
             raise NotABasisError("entries do not form a spanning tree of the graph")
-        return found
+        return found[0], found[1]._replace(depth=None, to_parent=None)
 
 
 # as MarketGraph.edges: the tuples are built from the array on first read
@@ -156,33 +157,6 @@ def is_basis(g: MarketGraph, entries: Sequence[tuple[int, int]]) -> bool:
     :class:`~arbx.errors.NotAnEdgeError`, naming the first such entry.
     """
     return _spanning_entries(g, entries) is not None
-
-
-def _climb(t: TreeArrays, values: np.ndarray) -> np.ndarray:
-    # potentials down a breadth-first tree from good 1 at 0: each vertex
-    # adds the value of its step from its parent to the parent's potential,
-    # the one IEEE addition a vertex-by-vertex walk makes, in one numpy pass
-    # per large level and in Python floats along each stretch of small
-    # levels; a sum beyond the float range is infinite, without a warning
-    p = np.zeros(t.parent.size)
-    large = np.diff(t.levels) > SMALL_LEVEL
-    # segments run between cuts: after good 1, at the end and around each large level
-    cut = np.zeros(t.levels.size, bool)
-    cut[[1, -1]] = True
-    cut[:-1] |= large
-    cut[1:] |= large
-    cuts = t.levels[cut].tolist()
-    starts = set(t.levels[:-1][large].tolist())
-    with np.errstate(over="ignore"):
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            w = t.order[a:b]
-            up, step = t.parent[w], values[t.from_parent[w]]
-            if a in starts:
-                p[w] = p[up] + step
-                continue
-            for v, u, x in zip(w.tolist(), up.tolist(), step.tolist()):
-                p[v] = p.item(u) + x
-    return p
 
 
 def _differences(g: MarketGraph, prices: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -314,12 +288,10 @@ def price_vector(e: LogRateMatrix, ref: int, tol: float = DEFAULT_TOL) -> PriceV
     computed once along the deterministic spanning tree and shifted, so a
     change of reference moves all prices by the same constant.
     """
-    g = e.graph
-    ref = _vertex(ref, g.n, "reference vertex")
-    if not check_no_arbitrage(e, tol).ok:
+    ref = _vertex(ref, e.graph.n, "reference vertex")
+    result, p = _check(e, tol)  # the check's potentials are the prices
+    if not result.ok:
         raise NotArbitrageFreeError("matrix fails the arbitrage check")
-    t = g._tree_arrays
-    p = _climb(t, e.values)
     with np.errstate(invalid="ignore"):  # inf - inf, which PriceVector rejects
         prices = p - p[ref - 1]
     return PriceVector(reference=ref, prices=tuple(prices.tolist()))

@@ -134,11 +134,12 @@ def cmd_oracle(args: argparse.Namespace) -> RunReport:
 def cmd_complete(args: argparse.Namespace) -> RunReport:
     g = _load(args, "graph", _graph_of)
     assignment = _load(args, "basis", _basis_of, g, args.multiplicative)
-    rates = exp_of(complete(assignment))
+    rates, dim = exp_of(complete(assignment)), assignment.spec.size
+    del assignment  # with its basis search, before the write's peak
     with span("write_ms"):
         save_rates(args.out, rates)
     data = {"out": str(args.out), "rows": g._edge_count}
-    return _report(args, _index_labels(g.n), data, dimension=assignment.spec.size, **_sizes(g))
+    return _report(args, _index_labels(g.n), data, dimension=dim, **_sizes(g))
 
 
 def cmd_basis(args: argparse.Namespace) -> RunReport:

@@ -31,6 +31,7 @@ from .graph import (
     ORACLE_MAX_VERTICES,
     MarketGraph,
     TreeArrays,
+    _climb,
     _connected_tree,
     _ids_of,
     _tree_path,
@@ -382,36 +383,57 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
     walk's gain is a signed combination of fundamental-cycle gains. On
     violation the witness is the failing condition with the largest
     |log gain|, ties broken by lowest key (loop, then edge), an edge's
-    antisymmetry condition ahead of its chord's cycle.
+    antisymmetry condition ahead of its chord's cycle. A cycle's gain g is
+    summed in walk order from 0.0, bit for bit as by :func:`cycle_log_gain`.
 
-    All conditions are evaluated as array operations over the cached tree
-    and the edge values: both ends of every chord climb the tree in
-    lock-step, one tree step per numpy pass, until they meet, which is
-    O(total cycle length) element work. The chords climb in batches whose
-    recorded steps stay within :data:`CHORD_STEPS` per good and per directed
-    edge, so memory is O(n + edges). Each gain is summed in the order of
-    its walk, starting from 0.0, so it equals :func:`cycle_log_gain` of the
-    fundamental cycle bit for bit; a gain beyond the float range is
-    infinite, without a warning. Only the witness cycle is built in Python,
-    by a walk on the same tree's parent and depth arrays.
+    One walk down the tree gives potentials p, and chord k -> m of value v
+    the residual r = v - (p[m] - p[k]). Let u = 2**-53, D the tree's depth,
+    A = D max|a| over the antisymmetry sums a of the tree edges, and P the
+    exact potentials. Each good's addition errs by u times its sum, so
+    |p - P| <= u D max|p|. Each partial sum of the walk is v + P[x] - P[m]
+    plus some a, at most W = |v| + (max p - min p) + A + 2u D max|p| in
+    size, so the walk's at most 2D + 1 additions leave g within
+    gamma_(2D+1) W of the exact gain G = v - (P[m] - P[k]) + (the a of the
+    edges m climbs) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 4.2), and r's two roundings leave r within
+    A + 2u W + 2u D max|p| of G. So |g - r| <= (2D + 3) u W + A + 2u D max|p|
+    to first order in u; the check takes twice that (for the rest and its
+    own rounding) plus 2**-1070 (for underflow). A chord climbs the tree
+    for g only if |r| + bound is above ``tol`` and reaches the largest
+    |r| - bound, loop value and antisymmetry sum, or is not finite, in
+    batches of at most :data:`CHORD_STEPS` recorded steps per good and per
+    directed edge. On a consistent market none climbs; ``max_abs_log_gain``
+    is then the largest |residual|, |loop value| or |antisymmetry sum|.
     """
+    return _check(e, tol)[0]
+
+
+def _check(e: LogRateMatrix, tol: float) -> tuple[CheckResult, np.ndarray]:
+    # the check, and the potentials p it screened the chords with
     require_tol(tol)
-    g = e.graph
-    t = _connected_tree(g)
-    a, b = g._lo, g._hi
+    g, v, t = e.graph, e.values, _connected_tree(e.graph)
+    a, b, loops = g._lo, g._hi, g._loop_array
     chords = np.flatnonzero((t.parent[a] != b) & (t.parent[b] != a))
-    k, m = a[chords], b[chords]
-    loops = g._loop_array
-    with np.errstate(over="ignore"):
-        gains = np.concatenate([*_antisymmetry_gains(e), _chord_gains(e.values, t, chords, k, m)])
+    fixed, p, depth = np.concatenate(_antisymmetry_gains(e)), _climb(t, v), t.levels.size - 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = depth * np.abs(fixed[np.minimum(t.to_parent, t.from_parent)[t.order[1:]] + loops.size]).max(initial=0.0)
+        err = 2 * 2.0**-53 * depth * np.abs(p).max()
+        upper = (np.abs(v[chords]) + (p.max() - p.min() + drift + err)) * (2 * (2 * depth + 3) * 2.0**-53)
+        upper += 2 * (drift + err) + 2.0**-1070  # the bound, centred on |r| next
+        r = v[chords] - (p[b[chords]] - p[a[chords]])
+        lower = np.abs(r) - upper
+        upper += np.abs(r)
+        unsure = ~np.isfinite(upper)
+        upper[unsure], lower[unsure] = np.inf, 0.0
+        most = np.abs(fixed).max(initial=0.0)
+        c = chords[(upper > tol) & (upper >= max(most, lower.max(initial=0.0)))]
+        gains = np.concatenate([fixed, _chord_gains(v, t, c, a[c], b[c])])
     abs_gains = np.abs(gains)
-    max_abs = float(abs_gains.max(initial=0.0))
-    bad = np.flatnonzero(abs_gains > tol)
-    if not bad.size:
-        return CheckResult(True, None, gains.size, max_abs)
-    first = np.concatenate([loops, a, k])
-    second = np.concatenate([loops, b, m])
-    worst = bad[abs_gains[bad] == abs_gains[bad].max()]
+    if not abs_gains.max(initial=0.0) > tol:
+        most = max(most, np.fmax.reduce(np.abs(r), initial=0.0))
+        return CheckResult(True, None, fixed.size + chords.size, float(most)), p
+    worst = np.flatnonzero(abs_gains == abs_gains.max())
+    first, second = np.concatenate([loops, a, a[c]]), np.concatenate([loops, b, b[c]])
     # a stable sort keeps list order among equal keys: antisymmetry first
     w = worst[np.lexsort((second[worst], first[worst]))[0]]
     i, j = int(first[w]) + 1, int(second[w]) + 1
@@ -421,7 +443,7 @@ def check_no_arbitrage(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> CheckResul
         cycle = (i, j, i)
     else:
         cycle = (i, *_tree_path(t, j, i))
-    return CheckResult(False, _witness(cycle, float(gains[w])), gains.size, max_abs)
+    return CheckResult(False, _witness(cycle, float(gains[w])), fixed.size + chords.size, float(abs_gains[w])), p
 
 
 def check_no_arbitrage_oracle(

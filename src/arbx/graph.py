@@ -392,6 +392,35 @@ def _bfs_tree(n: int, a: np.ndarray, b: np.ndarray) -> TreeArrays:
     return tree
 
 
+def _climb(t: TreeArrays, values: np.ndarray) -> np.ndarray:
+    """Potentials down ``t`` from good 1 at 0: each good adds the value of
+    its step from its parent to the parent's potential, the one IEEE
+    addition a good-by-good walk makes. A large level takes one numpy pass;
+    a stretch of small levels is walked good by good, 1,024 goods at a time,
+    so its Python lists stay small. A sum beyond the float range is infinite,
+    without a warning."""
+    p = np.zeros(t.parent.size)
+    large = np.diff(t.levels) > SMALL_LEVEL
+    # segments run between cuts: after good 1, at the end and around each large level
+    cut = np.zeros(t.levels.size, bool)
+    cut[[1, -1]] = True
+    cut[:-1] |= large
+    cut[1:] |= large
+    cuts = t.levels[cut].tolist()
+    starts = set(t.levels[:-1][large].tolist())
+    with np.errstate(over="ignore"):
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if a in starts:
+                w = t.order[a:b]
+                p[w] = p[t.parent[w]] + values[t.from_parent[w]]
+                continue
+            for s in range(a, b, 1024):
+                w = t.order[s : min(s + 1024, b)]
+                for v, u, x in zip(w.tolist(), t.parent[w].tolist(), values[t.from_parent[w]].tolist()):
+                    p[v] = p.item(u) + x
+    return p
+
+
 @dataclass(frozen=True)
 class FundamentalCycle:
     """One chord plus the unique tree path closing it.

@@ -5,6 +5,7 @@ or matrix, so failures reproduce.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -106,7 +107,9 @@ def chords_of(g: MarketGraph, spec) -> list[tuple[int, int]]:
 def reference_check_no_arbitrage(e, tol=1e-9):
     """The per-chord checker, kept as the reference for the array version:
     antisymmetry conditions, then each fundamental cycle's gain summed by
-    ``cycle_log_gain``, then the worst failing condition as the witness."""
+    ``cycle_log_gain``, then the worst failing condition as the witness.
+    On a consistent market ``max_abs_log_gain`` is the largest |loop value|,
+    |antisymmetry sum| or |chord residual| (``reference_residuals``)."""
     require_tol(tol)
     g = e.graph
     arr = e.entries
@@ -116,16 +119,32 @@ def reference_check_no_arbitrage(e, tol=1e-9):
     for i, j in g.simple_edges:
         # Python floats: the same sum, and infinite past the range without a warning
         conditions.append(((i, j), (i, j, i), float(arr[i - 1, j - 1]) + float(arr[j - 1, i - 1])))
+    fixed = [gain for _, _, gain in conditions]
     for fc in fundamental_cycles(g, spanning_tree(g)):
         conditions.append((fc.chord, fc.cycle, cycle_log_gain(e, fc.cycle)))
     max_abs = max((abs(gain) for _, _, gain in conditions), default=0.0)
     bad = [c for c in conditions if abs(c[2]) > tol]
     if not bad:
-        return CheckResult(True, None, len(conditions), max_abs)
+        # a residual is NaN where both potentials overflow the float range to one sign
+        screened = [abs(x) for x in (*fixed, *reference_residuals(e)) if x == x]
+        return CheckResult(True, None, len(conditions), max(screened, default=0.0))
     _, cycle, gain = min(bad, key=lambda c: (-abs(c[2]), c[0]))
     mult = math.exp(gain) if gain <= math.log(sys.float_info.max) else math.inf
     witness = ArbitrageWitness(cycle=tuple(cycle), log_gain=gain, multiplicative_gain=mult)
     return CheckResult(False, witness, len(conditions), max_abs)
+
+
+def reference_residuals(e):
+    """Each chord's residual e(k, m) - (p[m] - p[k]), in ascending chord
+    order, over the potentials that ``reference_potentials`` walks down the
+    spanning tree's entries (parent, child)."""
+    g = e.graph
+    src, dst = g._edge_ends
+    value = dict(zip(zip((src + 1).tolist(), (dst + 1).tolist()), e.values.tolist()))
+    tree = spanning_tree(g).tree_edges
+    p = reference_potentials(g.n, tree, [value[ij] for ij in tree])
+    edges = {(min(i, j), max(i, j)) for i, j in tree}
+    return [value[(k, m)] - (p[m - 1] - p[k - 1]) for k, m in g.simple_edges if (k, m) not in edges]
 
 
 def reference_load_rates(path, tol=1e-9):
@@ -525,3 +544,57 @@ def reference_oracle(e, tol=1e-9, *, max_n=ORACLE_MAX_VERTICES):
     for cycle in reference_simple_cycles(e.graph, max_n=max_n):
         conditions.append(((cycle[0], cycle[1]), cycle, cycle_log_gain(e, cycle)))
     return _verdict(conditions, tol)
+
+
+# --- exact arithmetic, the reference that no float path shares
+
+
+EXACT_SCALE = 2**1074
+"""Every float is an integer multiple of 2**-1074, the smallest subnormal."""
+
+
+def exact_units(x: float) -> int:
+    """``x`` as the exact integer count of 2**-1074 it holds."""
+    num, den = x.as_integer_ratio()  # den is a power of 2, at most 2**1074
+    return num << (1075 - den.bit_length())
+
+
+@functools.lru_cache(maxsize=8)
+def _exact_cycles(g):
+    """The tree of ``reference_bfs`` and each chord (k, m), ascending, with
+    the good where its two climbs meet, kept for the next matrix on ``g``."""
+    tree = reference_bfs(g)
+    parent, depth = tree.parent, {1: 0}
+    for u, w in tree.tree_edges:
+        depth[w] = depth[u] + 1
+    edges = {(min(u, w), max(u, w)) for u, w in tree.tree_edges}
+    cycles = []
+    for k, m in g.simple_edges:
+        if (k, m) in edges:
+            continue
+        x, y = m, k
+        while x != y:
+            if depth[x] >= depth[y]:
+                x = parent[x]
+            else:
+                y = parent[y]
+        cycles.append((k, m, x))
+    return tree, cycles
+
+
+def exact_gains(e):
+    """Each fundamental cycle's exact log gain, in units of 2**-1074, in
+    ascending chord order: the chord's value, the values of the tree steps
+    from m up to where the climbs meet, then down to k, added as Python
+    integers. Shares no code with the library's walks: the tree is
+    ``reference_bfs``'s, each up and down sum a difference of two exact
+    sums along the root paths."""
+    g = e.graph
+    tree, cycles = _exact_cycles(g)
+    src, dst = g._edge_ends
+    value = dict(zip(zip((src + 1).tolist(), (dst + 1).tolist()), map(exact_units, e.values.tolist())))
+    down, up = {1: 0}, {1: 0}  # exact sums of the steps from good 1 to x, and from x to good 1
+    for u, w in tree.tree_edges:
+        down[w] = down[u] + value[(u, w)]
+        up[w] = up[u] + value[(w, u)]
+    return [value[(k, m)] + (up[m] - up[top]) + (down[k] - down[top]) for k, m, top in cycles]
