@@ -32,8 +32,11 @@ from .graph import (
     ORACLE_MAX_VERTICES,
     MarketGraph,
     TreeArrays,
+    _ArrayEquality,
+    _built_on_read,
     _climb,
     _connected_tree,
+    _set_fields,
     _spanning_entries,
     _vertex,
     _vertex_pairs,
@@ -42,24 +45,26 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class BasisSpec:
+@dataclass(frozen=True, eq=False)
+class BasisSpec(_ArrayEquality):
     """Ordered entry coordinates meant to determine a whole matrix.
 
     A spec is just a record; :func:`is_basis` decides validity. It holds its
-    pairs as an array and builds ``entries`` only when it is first read; the
-    search that makes it a basis runs once, when a completion first needs it.
+    pairs as an array, compares and hashes by its graph and that array, and
+    builds ``entries`` only when it is first read; the search that makes it
+    a basis runs once, when a completion first needs it.
     """
 
     graph: MarketGraph
     entries: tuple[tuple[int, int], ...]
 
+    _KEY = ("graph", "_pairs")
+
     def __post_init__(self) -> None:
         pairs, fault = _vertex_pairs(vars(self).pop("entries"), "entry", self.graph.n)
         if fault is not None:
             raise fault
-        pairs.setflags(write=False)
-        object.__setattr__(self, "_pairs", pairs)
+        _set_fields(self, _pairs=pairs)
 
     @property
     def size(self) -> int:
@@ -75,9 +80,7 @@ class BasisSpec:
         return found[0], found[1]._replace(depth=None, to_parent=None)
 
 
-# as MarketGraph.edges: the tuples are built from the array on first read
-BasisSpec.entries = cached_property(lambda spec: tuple(zip(*spec._pairs.T.tolist())))  # type: ignore[assignment]
-BasisSpec.entries.__set_name__(BasisSpec, "entries")
+_built_on_read(BasisSpec, entries=lambda spec: tuple(zip(*spec._pairs.T.tolist())))
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ class PriceVector:
     prices: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(x) for x in self.prices)
+        vals = tuple(map(float, self.prices))
         object.__setattr__(self, "prices", vals)
         object.__setattr__(self, "reference", _vertex(self.reference, len(vals), "reference"))
         if vals[self.reference - 1] != 0.0:
@@ -306,7 +309,7 @@ def matrix_from_prices(
     The output is arbitrage-free for any prices whatsoever, since every
     cycle sum telescopes away.
     """
-    prices = tuple(p.prices) if isinstance(p, PriceVector) else tuple(float(x) for x in p)
+    prices = tuple(p.prices) if isinstance(p, PriceVector) else tuple(map(float, p))
     if len(prices) != g.n:
         raise LengthMismatchError(f"expected {g.n} prices, got {len(prices)}")
     return LogRateMatrix._of(g, _differences(g, prices))

@@ -34,6 +34,7 @@ from .graph import (
     _climb,
     _connected_tree,
     _ids_of,
+    _set_fields,
     _tree_path,
     _vertex,
     enumerate_simple_cycles,
@@ -63,8 +64,7 @@ def _exp_or_inf(x: float) -> float:
 
 def _require_fill(g: MarketGraph, arr: np.ndarray, fill: float) -> None:
     stray = arr != fill
-    src, dst = g._edge_ends
-    stray[src, dst] = False
+    stray[g._edge_ends] = False
     if stray.any():
         i, j = np.unravel_index(np.argmax(stray), stray.shape)
         raise BadParamsError(
@@ -77,8 +77,7 @@ def _dense(g: MarketGraph, values: np.ndarray, fill: float) -> np.ndarray:
     """Read-only n x n array: ``values`` at the edge coordinates, ``fill``
     everywhere else."""
     arr = np.full((g.n, g.n), fill)
-    src, dst = g._edge_ends
-    arr[src, dst] = values
+    arr[g._edge_ends] = values
     arr.setflags(write=False)
     return arr
 
@@ -100,22 +99,14 @@ class _EdgeMatrix:
             raise BadParamsError(f"entries must be {graph.n}x{graph.n}, got shape {arr.shape}")
         self._check(arr)
         _require_fill(graph, arr, self._FILL)
-        src, dst = graph._edge_ends
-        self._adopt(graph, arr[src, dst])
+        _set_fields(self, graph=graph, values=arr[graph._edge_ends])
 
     @classmethod
     def _of(cls, graph: MarketGraph, values: np.ndarray):
         """Matrix that takes ownership of ``values``, a fresh float array in
         edge-id order; every internal path builds matrices this way."""
-        m = cls.__new__(cls)
-        m._adopt(graph, values)
-        return m
-
-    def _adopt(self, graph: MarketGraph, values: np.ndarray) -> None:
-        self._check(values)
-        values.setflags(write=False)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "values", values)
+        cls._check(values)
+        return _set_fields(object.__new__(cls), graph=graph, values=values)
 
     @classmethod
     def _from_mapping(cls, graph: MarketGraph, mapping: Mapping[tuple[int, int], float]):
@@ -296,14 +287,11 @@ def check_antisymmetry(e: LogRateMatrix, tol: float = DEFAULT_TOL) -> list[PairV
     edge hold nothing and cannot fail.
     """
     require_tol(tol)
-    g = e.graph
-    loops, sums = _antisymmetry_gains(e)
-    bad = [PairViolation((g.loops[k],) * 2, float(loops[k])) for k in _above(loops, tol)]
-    return bad + [PairViolation(g.simple_edges[k], float(sums[k])) for k in _above(sums, tol)]
-
-
-def _above(values: np.ndarray, tol: float) -> list[int]:
-    return np.flatnonzero(np.abs(values) > tol).tolist()
+    g, bad = e.graph, []
+    for gains, i, j in zip(_antisymmetry_gains(e), (g._loop_array, g._lo), (g._loop_array, g._hi)):
+        k = np.flatnonzero(np.abs(gains) > tol)
+        bad += map(PairViolation, zip(*np.add((i[k], j[k]), 1).tolist()), gains[k].tolist())
+    return bad
 
 
 def _antisymmetry_gains(e: LogRateMatrix) -> tuple[np.ndarray, np.ndarray]:

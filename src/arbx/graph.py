@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import chain
 from operator import index as _int
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -108,11 +108,44 @@ def _vertex_pairs(items: Iterable[object], what: str, n: int) -> tuple[np.ndarra
     return pairs, GraphIndexError(f"{what} ({i}, {j}) out of range 1..{n}")  # beyond int64
 
 
-_ARRAYS = ("_lo", "_hi", "_loop_array")  # a graph's sorted 0-based edge arrays
+def _set_fields(record, **fields):
+    """``record`` with ``fields`` set past the frozen guard, arrays made
+    read-only: how a record is built from checked arrays without __init__."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _built_on_read(cls: type, **builds: Callable) -> None:
+    """Each named field of the dataclass ``cls`` is built by its function on
+    first read and kept, unless ``__init__`` stored a value that shadows it."""
+    for name, build in builds.items():
+        prop = cached_property(build)
+        prop.__set_name__(cls, name)
+        setattr(cls, name, prop)
+
+
+class _ArrayEquality:
+    """Equality and hashing over the attributes ``_KEY``, arrays by their
+    values: no public tuple is built to compare two records."""
+
+    _KEY: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = ((getattr(self, k), getattr(other, k)) for k in self._KEY)
+        return self is other or all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    def __hash__(self) -> int:
+        values = (getattr(self, k) for k in self._KEY)
+        return hash(tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values))
 
 
 @dataclass(frozen=True, eq=False)
-class MarketGraph:
+class MarketGraph(_ArrayEquality):
     """Undirected market graph on goods 1..n.
 
     ``edges`` holds normalized pairs (i, j) with i <= j; a pair with i == j
@@ -134,13 +167,15 @@ class MarketGraph:
     n: int
     edges: frozenset[Edge]
 
+    _KEY = ("n", "_lo", "_hi", "_loop_array")  # equal sorted arrays are equal edge sets
+
     def __post_init__(self) -> None:
         pairs, lo, hi, loops = _edge_arrays(self.n, self.edges)
         swapped = pairs[:, 0] > pairs[:, 1]
         if swapped.any():
             i, j = pairs[np.argmax(swapped)].tolist()
             raise BadParamsError(f"edge ({i}, {j}) is not normalized; use new_graph()")
-        self._adopt(lo, hi, loops)
+        _set_fields(self, _lo=lo, _hi=hi, _loop_array=loops)
 
     @classmethod
     def _of_arrays(cls, n: int, lo: np.ndarray, hi: np.ndarray, loops: np.ndarray) -> MarketGraph:
@@ -148,26 +183,7 @@ class MarketGraph:
         ``lo < hi`` in ascending (lo, hi) order and distinct ``loops``
         ascending, all in 0..n-1. Nothing is checked or sorted again, and
         :attr:`edges` is built only when first read."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        g._adopt(lo, hi, loops)
-        return g
-
-    def _adopt(self, lo: np.ndarray, hi: np.ndarray, loops: np.ndarray) -> None:
-        for name, arr in zip(_ARRAYS, (lo, hi, loops)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    # Equality and hashing read n and the canonical (int64, sorted) arrays:
-    # equal arrays are equal edge sets, and ``edges`` is never built for it.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        same = (np.array_equal(getattr(self, k), getattr(other, k)) for k in _ARRAYS)
-        return self is other or self.n == other.n and all(same)
-
-    def __hash__(self) -> int:
-        return hash((self.n, *(getattr(self, k).tobytes() for k in _ARRAYS)))
+        return _set_fields(object.__new__(cls), n=n, _lo=lo, _hi=hi, _loop_array=loops)
 
     @cached_property
     def simple_edges(self) -> tuple[Edge, ...]:
@@ -247,15 +263,7 @@ class MarketGraph:
             return False
 
 
-def _edge_set(g: MarketGraph) -> frozenset[Edge]:
-    return frozenset(chain(g.simple_edges, zip(g.loops, g.loops)))
-
-
-# A non-data descriptor: the dataclass __init__ stores the ``edges`` it is
-# given in the instance, which shadows it; a graph from _of_arrays has none
-# stored and builds the set on first read.
-MarketGraph.edges = cached_property(_edge_set)  # type: ignore[assignment]
-MarketGraph.edges.__set_name__(MarketGraph, "edges")
+_built_on_read(MarketGraph, edges=lambda g: frozenset(chain(g.simple_edges, zip(g.loops, g.loops))))
 
 
 @dataclass(frozen=True, eq=False)

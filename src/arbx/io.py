@@ -25,7 +25,7 @@ import re
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from io import BytesIO, TextIOWrapper
 from itertools import chain, islice, permutations, repeat
 from pathlib import Path
@@ -38,7 +38,7 @@ from .basis import BasisAssignment, BasisSpec
 from .dynamics import PerturbationVector
 from .errors import BadParamsError, NotConnectedError, ParseError, ReciprocalConflictError
 from .exchange import DEFAULT_TOL, ArbitrageWitness, RateMatrix, require_tol
-from .graph import MarketGraph, is_connected, new_graph
+from .graph import MarketGraph, _built_on_read, _set_fields, is_connected, new_graph
 
 # A canonical rates file: the bare header (a BOM allowed), then one or more
 # rows of two 1-based indices, each exactly its digits, and a rate that
@@ -287,13 +287,6 @@ class RatesFile:
     labels: tuple[str, ...]
     filled: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def _of_arrays(cls, matrix: RateMatrix, labels: tuple[str, ...], ends: tuple[np.ndarray, np.ndarray]) -> RatesFile:
-        rates = object.__new__(cls)
-        for name, value in (("matrix", matrix), ("labels", labels), ("_filled_ends", ends)):
-            object.__setattr__(rates, name, value)
-        return rates
-
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label) + 1
@@ -301,14 +294,7 @@ class RatesFile:
             raise ParseError(f"unknown label {label!r}") from None
 
 
-def _filled_pairs(rates: RatesFile) -> tuple[tuple[int, int], ...]:
-    i, j = rates._filled_ends
-    return tuple(zip((i + 1).tolist(), (j + 1).tolist()))
-
-
-# A non-data descriptor, shadowed by the ``filled`` that __init__ stores.
-RatesFile.filled = cached_property(_filled_pairs)  # type: ignore[assignment]
-RatesFile.filled.__set_name__(RatesFile, "filled")
+_built_on_read(RatesFile, filled=lambda rates: tuple(zip(*np.add(rates._filled_ends, 1).tolist())))
 
 
 def _index_labels(n: int) -> tuple[str, ...]:
@@ -595,7 +581,7 @@ def _rates_of(path: str | Path, data: bytes | list[bytes], tol: float) -> RatesF
     del first, loop, edge, ids, lo, hi, down, rates, src, dst, order
     if not is_connected(graph):
         raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
-    return RatesFile._of_arrays(RateMatrix._of(graph, values), labels, filled)
+    return _set_fields(object.__new__(RatesFile), matrix=RateMatrix._of(graph, values), labels=labels, _filled_ends=filled)
 
 
 def _first_conflict(rates: np.ndarray, first: np.ndarray, tol: float) -> int | None:

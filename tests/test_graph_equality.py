@@ -1,12 +1,19 @@
-"""Graph equality and hashing read n and the sorted edge arrays.
+"""Graph equality and hashing read n and the sorted edge arrays, and a
+basis spec's read its graph and its pair array.
 
-They never build the ``edges`` frozenset, so the library calls that check
-two matrices share a graph stay O(1) on one and the same graph.
+They never build the ``edges`` frozenset or a spec's ``entries``, so the
+library calls that check two matrices share a graph, or a perturbation and
+an operator share a basis, stay O(1) on one and the same record.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from arbx import (
+    BasisSpec,
     LogRateMatrix,
     MarketGraph,
     PerturbationVector,
@@ -21,7 +28,11 @@ from arbx import (
     propagate_log,
     propagate_multiplicative_first_order,
 )
+from arbx.cli import main
+from arbx.io import RatesFile
 from helpers import random_assignment
+
+DATA = Path(__file__).parent / "data"
 
 
 def _market(seed=1):
@@ -84,3 +95,79 @@ def test_matrices_on_equal_graphs_still_combine():
     updated, _ = apply_exact(e, moved)
     assert np.array_equal(updated.values, e.values)
     assert not 1 == g and g != (g.n, g.edges)
+
+
+def test_specs_compare_and_hash_by_their_arrays():
+    g = generate_graph("pa", 60, m=3, seed=5)
+    spec = canonical_basis(g)
+    pairs = spec._pairs.tolist()
+    same = [BasisSpec(g, np.array(pairs)), BasisSpec(new_graph(g.n, g.edges), pairs)]
+    others = [
+        BasisSpec(g, pairs[::-1]),  # the same entries in another order
+        BasisSpec(g, [pairs[0][::-1], *pairs[1:]]),  # one entry the other way round
+        BasisSpec(g, pairs[:-1]),  # one entry fewer
+        BasisSpec(new_graph(g.n, [*g.edges, (1, 1)]), pairs),  # another graph
+    ]
+    for twin in same:
+        assert twin == spec and not twin != spec and hash(twin) == hash(spec)
+    for other in others:
+        assert other != spec and not other == spec
+    assert len({spec, *same, *others}) == 1 + len(others)
+    assert all("entries" not in vars(s) for s in (spec, *same, *others))
+    assert not spec == pairs and spec != (spec.graph, spec.entries)
+    for a in (spec, *same, *others):  # agrees with comparing the public tuples
+        for b in (spec, *same, *others):
+            assert (a == b) == ((a.graph, a.entries) == (b.graph, b.entries))
+
+
+# each public tuple built from a record's arrays, by (class, attribute)
+PUBLIC_TUPLES = [(MarketGraph, "edges"), (MarketGraph, "simple_edges"), (MarketGraph, "loops"),
+                 (BasisSpec, "entries"), (RatesFile, "filled")]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The public tuples read while the test runs, as "Class.attribute"."""
+    reads = []
+    for cls, name in PUBLIC_TUPLES:
+        original = vars(cls)[name]
+
+        class Spy:
+            def __get__(self, obj, owner=None, original=original, name=f"{cls.__name__}.{name}"):
+                if obj is not None:
+                    reads.append(name)
+                return original.__get__(obj, owner)
+
+        monkeypatch.setattr(cls, name, Spy())
+    return reads
+
+
+def test_no_command_but_oracle_builds_a_public_tuple(tmp_path, capsys, built):
+    def run(*argv):
+        code = main([*map(str, argv), "--format", "json"])
+        assert built == [], argv
+        return code, json.loads(capsys.readouterr().out)
+
+    graph, out = tmp_path / "graph.json", tmp_path / "rates.csv"
+    assert run("gen", "--kind", "pa", "--n", 40, "--m", 3, "--seed", 1, "--out", graph)[0] == 0
+    entries = run("basis", "--graph", graph)[1]["data"]["entries"]
+    basis, delta = tmp_path / "basis.json", tmp_path / "delta.json"
+    basis.write_text(json.dumps({"entries": entries, "values": [0.01 * k for k in range(len(entries))]}))
+    delta.write_text(json.dumps({"basis": {"entries": entries}, "deltas": [0.001 * k for k in range(len(entries))]}))
+    assert run("complete", "--graph", graph, "--basis", basis, "--out", out)[0] == 0
+    assert run("dim", "--graph", graph)[0] == 0
+    # a one-sided quote, filled by its reciprocal, and a mispriced chord
+    rows = out.read_text().splitlines()
+    tree = {frozenset(e) for e in entries}
+    chord = next(k for k, row in enumerate(rows[1:], 1) if frozenset(map(int, row.split(",")[:2])) not in tree)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([*rows[:chord], rows[chord].rpartition(",")[0] + ",7.5", *rows[chord + 2 :]]) + "\n")
+    assert run("check", "--rates", out)[0] == 0
+    code, doc = run("check", "--rates", bad)
+    assert code == 2 and doc["data"]["filled_reciprocals"]
+    assert run("price", "--rates", out, "--ref", 1)[0] == 0
+    assert run("perturb", "--rates", out, "--delta", delta)[0] == 0
+    assert run("perturb", "--rates", out, "--delta", delta, "--exact")[0] == 0
+    # the spy sees a read: oracle names its antisymmetry conditions by edge
+    main(["oracle", "--rates", str(DATA / "triangle_ok.csv")])
+    assert "MarketGraph.simple_edges" in built

@@ -4,6 +4,7 @@ library and the CLI, each reached by the smallest input that takes it."""
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,3 +122,40 @@ def test_a_cli_without_resource_reports_no_peak_rss():
     assert proc.returncode == 0 and proc.stderr == ""
     metrics = json.loads(proc.stdout)["metrics"]
     assert "elapsed_ms" in metrics and "peak_rss_mb" not in metrics
+
+
+# an empty rate in a canonical layout: the column reader's guard sends the
+# sheet to the tokenizer, which names the row; a last row without its
+# newline ends at the end of the file
+EMPTY_RATE = [("src,dst,rate\n1,2,\n2,1,0.5\n", 2), ("src,dst,rate\n1,2,2\n2,1,", 3)]
+
+
+@pytest.mark.parametrize("text, line", EMPTY_RATE)
+def test_an_empty_rate_is_a_parse_error(tmp_path, text, line):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: rate '' is not a number$"):
+        load_rates(path)
+
+
+@pytest.mark.parametrize("text, line", EMPTY_RATE)
+def test_an_empty_rate_ends_in_an_error_report(tmp_path, text, line):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    src = str(Path(arbx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["-m", "arbx.cli", "check", "--rates", str(path), "--format", "json"]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["data"] == {"error": "ParseError", "message": f"{path}:{line}: rate '' is not a number"}
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_log_rates_must_be_finite(bad):
+    g = new_graph(3, [(1, 2), (2, 3)])
+    dense = np.zeros((3, 3))
+    dense[2, 1] = bad  # the edge coordinate (3, 2)
+    with pytest.raises(BadParamsError, match="^log rates must be finite$"):
+        LogRateMatrix(g, dense)
+    with pytest.raises(BadParamsError, match="^log rates must be finite$"):
+        LogRateMatrix.from_values(g, {(1, 2): 0.5, (3, 2): bad})
