@@ -16,8 +16,9 @@ metrics (with the size of the market it read: ``n`` goods, ``edges`` and
 ``chords``) and the digests of the files it read. :func:`main` times the
 call and adds to the metrics ``elapsed_ms``, the spans of the layers that
 ran (``parse_ms``, ``tree_ms``, ``check_ms``, ``write_ms``; see
-:mod:`arbx.spans`) and ``peak_rss_mb``, the process's peak resident set so
-far, where the ``resource`` module exists.
+:mod:`arbx.spans`) and ``peak_rss_mb``, the process's own peak resident set
+so far (``ru_maxrss``, or ``VmHWM`` where Linux shows it and it is
+smaller), where the ``resource`` module exists.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import gc
+import re
 import sys
 import time
 from typing import Callable
@@ -256,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with recording() as spans:
             report = args.func(args)
-        report.metrics.update(spans, elapsed_ms=(time.perf_counter() - t0) * 1000.0, **_peak_rss())
+        report.metrics.update(spans, elapsed_ms=(time.perf_counter() - t0) * 1000.0, **_peak_rss(_status()))
     except (ArbxError, OverflowError, OSError, MemoryError) as exc:
         report = RunReport(
             command=args.command,
@@ -273,12 +275,28 @@ def main(argv: list[str] | None = None) -> int:
     return _EXIT[report.verdict]
 
 
-def _peak_rss() -> dict[str, float]:
-    # ru_maxrss counts KiB on Linux and the BSDs, bytes on macOS
+def _peak_rss(status: str = "") -> dict[str, float]:
+    """The process's own peak resident set in MiB: ``ru_maxrss``, or the
+    ``VmHWM`` line of ``status`` (the text of /proc/self/status) where that
+    is smaller. Linux carries ``ru_maxrss`` over an exec from the process
+    that started this one; ``VmHWM`` is this process's alone. Nothing where
+    the resource module is missing."""
     if resource is None:
         return {}
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {"peak_rss_mb": peak / (2**20 if sys.platform == "darwin" else 2**10)}
+    # ru_maxrss counts KiB on Linux and the BSDs, bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+    if hwm := re.search(r"^VmHWM:\s*(\d+) kB$", status, re.M):
+        peak = min(peak, int(hwm[1]) / 2**10)
+    return {"peak_rss_mb": peak}
+
+
+def _status() -> str:
+    # the process's own status, where Linux shows it
+    try:
+        with open("/proc/self/status", encoding="ascii", errors="replace") as fh:
+            return fh.read()
+    except OSError:
+        return ""
 
 
 def run() -> None:

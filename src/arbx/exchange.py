@@ -34,6 +34,7 @@ from .graph import (
     _climb,
     _connected_tree,
     _ids_of,
+    _Record,
     _set_fields,
     _tree_path,
     _vertex,
@@ -83,7 +84,7 @@ def _dense(g: MarketGraph, values: np.ndarray, fill: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class _EdgeMatrix:
+class _EdgeMatrix(_Record):
     """One value per directed edge of ``graph``, in edge-id order, in a
     read-only array the matrix owns."""
 

@@ -18,6 +18,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from operator import index as _int
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -127,20 +128,37 @@ def _built_on_read(cls: type, **builds: Callable) -> None:
         setattr(cls, name, prop)
 
 
-class _ArrayEquality:
-    """Equality and hashing over the attributes ``_KEY``, arrays by their
-    values: no public tuple is built to compare two records."""
+class _Record:
+    """A frozen record built from checked arrays. Its pickle leaves out what
+    it cached on first read, and is restored through :func:`_set_fields`,
+    so that the copy's arrays are read-only as the original's are."""
+
+    def __getstate__(self) -> dict:
+        cls = type(self)
+        return {
+            k: v for k, v in vars(self).items()
+            if k in cls.__dataclass_fields__ or type(getattr(cls, k, None)) is not cached_property
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        _set_fields(self, **state)
+
+
+class _ArrayEquality(_Record):
+    """Equality and hashing over the attributes ``_KEY`` (dotted names
+    allowed), arrays by their values: no public tuple is built to compare
+    two records."""
 
     _KEY: tuple[str, ...] = ()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = ((getattr(self, k), getattr(other, k)) for k in self._KEY)
+        pairs = ((attrgetter(k)(self), attrgetter(k)(other)) for k in self._KEY)
         return self is other or all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     def __hash__(self) -> int:
-        values = (getattr(self, k) for k in self._KEY)
+        values = (attrgetter(k)(self) for k in self._KEY)
         return hash(tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values))
 
 

@@ -38,7 +38,7 @@ from .basis import BasisAssignment, BasisSpec
 from .dynamics import PerturbationVector
 from .errors import BadParamsError, NotConnectedError, ParseError, ReciprocalConflictError
 from .exchange import DEFAULT_TOL, ArbitrageWitness, RateMatrix, require_tol
-from .graph import MarketGraph, _built_on_read, _set_fields, is_connected, new_graph
+from .graph import MarketGraph, _ArrayEquality, _built_on_read, _set_fields, is_connected, new_graph
 
 # A canonical rates file: the bare header (a BOM allowed), then one or more
 # rows of two 1-based indices, each exactly its digits, and a rate that
@@ -68,7 +68,7 @@ _Quotes = tuple[tuple[str, ...], np.ndarray, np.ndarray]
 # marks exactly the boundaries between items.
 _FLAT = json.JSONEncoder(separators=("\x1f", ": ")).encode
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-_BLOCK = 4096  # rows a _Rows block renders at a time
+_BLOCK = 1024  # rows or list items encoded at a time
 # a float's repr where json.dumps writes another text, once ±inf is None
 _JSON_FLOATS = {"inf": "null", "-inf": "null", "nan": "NaN"}
 
@@ -81,8 +81,8 @@ def _json_text(value: object) -> str:
 def _json_chunks(value: object, indent: str = "") -> Iterator[str]:
     """:func:`_json_text` in pieces, with ``indent`` before every line but
     the first, a :class:`_Rows` block one block at a time as its list form
-    with ±inf as null. A flat list is encoded in one call of the C encoder
-    and laid out by replacing its separators; a dict with string keys
+    with ±inf as null. A flat list is encoded by the C encoder a block at a
+    time and laid out by replacing its separators; a dict with string keys
     recurses; any other value, a nested list among them, goes to json.dumps."""
     deeper = indent + "  "
     if type(value) is _Rows:
@@ -97,14 +97,23 @@ def _json_chunks(value: object, indent: str = "") -> Iterator[str]:
             yield from _json_chunks(value[k], deeper)
         yield f"\n{indent}}}"
     elif type(value) in (list, tuple) and set(map(type, value)) <= _SCALARS:
-        yield f"[\n{deeper}" + _FLAT(value)[1:-1].replace("\x1f", ",\n" + deeper) + f"\n{indent}]"
+        sep = ",\n" + deeper
+        for lead, block in zip(chain([f"[\n{deeper}"], repeat(sep)), _flat_blocks(value)):
+            yield lead + block.replace("\x1f", sep)
+        yield f"\n{indent}]"
     else:
         yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
+def _flat_blocks(items: Sequence) -> Iterator[str]:
+    """The C encoder's text of each _BLOCK items, the brackets cut off."""
+    for start in range(0, len(items), _BLOCK):
+        yield _FLAT(list(items[start : start + _BLOCK]))[1:-1]
+
+
 def _json_cells(labels: Sequence) -> list[str]:
-    """Each label's JSON text, from one call of the C encoder."""
-    return _FLAT(list(labels))[1:-1].split("\x1f")
+    """Each label's JSON text, from one call of the C encoder per block."""
+    return [cell for block in _flat_blocks(labels) for cell in block.split("\x1f")]
 
 
 def _json_floats(values: list[float]) -> Iterator[str]:
@@ -132,11 +141,11 @@ class _Rows:
 
     def _render(self, encode: Callable, lead: str, sep: str, tail: str, numbers: Callable) -> Iterator[str]:
         """Each block's text, a row as ``lead``, its cells parted by ``sep``
-        and ``tail``: a label as its item of ``encode(labels)`` and the
+        and ``tail``: a label as its item of the list ``encode(labels)``, the
         values as ``numbers(values)``."""
         if not len(self.order):
             return
-        cells = list(encode(self.labels))
+        cells = encode(self.labels)
         for src, dst, *values in self._blocks():
             rows = zip(map(cells.__getitem__, src), map(cells.__getitem__, dst), *map(numbers, values))
             yield lead + (tail + lead).join(map(sep.join, rows)) + tail
@@ -273,19 +282,24 @@ def save_graph(path: str | Path, g: MarketGraph) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class RatesFile:
+@dataclass(frozen=True, eq=False)
+class RatesFile(_ArrayEquality):
     """Parsed rates CSV: the matrix, the label table, and which directed
     entries were filled in as exact reciprocals rather than quoted.
 
-    The loader keeps the filled entries as 0-based (i, j) arrays,
-    ``_filled_ends``, and builds ``filled`` from them when it is first read,
-    as :attr:`MarketGraph.edges` is built; a file constructed directly
-    stores ``filled`` as given."""
+    The filled entries' 0-based ends are a (2, k) array, ``_filled_ends``,
+    from which the loader builds ``filled`` when it is first read, as
+    :attr:`MarketGraph.edges` is built; a file constructed directly stores
+    ``filled`` as given. Files compare by labels, graph, rates and fills."""
 
     matrix: RateMatrix
     labels: tuple[str, ...]
     filled: tuple[tuple[int, int], ...]
+
+    _KEY = ("labels", "matrix.graph", "matrix.values", "_filled_ends")
+
+    def __post_init__(self) -> None:
+        _set_fields(self, _filled_ends=np.array(self.filled, np.int64).reshape(-1, 2).T - 1)
 
     def index_of(self, label: str) -> int:
         try:
@@ -577,7 +591,7 @@ def _rates_of(path: str | Path, data: bytes | list[bytes], tol: float) -> RatesF
     values[ids + np.where(down, -e, e)] = 1.0 / rates
     src, dst = np.where(down, hi, lo), np.where(down, lo, hi)
     order = np.argsort(src * n + dst)
-    filled = dst[order], src[order]
+    filled = np.stack((dst[order], src[order]))
     del first, loop, edge, ids, lo, hi, down, rates, src, dst, order
     if not is_connected(graph):
         raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
@@ -609,25 +623,25 @@ def rate_rows(
 
 def _rate_rows(values: np.ndarray, graph: MarketGraph, labels: Sequence[str]) -> _Rows:
     """The rows of :func:`rate_rows` as a block over the graph's arrays."""
-    e, ids = graph._lo.size, np.arange(graph._edge_count)
+    e, loops = graph._lo.size, graph._loop_array
     # pair k's quotes are ids k and E + k; a loop at v goes ahead of the pairs from v
-    before = 2 * np.searchsorted(graph._lo, graph._loop_array)
-    order = np.insert(ids[: 2 * e].reshape(2, e).T.ravel(), before, ids[2 * e :])
+    pairs = np.arange(2 * e) >> 1
+    pairs[1::2] += e
+    order = np.insert(pairs, 2 * np.searchsorted(graph._lo, loops), 2 * e + np.arange(loops.size))
     return _Rows((*graph._edge_ends, values), labels, order)
 
 
 def save_rates(path: str | Path, r: RateMatrix, labels: Sequence[str] | None = None) -> None:
     """Write every edge's quotes as CSV: both directions per pair, loops once,
-    rendered from the rate arrays a block at a time, each label's cell once
-    and a rate as its repr, which is how the csv writer renders a float."""
-    names = tuple(labels) if labels else _index_labels(r.n)
-    # a row of the cell and an empty one renders the cell as inside a quote row
-    rendered: list[str] = []
-    csv.writer(SimpleNamespace(write=rendered.append), lineterminator="\n").writerows((lab, "") for lab in names)
-    cells = [row[:-2] for row in rendered]
+    rendered from the rate arrays a block at a time and one list of label
+    cells, a rate as its repr, which is how the csv writer renders a float."""
+    # a row of the label and an empty cell renders the label as inside a quote row
+    cells: list[str] = []
+    write = csv.writer(SimpleNamespace(write=lambda row: cells.append(row[:-2])), lineterminator="\n").writerows
+    write((lab, "") for lab in labels or map(str, range(1, r.n + 1)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("src,dst,rate")
-        fh.writelines(_rate_rows(r.values, r.graph, names)._render(lambda _: cells, "\n", ",", "", partial(map, repr)))
+        fh.writelines(_rate_rows(r.values, r.graph, cells)._render(lambda cells: cells, "\n", ",", "", partial(map, repr)))
         fh.write("\n")
 
 
@@ -724,7 +738,7 @@ class RunReport:
             "witness": witness,
             "metrics": dict(self.metrics),
             "inputs": dict(self.inputs),
-            "labels": list(self.labels),
+            "labels": self.labels,
             "data": {k: v if type(v) is _Rows else _inf_to_none(v) for k, v in self.data.items()},
         }
 
@@ -737,7 +751,7 @@ class RunReport:
 
     def _chunks(self, fmt: str) -> Iterator[str]:
         """The text of :meth:`to_json` (``fmt`` "json") or :meth:`to_text`
-        in pieces, row blocks rendered one block at a time."""
+        in pieces, row blocks, flat lists and labels one block at a time."""
         if fmt == "json":
             yield from _json_chunks(self._doc())
             return
@@ -748,15 +762,16 @@ class RunReport:
         for key, value in self.data.items():
             if type(value) is _Rows:
                 yield f"\n{key}:"
-                yield from value._render(partial(map, _cell), "\n  ", ",", "", partial(map, _num))
+                yield from value._render(lambda labels: list(map(_cell, labels)), "\n  ", ",", "", partial(map, _num))
+            elif not isinstance(value, list):
+                yield f"\n{key}: {_num(value)}"
+            elif all(isinstance(item, list) for item in value):
+                yield f"\n{key}:" + "".join("\n  " + ",".join(map(_cell, item)) for item in value)
             else:
-                yield _render(key, value)
-        tail = {
-            "labels": [f"{_cell(lab)}={k}" for k, lab in enumerate(self.labels, 1)],
-            "metrics": [f"{k}={_num(v)}" for k, v in sorted(self.metrics.items())],
-            "inputs": [f"{k}={v}" for k, v in sorted(self.inputs.items())],
-        }
-        yield "".join(f"\n{key}: " + " ".join(items) for key, items in tail.items() if items)
+                yield from _spaced(key, map(_num, value))
+        yield from _spaced("labels", (f"{_cell(lab)}={k}" for k, lab in enumerate(self.labels, 1)))
+        yield from _spaced("metrics", (f"{k}={_num(v)}" for k, v in sorted(self.metrics.items())))
+        yield from _spaced("inputs", (f"{k}={v}" for k, v in sorted(self.inputs.items())))
 
 
 def _inf_to_none(value: object) -> object:
@@ -783,10 +798,9 @@ def _cell(v: object) -> str:
     return '"' + v.replace('"', '""') + '"' if re.search('[ ,="\r\n]', v) else v
 
 
-def _render(key: str, value: object) -> str:
-    """The text lines of one data item, each after a newline."""
-    if isinstance(value, list):
-        if all(isinstance(item, list) for item in value):
-            return f"\n{key}:" + "".join("\n  " + ",".join(map(_cell, item)) for item in value)
-        return f"\n{key}: " + " ".join(map(_num, value))
-    return f"\n{key}: {_num(value)}"
+def _spaced(key: str, texts: Iterator[str]) -> Iterator[str]:
+    """``key: `` and ``texts`` parted by spaces, _BLOCK at a time; nothing without texts."""
+    lead = f"\n{key}:"
+    while block := list(islice(texts, _BLOCK)):
+        yield f"{lead} " + " ".join(block)
+        lead = ""

@@ -1,5 +1,7 @@
-"""Graph equality and hashing read n and the sorted edge arrays, and a
-basis spec's read its graph and its pair array.
+"""Graph equality and hashing read n and the sorted edge arrays, a basis
+spec's read its graph and its pair array, and a rates file's its labels,
+graph, rates and filled entries; a pickled record comes back equal, with
+read-only arrays.
 
 They never build the ``edges`` frozenset or a spec's ``entries``, so the
 library calls that check two matrices share a graph, or a perturbation and
@@ -7,6 +9,7 @@ an operator share a basis, stay O(1) on one and the same record.
 """
 
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ from arbx import (
     propagate_multiplicative_first_order,
 )
 from arbx.cli import main
-from arbx.io import RatesFile
+from arbx.io import RatesFile, load_rates
 from helpers import random_assignment
 
 DATA = Path(__file__).parent / "data"
@@ -171,3 +174,53 @@ def test_no_command_but_oracle_builds_a_public_tuple(tmp_path, capsys, built):
     # the spy sees a read: oracle names its antisymmetry conditions by edge
     main(["oracle", "--rates", str(DATA / "triangle_ok.csv")])
     assert "MarketGraph.simple_edges" in built
+
+
+# --- pickle round trips and rates files compared by value
+
+
+def _arrays(record):
+    """Every array a record holds in its attributes, inside tuples too."""
+    stack = list(vars(record).values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            stack.extend(v for v in value if isinstance(v, (np.ndarray, tuple)))
+
+
+def test_a_pickle_round_trip_keeps_arrays_read_only_and_equality():
+    g = generate_graph("pa", 20, m=2, seed=1)
+    spec = canonical_basis(g)
+    spec._found, g._tree_arrays, g._edge_ends, g._forward_keys  # cached arrays, read-only here
+    e = exp_of(complete(random_assignment(g, 1)))
+    e.entries  # and the dense view
+    rates = load_rates(DATA / "triangle_ok.csv")
+    for record in (g, spec, e, rates, MarketGraph(g.n, frozenset(g.edges))):
+        copy = pickle.loads(pickle.dumps(record))
+        arrays = list(_arrays(copy))
+        assert arrays and not any(a.flags.writeable for a in arrays), type(record)
+        if record is e:  # an edge matrix compares by identity
+            assert copy.graph == g and np.array_equal(copy.values, e.values)
+        else:
+            assert copy == record and hash(copy) == hash(record)
+
+
+def test_rates_files_compare_by_value_without_building_filled(tmp_path):
+    one_sided = tmp_path / "one_sided.csv"
+    one_sided.write_text("src,dst,rate\n1,2,2.0\n2,3,4.0\n3,1,0.125\n1,3,8.0\n")
+    for path in (DATA / "triangle_ok.csv", one_sided):
+        a, b = load_rates(path), load_rates(path)
+        assert a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
+        assert "filled" not in vars(a) and "filled" not in vars(b)
+    a, b = load_rates(DATA / "triangle_ok.csv"), load_rates(one_sided)
+    assert a != b and not a == b
+    # a file built directly equals the loaded one with the same contents
+    for loaded in (a, b):
+        direct = RatesFile(matrix=loaded.matrix, labels=loaded.labels, filled=loaded.filled)
+        assert direct == loaded and hash(direct) == hash(loaded)
+        other = RatesFile(matrix=loaded.matrix, labels=loaded.labels, filled=((1, 3),))
+        assert other != loaded
+    relabelled = RatesFile(matrix=a.matrix, labels=("x", "y", "z"), filled=())
+    assert relabelled != a and not relabelled == a

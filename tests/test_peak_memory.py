@@ -1,14 +1,17 @@
-"""Peak memory of the check and price path, and the batched chord climb.
+"""Peak memory of the check and price path, the batched chord climb, and
+the writers and report encoders.
 
 The rates reader drops each array once it is read and takes its input's
 bytes over, so that a check or price run holds at any moment only what its
 next step reads; the chord climb records its tree steps in batches of at
-most ``CHORD_STEPS`` per good and per directed edge. Peaks are traced by
-tracemalloc, in process; a CLI child whose address space is capped below
+most ``CHORD_STEPS`` per good and per directed edge; a writer or report
+encoder holds one cell per label and one block of its output. Peaks are
+traced by tracemalloc, in process; a CLI child whose address space is capped below
 what its check needs ends in the MemoryError report.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,17 +23,19 @@ import pytest
 
 import arbx
 import arbx.exchange as exchange
+import arbx.io as arbx_io
 from arbx import exp_of, generate_graph, log_of
 from arbx.cli import main
 from arbx.exchange import LogRateMatrix, _chord_gains, check_no_arbitrage
 from arbx.graph import _connected_tree, _csr, new_graph
-from arbx.io import _graph_of, _rates_of, load_rates, save_rates
+from arbx.io import RunReport, _graph_of, _rates_of, load_rates, save_rates
 from helpers import (
     random_log_matrix,
     reference_check_no_arbitrage,
     reference_chord_gains,
     reference_csr,
     reference_load_rates,
+    reference_rates_text,
     same_bits,
 )
 
@@ -225,3 +230,52 @@ def test_the_parsers_take_the_bytes_over():
     assert held == [] and log_of(rates.matrix).n == 3
     held = [(DATA / "k3.json").read_bytes()]
     assert _graph_of(DATA / "k3.json", held).n == 3 and held == []
+
+
+# --- the writers and report encoders: one label cell per good, one block
+
+
+def _cell_list_bytes(cells) -> int:
+    return sys.getsizeof(cells) + sum(map(sys.getsizeof, cells))
+
+
+@pytest.mark.parametrize("named", [False, True])
+def test_save_rates_peaks_at_one_label_cell_list_and_one_block(tmp_path, named):
+    g = generate_graph("pa", 20_000, m=3, seed=11)
+    r = exp_of(random_log_matrix(g, 11))
+    labels = tuple(f"g{k:06d}" for k in range(1, g.n + 1)) if named else None
+    save_rates(tmp_path / "r.csv", r, labels)  # the graph's cached edge ends are not the write's
+    _, peak = _peak(save_rates, tmp_path / "r.csv", r, labels)
+    cells = list(labels) if named else list(map(str, range(1, g.n + 1)))
+    # one CSV cell per label, the row order and the pair ids it is built
+    # from (8 B a row each) and one block of rows; the label table, the csv
+    # writer's rows and a third row-long array took 2.2 to 3.3 MB more here
+    assert peak <= _cell_list_bytes(cells) + 16 * g._edge_count + 512 * arbx_io._BLOCK, peak
+
+
+def test_report_pieces_of_1e5_labels_and_prices_peak_at_a_few_blocks():
+    n = 100_000
+    prices = np.random.default_rng(1).uniform(-3.0, 3.0, n).tolist()
+    data = {"reference": "1", "prices_log": prices, "prices_multiplicative": [math.exp(p) for p in prices]}
+    report = RunReport("price", "ok", None, {"n": n}, {}, tuple(map(str, range(1, n + 1))), data)
+    for fmt, held in (("json", 18 * n), ("text", 0)):
+        # consumed a piece at a time, as main writes them
+        size, peak = _peak(lambda: sum(map(len, report._chunks(fmt))))
+        assert size == len(report.to_json() if fmt == "json" else report.to_text())
+        # json: the two lists copied with ±inf as None (8 B an item and up
+        # to an eighth more spare); each list encoded whole took 8.5 (json)
+        # and 9.1 MB (text) here
+        assert peak <= held + 256 * arbx_io._BLOCK, (fmt, peak)
+
+
+QUOTED = ["a,b", 'q"t', "cr\rx", "lf\ny", "cr\r\nlf", "sp ace", " lead", '"', "", "é€", "plain"]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1024])
+def test_save_rates_of_quoted_labels_is_csv_writers_text_at_every_block(tmp_path, monkeypatch, block):
+    g = new_graph(len(QUOTED), [(1, 1), *((v, v + 1) for v in range(1, len(QUOTED))), (1, 5), (3, 3), (2, 9)])
+    r = exp_of(random_log_matrix(g, 5))
+    monkeypatch.setattr(arbx_io, "_BLOCK", block)
+    for labels in (QUOTED, tuple(QUOTED), None):
+        save_rates(tmp_path / "r.csv", r, labels)
+        assert (tmp_path / "r.csv").read_bytes() == reference_rates_text(r, labels).encode("utf-8")

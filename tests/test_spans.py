@@ -1,13 +1,17 @@
 """The span recorder, and the run metrics ``main`` stamps beside
-``elapsed_ms``: the spans of the layers that ran, the process's peak
+``elapsed_ms``: the spans of the layers that ran, the process's own peak
 resident set, and the size of the market a command read."""
 
 import csv
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
 
 import arbx.cli as cli
 import arbx.spans as spans
@@ -87,6 +91,38 @@ def test_peak_rss_is_the_process_peak_in_mib(capsys, monkeypatch):
     for platform, mib in (("linux", 3072.0), ("darwin", 3.0)):
         monkeypatch.setattr(sys, "platform", platform)
         assert cli._peak_rss() == {"peak_rss_mb": mib}
+
+
+# A parent that holds 256 MiB of its own, then runs one small CLI command:
+# Linux carries the parent's ru_maxrss over the child's exec.
+_BIG_PARENT = """
+import subprocess, sys
+held = b"x" * (256 << 20)
+proc = subprocess.run([sys.executable, "-m", "arbx.cli", *sys.argv[1:]], capture_output=True, text=True)
+sys.stdout.write(proc.stdout)
+raise SystemExit(proc.returncode)
+"""
+
+
+def test_peak_rss_is_the_childs_own_peak_not_its_launchers():
+    if not Path("/proc/self/status").exists():
+        pytest.skip("the status file with VmHWM is Linux's")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["dim", "--graph", str(DATA / "k3.json"), "--format", "json"]
+    proc = subprocess.run([sys.executable, "-c", _BIG_PARENT, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < json.loads(proc.stdout)["metrics"]["peak_rss_mb"] < 128
+
+
+def test_peak_rss_is_the_smaller_of_ru_maxrss_and_vmhwm(monkeypatch):
+    usage = SimpleNamespace(ru_maxrss=300 * 2**10)  # KiB on Linux
+    monkeypatch.setattr(cli, "resource", SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage))
+    monkeypatch.setattr(sys, "platform", "linux")
+    status = "Name:\tpython3\nVmPeak:\t  900000 kB\nVmHWM:\t   51200 kB\nVmRSS:\t   40960 kB\n"
+    assert cli._peak_rss(status) == {"peak_rss_mb": 50.0}
+    assert cli._peak_rss(status.replace("51200", "409600")) == {"peak_rss_mb": 300.0}
+    assert cli._peak_rss("VmRSS:\t   40960 kB\n") == cli._peak_rss() == {"peak_rss_mb": 300.0}
 
 
 def test_no_peak_rss_without_the_resource_module(capsys, monkeypatch):
