@@ -407,25 +407,26 @@ def _check(e: LogRateMatrix, tol: float) -> tuple[CheckResult, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         drift = depth * np.abs(fixed[np.minimum(t.to_parent, t.from_parent)[t.order[1:]] + loops.size]).max(initial=0.0)
         err = 2 * 2.0**-53 * depth * np.abs(p).max()
+        r = np.abs(v[chords] - (p[b[chords]] - p[a[chords]]))  # each chord's |residual|
         upper = (np.abs(v[chords]) + (p.max() - p.min() + drift + err)) * (2 * (2 * depth + 3) * 2.0**-53)
         upper += 2 * (drift + err) + 2.0**-1070  # the bound, centred on |r| next
-        r = v[chords] - (p[b[chords]] - p[a[chords]])
-        lower = np.abs(r) - upper
-        upper += np.abs(r)
+        lower = r - upper
+        upper += r
         unsure = ~np.isfinite(upper)
         upper[unsure], lower[unsure] = np.inf, 0.0
         most = np.abs(fixed).max(initial=0.0)
         c = chords[(upper > tol) & (upper >= max(most, lower.max(initial=0.0)))]
+        del upper, lower, unsure
         gains = np.concatenate([fixed, _chord_gains(v, t, c, a[c], b[c])])
     abs_gains = np.abs(gains)
     if not abs_gains.max(initial=0.0) > tol:
-        most = max(most, np.fmax.reduce(np.abs(r), initial=0.0))
+        most = max(most, np.fmax.reduce(r, initial=0.0))
         return CheckResult(True, None, fixed.size + chords.size, float(most)), p
     worst = np.flatnonzero(abs_gains == abs_gains.max())
-    first, second = np.concatenate([loops, a, a[c]]), np.concatenate([loops, b, b[c]])
+    first, second = (np.concatenate([loops, x, x[c]])[worst] for x in (a, b))
     # a stable sort keeps list order among equal keys: antisymmetry first
-    w = worst[np.lexsort((second[worst], first[worst]))[0]]
-    i, j = int(first[w]) + 1, int(second[w]) + 1
+    k = np.lexsort((second, first))[0]
+    w, i, j = worst[k], int(first[k]) + 1, int(second[k]) + 1
     if w < loops.size:
         cycle: tuple[int, ...] = (i, i)
     elif w < loops.size + a.size:

@@ -51,6 +51,9 @@ step through vertex by vertex instead of in one numpy pass. A pass costs
 about 25 us however small its level, so one per level would make a path of
 n goods cost n passes; a vertex by hand costs about 2 us."""
 
+_SLICE = 1 << 14
+"""Slots of a large level searched in one pass: swept from 2^10 to 2^30, as fast from 2^13, least memory to 2^14."""
+
 _MAX_KEYED_N = 3_037_000_499
 """Largest n whose edge keys i * n + j fit in int64."""
 
@@ -332,6 +335,11 @@ class TreeArrays(NamedTuple):
     levels: np.ndarray
 
 
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions of the runs of ``lengths`` from ``starts``, one run after the other."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
 def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     """(indptr, nbrs, pair): row v, ``nbrs[indptr[v]:indptr[v + 1]]``, lists
     v's neighbours over the distinct 0-based pairs (a[k], b[k]) ascending;
@@ -340,7 +348,6 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     upper, lower = np.bincount(a, minlength=n), np.bincount(b, minlength=n)
     indptr = np.zeros(n + 1, np.intp)
     np.cumsum(upper + lower, out=indptr[1:])
-    dst = np.concatenate([b, a])
     if n <= 1 << 16 and (a < b).all() and _ascending(a, b).all():
         # a graph's own pairs: row v lists its steps back to lower goods, then
         # its steps forward, each in pair order. The forward steps of all rows
@@ -352,11 +359,10 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
         pair = np.empty(2 * a.size, np.intp)
         pair[np.cumsum(lower)[a] + k] = k
         pair[(np.cumsum(upper) - upper)[b[back]] + k] = back + a.size
+        del back, k
     else:
-        key = np.concatenate([a, b]).astype(np.int64, copy=False) * n
-        key += dst
-        pair = np.argsort(key)
-    return indptr, dst[pair], pair
+        pair = np.argsort(np.concatenate([a, b]).astype(np.int64, copy=False) * n + np.concatenate([b, a]))
+    return indptr, np.concatenate([b, a])[pair], pair
 
 
 def _ascending(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -395,15 +401,15 @@ def _bfs_tree(n: int, a: np.ndarray, b: np.ndarray) -> TreeArrays:
                 level = fresh
             found, slots, frontier = (np.array(x, np.intp) for x in (found, slots, level))
         else:
-            start = indptr[frontier]
-            count = indptr[frontier + 1] - start
-            # the slots of the frontier's rows, one row after the other
-            slots = np.repeat(start - np.cumsum(count) + count, count)
-            slots += np.arange(slots.size)
-            slots = slots[depth[nbrs[slots]] < 0]
-            slots = slots[np.sort(np.unique(nbrs[slots], return_index=True)[1])]
+            # the rows in pieces of about _SLICE slots, each marking its goods before the next
+            ends, pieces = np.cumsum(indptr[frontier + 1] - indptr[frontier]), []
+            for rows in np.split(frontier, np.searchsorted(ends, np.arange(_SLICE, ends[-1], _SLICE), "right")):
+                slots = _spans(indptr[rows], indptr[rows + 1] - indptr[rows])
+                slots = slots[depth[nbrs[slots]] < 0]
+                pieces.append(slots[np.sort(np.unique(nbrs[slots], return_index=True)[1])])
+                depth[nbrs[pieces[-1]]] = len(sizes)
+            slots = np.concatenate(pieces)
             found = frontier = nbrs[slots]
-            depth[found] = len(sizes)
             sizes.append(found.size)
         parent[found] = np.searchsorted(indptr, slots, side="right") - 1  # the slot's row
         via[found] = pair[slots]

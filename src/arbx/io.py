@@ -38,7 +38,7 @@ from .basis import BasisAssignment, BasisSpec
 from .dynamics import PerturbationVector
 from .errors import BadParamsError, NotConnectedError, ParseError, ReciprocalConflictError
 from .exchange import DEFAULT_TOL, ArbitrageWitness, RateMatrix, require_tol
-from .graph import MarketGraph, _ArrayEquality, _built_on_read, _set_fields, is_connected, new_graph
+from .graph import MarketGraph, _ArrayEquality, _built_on_read, _set_fields, _spans, is_connected, new_graph
 
 # A canonical rates file: the bare header (a BOM allowed), then one or more
 # rows of two 1-based indices, each exactly its digits, and a rate that
@@ -47,7 +47,6 @@ from .graph import MarketGraph, _ArrayEquality, _built_on_read, _set_fields, is_
 # C passes, the csv tokenizer any other file.
 _CANONICAL_HEADER = b"src,dst,rate\n"
 _SCAN = 1 << 16  # bytes a block of rows reaches before its last row ends
-_FIELDS = bytes.maketrans(b"\n", b",")  # a block's rows as one comma-separated run of fields
 _RUN = 18  # digits that np.fromstring reads into an int64 without saturating
 _POW10 = np.array([10**f for f in range(_RUN + 1)]).astype(np.longdouble)  # exact from int64
 # a long double of 64 (x87) or 113 (IEEE quad) significand bits holds every
@@ -59,8 +58,9 @@ _EXACT_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
 # and each sum rounds by u (Higham, 2nd ed., §4.2); closer to tol, math.log judges.
 _LOG_BAND = 2.0**-48  # 32u
 
-# the label table, the quote keys of _key_order ascending, the rates in that order
-_Quotes = tuple[tuple[str, ...], np.ndarray, np.ndarray]
+# the label table (or the count of goods named by their indices), the keys
+# of _quote_keys ascending, the rates in that order
+_Quotes = tuple[tuple[str, ...] | int, np.ndarray, np.ndarray]
 
 
 # json's C encoder, the one json.dumps takes only without an indent. Its item
@@ -69,8 +69,9 @@ _Quotes = tuple[tuple[str, ...], np.ndarray, np.ndarray]
 _FLAT = json.JSONEncoder(separators=("\x1f", ": ")).encode
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _BLOCK = 1024  # rows or list items encoded at a time
-# a float's repr where json.dumps writes another text, once ±inf is None
-_JSON_FLOATS = {"inf": "null", "-inf": "null", "nan": "NaN"}
+# a float's repr, or a C encoder's item, where json.dumps writes another
+# text once ±inf is None
+_JSON_FLOATS = {"inf": "null", "-inf": "null", "nan": "NaN", "Infinity": "null", "-Infinity": "null"}
 
 
 def _json_text(value: object) -> str:
@@ -78,19 +79,22 @@ def _json_text(value: object) -> str:
     return "".join(_json_chunks(value))
 
 
-def _json_chunks(value: object, indent: str = "") -> Iterator[str]:
+def _json_chunks(value: object, indent: str = "", nulls: bool = False) -> Iterator[str]:
     """:func:`_json_text` in pieces, with ``indent`` before every line but
     the first, a :class:`_Rows` block one block at a time as its list form
-    with ±inf as null. A flat list is encoded by the C encoder a block at a
-    time and laid out by replacing its separators; a dict with string keys
-    recurses; any other value, a nested list among them, goes to json.dumps."""
+    with ±inf as null, and with ``nulls`` the value as :func:`_inf_to_none`
+    maps it. A flat list is encoded by the C encoder a block at a time and
+    laid out by replacing its separators; a dict with string keys recurses,
+    a partial renders itself, any other value goes to json.dumps."""
     deeper = indent + "  "
-    if type(value) is _Rows:
+    if type(value) is partial:
+        yield from value(indent)
+    elif type(value) is _Rows:
         blocks = value._render(_json_cells, f",\n{deeper}[\n{deeper}  ", f",\n{deeper}  ", f"\n{deeper}]", _json_floats)
         first = next(blocks, None)  # its rows lead with ",\n", where the list opens with "[\n"
         yield from ["[]"] if first is None else chain(["[" + first[1:]], blocks, [f"\n{indent}]"])
     elif type(value) in (dict, list, tuple) and not value or type(value) in _SCALARS:
-        yield _FLAT(value)
+        yield _FLAT(_inf_to_none(value) if nulls else value)
     elif type(value) is dict and set(map(type, value)) <= {str}:
         for sep, k in zip(chain(["{\n"], repeat(",\n")), sorted(value)):
             yield f"{sep}{deeper}{_FLAT(k)}: "
@@ -98,17 +102,20 @@ def _json_chunks(value: object, indent: str = "") -> Iterator[str]:
         yield f"\n{indent}}}"
     elif type(value) in (list, tuple) and set(map(type, value)) <= _SCALARS:
         sep = ",\n" + deeper
-        for lead, block in zip(chain([f"[\n{deeper}"], repeat(sep)), _flat_blocks(value)):
+        for lead, block in zip(chain([f"[\n{deeper}"], repeat(sep)), _flat_blocks(value, nulls and type(value) is list)):
             yield lead + block.replace("\x1f", sep)
         yield f"\n{indent}]"
     else:
-        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        yield json.dumps(_inf_to_none(value) if nulls else value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
-def _flat_blocks(items: Sequence) -> Iterator[str]:
-    """The C encoder's text of each _BLOCK items, the brackets cut off."""
+def _flat_blocks(items: Sequence, nulls: bool = False) -> Iterator[str]:
+    """The C encoder's text of each _BLOCK items, brackets cut off, ±inf as null with ``nulls``."""
     for start in range(0, len(items), _BLOCK):
-        yield _FLAT(list(items[start : start + _BLOCK]))[1:-1]
+        text = _FLAT(list(items[start : start + _BLOCK]))[1:-1]
+        if nulls and "Infinity" in text:
+            text = "\x1f".join(map(_JSON_FLOATS.get, cells := text.split("\x1f"), cells))
+        yield text
 
 
 def _json_cells(labels: Sequence) -> list[str]:
@@ -364,15 +371,18 @@ def _bad_rates(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return ~positive, positive & ~np.isfinite(1.0 / rates)
 
 
-def _key_order(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
-    """The keys of the quotes of the 1-based indices i and j in ascending
-    order, the order that sorts them, and a mask of each repeat of an
-    earlier row's key. A quote's key is (lo * n + hi) * 2 over its 0-based
-    goods, plus 1 if it runs from hi to lo, so the quotes of a pair are
-    adjacent, lo -> hi first, as in every written sheet."""
-    # n is at most the distinct tokens, twice the rows, so 2 n^2 fits in
-    # int64 for any file below ~10^9 rows
-    key = (np.minimum(i, j) * n + np.maximum(i, j) - (n + 1)) * 2 + (i > j)
+def _quote_keys(width: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The keys (lo * width + hi) * 2, plus 1 for hi -> lo, of the quotes of
+    the 1-based i and j over their 0-based goods, so that a pair's quotes are
+    adjacent, lo -> hi first, as in every written sheet. ``width``, twice the
+    rows plus one, exceeds every index a sheet may name: 2 width^2 fits in
+    int64 below ~10^9 rows."""
+    return (np.minimum(i, j) * width + np.maximum(i, j) - (width + 1)) * 2 + (i > j)
+
+
+def _key_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
+    """The quote keys ``key`` ascending, the order that sorts them, and a
+    mask of each repeat of an earlier row's key."""
     repeat = np.zeros(len(key), bool)
     if (key[1:] > key[:-1]).all():  # in order already: no sort, no repeat
         return key, slice(None), repeat
@@ -382,43 +392,46 @@ def _key_order(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.nda
     return keys, order, repeat
 
 
-def _canonical_quotes(data: bytes) -> _Quotes | None:
-    """:func:`_tokenized_quotes` of a canonical file, in C passes; None for
-    any other file and for every file the tokenizer must reject.
-
-    The columns are allocated once from the count of newlines and filled a
-    block of whole rows at a time by :func:`_quote_block`, whose temporaries
-    are sized by the block; no text, row list or string column is built."""
+def _canonical_quotes(held: list[bytes]) -> _Quotes | None:
+    """:func:`_tokenized_quotes` of a canonical file ``held[0]`` in C passes,
+    its goods counted; None for any other file and every file the tokenizer
+    must reject. The key and rate columns, allocated from the count of
+    newlines, are filled a block of rows at a time by :func:`_quote_block`;
+    ``held`` is emptied once no screen can send the file to the tokenizer."""
+    data = held[0]
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     lo = start + len(_CANONICAL_HEADER)
     if not data.startswith(_CANONICAL_HEADER, start) or data[lo : lo + 1] in (b"", b"\n"):
         return None  # no first row
     count = data.count(b"\n", lo) + (data[-1] != 10)
-    i, j, rates = np.empty(count, np.int64), np.empty(count, np.int64), np.empty(count)
+    keys, rates = np.empty(count, np.int64), np.empty(count)
     # as in the label table, the indices must name every good up to the
     # largest; past twice the row count some surely do not, so no wider
-    # index is read, and the mask below is sized by the file
-    wide, row = len(str(2 * count)), 0
+    # index is read, and no larger one is kept
+    wide, width = len(str(2 * count)), 2 * count + 1
+    quoted, top, row, ascending = np.zeros(1, bool), 0, 0, True
     while lo < len(data):
         hi = data.find(b"\n", lo + _SCAN) + 1 or len(data)
         if (block := _quote_block(data, lo, hi, wide)) is None:
             return None
-        k = row + len(block[0])
-        i[row:k], j[row:k], rates[row:k] = block
-        row, lo = k, hi
-    n = int(max(i.max(), j.max()))
-    if n > 2 * count:
+        i, j, rates[row : row + len(i)] = block
+        top = max(top, i.max(), j.max())
+        if top >= width or any(mask.any() for mask in _bad_rates(block[2])):
+            return None
+        quoted.resize(top + 1, refcheck=False)  # zeros appended
+        quoted[i] = quoted[j] = True
+        keys[row : row + len(i)] = key = _quote_keys(width, i, j)
+        ascending = ascending and (key[1:] > key[:-1]).all() and (row == 0 or key[0] > keys[row - 1])
+        row, lo = row + len(i), hi
+        del block, i, j, key
+    if not ascending:  # the keys sorted in place, the order sorts the rates
+        order = np.argsort(keys)
+        keys.sort()
+    if not quoted[1 : top + 1].all() or not ascending and (keys[1:] == keys[:-1]).any():
         return None
-    quoted = np.zeros(n + 1, bool)
-    quoted[i] = quoted[j] = True
-    if not quoted[1:].all():
-        return None
-    keys, order, repeat = _key_order(n, i, j)
-    del i, j
-    rates = rates[order]
-    if repeat.any() or any(mask.any() for mask in _bad_rates(rates)):
-        return None
-    return _index_labels(n), keys, rates
+    held.clear()
+    del data
+    return int(top), keys, rates if ascending else rates[order]
 
 
 def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -426,20 +439,20 @@ def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, 
     None if a row is not canonical or an index is wider than ``wide``.
 
     The bytes other than digits place every field, so its width is known
-    before one np.fromstring pass reads each row as three runs of at most
-    _RUN digits, which it cannot saturate: the indices, and a plain rate
-    ``a.b`` as the integer N of its digits; a rate of any other form reads
-    0. A plain rate is N / 10^f, f the digits of b, and both are exact in a
-    long double (see _EXACT_QUOTIENT): their quotient v is rounded once,
-    and x = float64(v) once more. Rounding is monotone and every float64
-    midpoint is a long double, so v is on the same side of each midpoint as
-    N / 10^f, or on one: x is float()'s value unless v is a midpoint, where
-    v - x is half the gap to x's neighbour and 2v - x (exact) is that
-    neighbour, a float64 other than x. Such a rate, one of another form,
-    and any where no long double is exact, goes to float() on its own
-    bytes."""
+    before one np.fromstring pass over one copy of the rows reads each row
+    as three runs of at most _RUN digits, which it cannot saturate: the
+    indices, and a plain rate ``a.b`` as the integer N of its digits, its a
+    moved one byte on over its point; a rate of any other form reads 0. A
+    plain rate is N / 10^f, f the digits of b, and both are exact in a long
+    double (see _EXACT_QUOTIENT): their quotient v is rounded once, and x =
+    float64(v) once more. Rounding is monotone and every float64 midpoint
+    is a long double, so v is on the same side of each midpoint as N / 10^f,
+    or on one: x is float()'s value unless v is a midpoint, where v - x is
+    half the gap to x's neighbour and 2v - x (exact) is that neighbour, a
+    float64 other than x. Such a rate, one of another form, and any where
+    no long double is exact, goes to float() on its own bytes."""
     buf = np.frombuffer(data, np.uint8, hi - lo, lo)
-    at = np.flatnonzero((buf < 48) | (buf > 57))
+    at = np.flatnonzero(buf - 48 > 9)  # a byte below 48 wraps past 9
     kind = buf[at]
     if data[hi - 1] != 10:  # the file's last row, without its newline
         at, kind = np.append(at, hi - lo), np.append(kind, np.uint8(10))
@@ -452,6 +465,7 @@ def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, 
         return None
     plain = (end - first == 3) & (kind[first + 2] == 46)
     c1, c2, point, end = at[first], at[first + 1], at[first + 2], at[end]
+    del at, kind, first
     start = np.concatenate([[0], end[:-1] + 1])
     widths = np.concatenate([c1 - start, c2 - c1 - 1])  # the indices': 1 to wide digits, no leading 0
     if widths.min() < 1 or widths.max() > wide or (buf[start] == 48).any() or (buf[c1 + 1] == 48).any():
@@ -460,20 +474,23 @@ def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, 
         return None
     f, run = end - point - 1, end - c2 - 2  # a plain rate's digits after its point, and all of them
     plain &= (run > 0) & (run <= _RUN) & _EXACT_QUOTIENT
-    text = buf.copy()  # any other rate becomes a 0 and points
-    other = np.flatnonzero(~plain)
-    text[c2[other] + 1] = 48
-    gone = run[other]
-    text[np.repeat(c2[other] + 2 - np.cumsum(gone) + gone, gone) + np.arange(gone.sum())] = 46
-    runs = np.fromstring(text[: end[-1]].tobytes().translate(_FIELDS, b"."), np.int64, sep=",")
-    ok = np.flatnonzero(plain)
-    v = runs[2::3][ok].astype(np.longdouble)
-    v /= _POW10[f[ok]]
-    rates = np.empty(end.size)
-    rates[ok] = v
-    x = rates[ok].astype(np.longdouble)
-    beyond = v + v - x
-    slow = np.concatenate([other, ok[(beyond.astype(np.float64).astype(np.longdouble) == beyond) & (v != x)]])
+    del c1, start, widths
+    # the rows' fields parted by commas and spaces, then a NUL to end the last, as in bytes
+    text = np.append(buf[: end[-1]], np.uint8(0))
+    text[end[:-1]] = 44
+    moved = _spans((c2 + 1)[plain], (point - c2 - 1)[plain])
+    text[moved + 1] = text[moved]
+    text[c2 + 1] = np.where(plain, 32, 48)
+    text[_spans((c2 + 2)[~plain], run[~plain])] = 32
+    del point, run, moved
+    runs = np.fromstring(text[:-1], np.int64, sep=",")
+    del text
+    v = runs[2::3].astype(np.longdouble)
+    v /= _POW10[np.where(plain, f, 0)]
+    rates = v.astype(np.float64)
+    x = v - rates  # exact
+    v += x  # 2v - x
+    slow = np.flatnonzero(~plain | (x != 0) & (v.astype(np.float64).astype(np.longdouble) == v))
     try:
         rates[slow] = [float(data[lo + a + 1 : lo + b]) for a, b in zip(c2[slow].tolist(), end[slow].tolist())]
     except ValueError:  # not a number
@@ -488,7 +505,7 @@ def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
     src, dst, rates, junk = _rate_columns(path, data)
     labels, to_index = _label_table(path, {*src, *dst})
     i, j = (np.fromiter(map(to_index, column), np.int64, len(column)) for column in (src, dst))
-    keys, order, repeat = _key_order(len(labels), i, j)
+    keys, order, repeat = _key_order(_quote_keys(2 * len(i) + 1, i, j))
     not_positive, tiny = _bad_rates(rates)
     bad = not_positive | tiny | repeat
     bad[junk] = True
@@ -546,68 +563,69 @@ def load_rates(path: str | Path, tol: float = DEFAULT_TOL) -> RatesFile:
     return _rates_of(path, [_read_bytes(path)], tol)
 
 
-def _rates_of(path: str | Path, data: bytes | list[bytes], tol: float) -> RatesFile:
-    """:func:`load_rates` of the file's bytes ``data``, ``tol`` checked.
-
-    Each array is dropped once read: the bytes once parsed, then the quote
-    keys, so that the graph is searched beside only the edge values, the
-    label table and the filled entries."""
-    data = _taken(data)
-    labels, keys, rates = _canonical_quotes(data) or _tokenized_quotes(path, data)
-    del data
-    n = len(labels)
+def _rates_of(path: str | Path, held: list[bytes], tol: float) -> RatesFile:
+    """:func:`load_rates` of the file's bytes ``held`` (see :func:`_taken`),
+    ``tol`` checked. Each array is dropped once read: the bytes once parsed,
+    then the quote keys, so that the graph is searched beside only the edge
+    values, the filled entries and a labelled file's label table."""
+    # the label table, or the count of a canonical file's goods, labelled last
+    names, keys, rates = _canonical_quotes(held) or _tokenized_quotes(path, held.pop())
+    n, width = names if type(names) is int else len(names), 2 * len(keys) + 1
+    labels = lambda: _index_labels(n) if type(names) is int else names
 
     # the quotes by pair (lo, hi) ascending; a pair quoted both ways is its
     # lo -> hi quote followed by its hi -> lo one
     down = (keys & 1).astype(bool)
-    keys >>= 1  # the pair's lo * n + hi
+    keys >>= 1  # the pair's lo * width + hi
     first = np.ones(len(keys), bool)
     first[1:] = keys[1:] != keys[:-1]
-    lo, hi = np.divmod(keys, n)
-    del keys
     k = _first_conflict(rates, first, tol)
     if k is not None:
-        a, b = labels[lo[k]], labels[hi[k]]
+        a, b = (labels()[v] for v in divmod(int(keys[k]), width))
         raise ReciprocalConflictError(
             f"{path}: quotes {a}->{b} and {b}->{a} multiply to {rates.item(k - 1) * rates.item(k):.12g}, not 1"
         )
 
-    loop = lo == hi
+    loop = keys % (width + 1) == 0  # lo == hi
     edge = first & ~loop
-    graph = MarketGraph._of_arrays(n, lo[edge], hi[edge], lo[loop])
+    graph = MarketGraph._of_arrays(n, *np.divmod(keys[edge], width), keys[loop] // (width + 1))
+    # the quotes alone in their pair, each filled by its reciprocal, in the
+    # order of the quotes they complete, by (src, dst)
+    lone = edge & np.append(first[1:], True)
+    lo, hi = np.divmod(keys[lone], width)
+    del keys, first
     # each quote's directed edge id: pair k's lo -> hi quote is id k, its
     # hi -> lo quote E + k, and the loop at loops[l] 2E + l
     e = graph._lo.size
-    ids = np.cumsum(edge)
-    ids -= 1
+    ids = np.cumsum(edge) - 1
     np.add(ids, e, out=ids, where=down)
     ids[loop] = 2 * e + np.arange(graph._loop_array.size)
     values = np.empty(graph._edge_count)
     values[ids] = rates
-    # the quotes alone in their pair, each filled by its reciprocal, in the
-    # order of the quotes they complete, by (src, dst)
-    edge[:-1] &= first[1:]
-    ids, lo, hi, down, rates = ids[edge], lo[edge], hi[edge], down[edge], rates[edge]
+    ids, down, rates = ids[lone], down[lone], rates[lone]
     values[ids + np.where(down, -e, e)] = 1.0 / rates
     src, dst = np.where(down, hi, lo), np.where(down, lo, hi)
     order = np.argsort(src * n + dst)
     filled = np.stack((dst[order], src[order]))
-    del first, loop, edge, ids, lo, hi, down, rates, src, dst, order
+    del loop, edge, lone, ids, lo, hi, down, rates, src, dst, order
     if not is_connected(graph):
         raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
-    return _set_fields(object.__new__(RatesFile), matrix=RateMatrix._of(graph, values), labels=labels, _filled_ends=filled)
+    matrix = RateMatrix._of(graph, values)
+    return _set_fields(object.__new__(RatesFile), matrix=matrix, labels=labels(), _filled_ends=filled)
 
 
 def _first_conflict(rates: np.ndarray, first: np.ndarray, tol: float) -> int | None:
     """The position of the second quote of the first pair quoted both ways
     whose quotes' logs add up to more than ``tol`` in magnitude, as math.log
-    sums them (see ``_LOG_BAND``), or None."""
+    sums them (see ``_LOG_BAND``), or None. Four arrays of pairs are held."""
     both = np.flatnonzero(~first)
-    there, home = rates[both - 1], rates[both]
-    logs = np.log(there), np.log(home)
-    drift = np.abs(logs[0] + logs[1])
-    near = np.flatnonzero(np.abs(drift - tol) <= _LOG_BAND * (np.abs(logs[0]) + np.abs(logs[1])))
-    drift[near] = [abs(math.log(a) + math.log(b)) for a, b in zip(there[near].tolist(), home[near].tolist())]
+    there, home = np.log(rates[both - 1]), np.log(rates[both])
+    drift = there + home
+    np.abs(drift, out=drift)
+    band = np.add(np.abs(there, out=there), np.abs(home, out=home), out=there)
+    band *= _LOG_BAND
+    near = np.flatnonzero(np.abs(np.subtract(drift, tol, out=home), out=home) <= band)
+    drift[near] = [abs(math.log(a) + math.log(b)) for a, b in zip(*rates[[both[near] - 1, both[near]]].tolist())]
     conflict = np.flatnonzero(drift > tol)
     return int(both[conflict[0]]) if conflict.size else None
 
@@ -724,7 +742,7 @@ class RunReport:
         return json.loads(self.to_json())
 
     def _doc(self) -> dict:
-        # the report's JSON document, each row block in data as it is
+        # the report's JSON document, each value in data rendering itself with ±inf as null
         w = self.witness
         witness = None if w is None else {
             "cycle": list(w.cycle),
@@ -739,7 +757,7 @@ class RunReport:
             "metrics": dict(self.metrics),
             "inputs": dict(self.inputs),
             "labels": self.labels,
-            "data": {k: v if type(v) is _Rows else _inf_to_none(v) for k, v in self.data.items()},
+            "data": {k: partial(_json_chunks, v, nulls=True) for k, v in self.data.items()},
         }
 
     def to_json(self) -> str:

@@ -432,6 +432,32 @@ def test_screened_sheets_reach_the_tokenizer(tmp_path, tokenizer_calls, text):
     assert tokenizer_calls == [path]
 
 
+def _last_block_faults():
+    """A canonical sheet of more than two blocks whose last row is rewritten,
+    and what the tokenizer makes of it (None: a rates file): a space after
+    its first comma, a repeat of the first row (whose key sits in the first
+    block), or a rate of 0."""
+    head, *rows = market_csv(5, "complete", 100, one_sided=0.0, skews=0, canonical=True).splitlines()
+    last, line = rows[-1], len(rows) + 1
+    yield "space after a comma", [*rows[:-1], last.replace(",", ", ", 1)], None
+    yield "repeated quote", [*rows, rows[0]], f":{line + 1}: duplicate quote"
+    yield "rate 0", [*rows[:-1], last.rsplit(",", 1)[0] + ",0"], f":{line}: rate must be positive and finite, got 0"
+
+
+LAST_BLOCK_FAULTS = {name: ("src,dst,rate\n" + "\n".join(rows) + "\n", error) for name, rows, error in _last_block_faults()}
+
+
+@pytest.mark.parametrize("text, error", LAST_BLOCK_FAULTS.values(), ids=LAST_BLOCK_FAULTS.keys())
+def test_a_fault_in_the_last_block_reaches_the_tokenizer_once(tmp_path, tokenizer_calls, text, error):
+    # the bytes outlive every block and the key order, so that a file sent
+    # to the tokenizer by its last rows is read from them once
+    path = _write(tmp_path, text)
+    assert len(text) > 2 * arbx.io._SCAN and text.rfind("\n", 0, -1) > len(text) - arbx.io._SCAN
+    got = assert_same(path)
+    assert tokenizer_calls == [path]
+    assert (got[1].startswith(f"{path}{error}") if error else not isinstance(got, tuple)), got
+
+
 def _key_ordered(seed):
     """The rows of a canonical sheet in the order save_rates writes them:
     by pair (lo, hi), lo -> hi first."""

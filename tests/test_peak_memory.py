@@ -91,6 +91,27 @@ def test_load_rates_peaks_at_100_bytes_per_row(tmp_path):
     assert rates.matrix.graph == g and peak <= 100 * rows, peak / rows
 
 
+# a sheet, and the bound of its load's peak: a fixed size plus bytes a row
+LOAD_PEAKS = {
+    "K250": ("complete", 250, 3.0 * MiB, 0),
+    "pa n=20,000": ("pa", 20_000, 0, 56),
+    "pa n=300": ("pa", 300, 0.35 * MiB, 0),
+}
+
+
+@pytest.mark.parametrize("kind, n, fixed, per_row", LOAD_PEAKS.values(), ids=LOAD_PEAKS.keys())
+def test_load_rates_peaks_at_its_bytes_and_one_key_and_rate_per_quote(tmp_path, kind, n, fixed, per_row):
+    # the bytes (26 to 29 B a row here) are freed once no screen can send
+    # the file to the tokenizer, and a block's temporaries are sized by the
+    # block; the parse peaked at 3.98 MiB, 72 B a row and 0.52 MiB before
+    path = tmp_path / "rates.csv"
+    g = generate_graph(kind, n, m=3, seed=11) if kind == "pa" else generate_graph(kind, n)
+    save_rates(path, exp_of(random_log_matrix(g, 7 if kind == "complete" else 11)))
+    rows = load_rates(path).matrix.graph._edge_count
+    _, peak = _peak(load_rates, path)
+    assert peak <= fixed + per_row * rows, (peak / MiB, peak / rows)
+
+
 @pytest.mark.parametrize("side", [150, 300])
 def test_check_of_a_grid_peaks_linear_in_goods_and_edges(side):
     g = _grid(side)
@@ -268,7 +289,22 @@ def test_report_pieces_of_1e5_labels_and_prices_peak_at_a_few_blocks():
         assert peak <= held + 256 * arbx_io._BLOCK, (fmt, peak)
 
 
-QUOTED = ["a,b", 'q"t', "cr\rx", "lf\ny", "cr\r\nlf", "sp ace", " lead", '"', "", "é€", "plain"]
+def test_json_pieces_of_a_1e5_price_report_hold_no_copy_of_its_lists():
+    n = 100_000
+    prices = np.random.default_rng(2).uniform(-3.0, 3.0, n).tolist()
+    beyond = [math.inf if k % 9_999 == 0 else math.exp(p) for k, p in enumerate(prices)]
+    data = {"reference": "1", "prices_log": prices, "prices_multiplicative": beyond, "nested": [[1.0, -math.inf]]}
+    report = RunReport("price", "ok", None, {"n": n}, {}, tuple(map(str, range(1, n + 1))), data)
+    size, peak = _peak(lambda: sum(map(len, report._chunks("json"))))
+    # ±inf is null a block at a time; the lists copied whole with ±inf as
+    # None took 1.7 MB here
+    assert size == len(report.to_json()) and peak <= 256 * arbx_io._BLOCK, peak
+    doc = report.to_dict()["data"]
+    assert doc["prices_log"] == prices and doc["nested"] == [[1.0, None]]
+    assert doc["prices_multiplicative"][::9_999] == [None] * 11 and None not in doc["prices_multiplicative"][1:9_999]
+
+
+QUOTED =["a,b", 'q"t', "cr\rx", "lf\ny", "cr\r\nlf", "sp ace", " lead", '"', "", "é€", "plain"]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 1024])
