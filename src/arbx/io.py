@@ -113,9 +113,7 @@ def _flat_blocks(items: Sequence, nulls: bool = False) -> Iterator[str]:
     """The C encoder's text of each _BLOCK items, brackets cut off, ±inf as null with ``nulls``."""
     for start in range(0, len(items), _BLOCK):
         text = _FLAT(list(items[start : start + _BLOCK]))[1:-1]
-        if nulls and "Infinity" in text:
-            text = "\x1f".join(map(_JSON_FLOATS.get, cells := text.split("\x1f"), cells))
-        yield text
+        yield "\x1f".join(map(_JSON_FLOATS.get, cells := text.split("\x1f"), cells)) if nulls else text
 
 
 def _json_cells(labels: Sequence) -> list[str]:
@@ -371,25 +369,27 @@ def _bad_rates(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return ~positive, positive & ~np.isfinite(1.0 / rates)
 
 
+def _key_width(rows: int) -> int:
+    """The quote keys' width on a sheet of ``rows`` rows: above every index it
+    may name, and 2 width^2 fits in int64 below ~10^9 rows."""
+    return 2 * rows + 1
+
+
 def _quote_keys(width: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The keys (lo * width + hi) * 2, plus 1 for hi -> lo, of the quotes of
     the 1-based i and j over their 0-based goods, so that a pair's quotes are
-    adjacent, lo -> hi first, as in every written sheet. ``width``, twice the
-    rows plus one, exceeds every index a sheet may name: 2 width^2 fits in
-    int64 below ~10^9 rows."""
+    adjacent, lo -> hi first, as in every written sheet."""
     return (np.minimum(i, j) * width + np.maximum(i, j) - (width + 1)) * 2 + (i > j)
 
 
-def _key_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
-    """The quote keys ``key`` ascending, the order that sorts them, and a
-    mask of each repeat of an earlier row's key."""
-    repeat = np.zeros(len(key), bool)
-    if (key[1:] > key[:-1]).all():  # in order already: no sort, no repeat
-        return key, slice(None), repeat
-    order = np.argsort(key, kind="stable")
-    keys = key[order]
-    repeat[order[1:][keys[1:] == keys[:-1]]] = True
-    return keys, order, repeat
+def _key_order(keys: np.ndarray, ascending: bool) -> tuple[np.ndarray | slice, np.ndarray]:
+    """Sort ``keys`` in place unless strictly ``ascending``; the order that
+    sorted them, and the rows that repeat an earlier row's key."""
+    if ascending:
+        return slice(None), np.empty(0, np.intp)
+    order = np.argsort(keys, kind="stable")
+    keys.sort()  # the same values as a stable sort
+    return order, order[1:][keys[1:] == keys[:-1]]
 
 
 def _canonical_quotes(held: list[bytes]) -> _Quotes | None:
@@ -408,7 +408,7 @@ def _canonical_quotes(held: list[bytes]) -> _Quotes | None:
     # as in the label table, the indices must name every good up to the
     # largest; past twice the row count some surely do not, so no wider
     # index is read, and no larger one is kept
-    wide, width = len(str(2 * count)), 2 * count + 1
+    wide = len(str(width := _key_width(count)))  # the digits of 2 * count: an odd width is no power of 10
     quoted, top, row, ascending = np.zeros(1, bool), 0, 0, True
     while lo < len(data):
         hi = data.find(b"\n", lo + _SCAN) + 1 or len(data)
@@ -424,14 +424,12 @@ def _canonical_quotes(held: list[bytes]) -> _Quotes | None:
         ascending = ascending and (key[1:] > key[:-1]).all() and (row == 0 or key[0] > keys[row - 1])
         row, lo = row + len(i), hi
         del block, i, j, key
-    if not ascending:  # the keys sorted in place, the order sorts the rates
-        order = np.argsort(keys)
-        keys.sort()
-    if not quoted[1 : top + 1].all() or not ascending and (keys[1:] == keys[:-1]).any():
+    order, repeats = _key_order(keys, ascending)
+    if not quoted[1 : top + 1].all() or repeats.size:
         return None
     held.clear()
     del data
-    return int(top), keys, rates if ascending else rates[order]
+    return int(top), keys, rates[order]
 
 
 def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -452,7 +450,7 @@ def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, 
     float64 other than x. Such a rate, one of another form, and any where
     no long double is exact, goes to float() on its own bytes."""
     buf = np.frombuffer(data, np.uint8, hi - lo, lo)
-    at = np.flatnonzero(buf - 48 > 9)  # a byte below 48 wraps past 9
+    at = np.flatnonzero((buf < 48) | (buf > 57))
     kind = buf[at]
     if data[hi - 1] != 10:  # the file's last row, without its newline
         at, kind = np.append(at, hi - lo), np.append(kind, np.uint8(10))
@@ -505,10 +503,11 @@ def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
     src, dst, rates, junk = _rate_columns(path, data)
     labels, to_index = _label_table(path, {*src, *dst})
     i, j = (np.fromiter(map(to_index, column), np.int64, len(column)) for column in (src, dst))
-    keys, order, repeat = _key_order(_quote_keys(2 * len(i) + 1, i, j))
+    keys = _quote_keys(_key_width(len(i)), i, j)
+    order, repeats = _key_order(keys, (keys[1:] > keys[:-1]).all())
     not_positive, tiny = _bad_rates(rates)
-    bad = not_positive | tiny | repeat
-    bad[junk] = True
+    bad = not_positive | tiny
+    bad[junk] = bad[repeats] = True
     if bad.any():
         k = int(np.argmax(bad))
         line, a, b, text = next(islice(_quote_rows(path, data), k, None))  # walked again to name it
@@ -570,7 +569,7 @@ def _rates_of(path: str | Path, held: list[bytes], tol: float) -> RatesFile:
     values, the filled entries and a labelled file's label table."""
     # the label table, or the count of a canonical file's goods, labelled last
     names, keys, rates = _canonical_quotes(held) or _tokenized_quotes(path, held.pop())
-    n, width = names if type(names) is int else len(names), 2 * len(keys) + 1
+    n, width = names if type(names) is int else len(names), _key_width(len(keys))
     labels = lambda: _index_labels(n) if type(names) is int else names
 
     # the quotes by pair (lo, hi) ascending; a pair quoted both ways is its

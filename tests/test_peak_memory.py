@@ -304,7 +304,7 @@ def test_json_pieces_of_a_1e5_price_report_hold_no_copy_of_its_lists():
     assert doc["prices_multiplicative"][::9_999] == [None] * 11 and None not in doc["prices_multiplicative"][1:9_999]
 
 
-QUOTED =["a,b", 'q"t', "cr\rx", "lf\ny", "cr\r\nlf", "sp ace", " lead", '"', "", "é€", "plain"]
+QUOTED = ["a,b", 'q"t', "cr\rx", "lf\ny", "cr\r\nlf", "sp ace", " lead", '"', "", "é€", "plain"]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 1024])
