@@ -69,9 +69,8 @@ _Quotes = tuple[tuple[str, ...] | int, np.ndarray, np.ndarray]
 _FLAT = json.JSONEncoder(separators=("\x1f", ": ")).encode
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _BLOCK = 1024  # rows or list items encoded at a time
-# a float's repr, or a C encoder's item, where json.dumps writes another
-# text once ±inf is None
-_JSON_FLOATS = {"inf": "null", "-inf": "null", "nan": "NaN", "Infinity": "null", "-Infinity": "null"}
+# a C encoder's item where json.dumps writes null once ±inf is None
+_JSON_FLOATS = {"Infinity": "null", "-Infinity": "null"}
 
 
 def _json_text(value: object) -> str:
@@ -82,15 +81,14 @@ def _json_text(value: object) -> str:
 def _json_chunks(value: object, indent: str = "", nulls: bool = False) -> Iterator[str]:
     """:func:`_json_text` in pieces, with ``indent`` before every line but
     the first, a :class:`_Rows` block one block at a time as its list form
-    with ±inf as null, and with ``nulls`` the value as :func:`_inf_to_none`
-    maps it. A flat list is encoded by the C encoder a block at a time and
-    laid out by replacing its separators; a dict with string keys recurses,
-    a partial renders itself, any other value goes to json.dumps."""
+    with ±inf as null, and with ``nulls`` the value, and each value of a
+    dict, as :func:`_inf_to_none` maps it. A flat list is encoded by the C
+    encoder a block at a time and laid out by replacing its separators; a
+    dict with string keys recurses, any other value goes to json.dumps."""
     deeper = indent + "  "
-    if type(value) is partial:
-        yield from value(indent)
-    elif type(value) is _Rows:
-        blocks = value._render(_json_cells, f",\n{deeper}[\n{deeper}  ", f",\n{deeper}  ", f"\n{deeper}]", _json_floats)
+    if type(value) is _Rows:
+        values = partial(_json_cells, nulls=True)
+        blocks = value._render(_json_cells, f",\n{deeper}[\n{deeper}  ", f",\n{deeper}  ", f"\n{deeper}]", values)
         first = next(blocks, None)  # its rows lead with ",\n", where the list opens with "[\n"
         yield from ["[]"] if first is None else chain(["[" + first[1:]], blocks, [f"\n{indent}]"])
     elif type(value) in (dict, list, tuple) and not value or type(value) in _SCALARS:
@@ -98,7 +96,7 @@ def _json_chunks(value: object, indent: str = "", nulls: bool = False) -> Iterat
     elif type(value) is dict and set(map(type, value)) <= {str}:
         for sep, k in zip(chain(["{\n"], repeat(",\n")), sorted(value)):
             yield f"{sep}{deeper}{_FLAT(k)}: "
-            yield from _json_chunks(value[k], deeper)
+            yield from _json_chunks(value[k], deeper, nulls)
         yield f"\n{indent}}}"
     elif type(value) in (list, tuple) and set(map(type, value)) <= _SCALARS:
         sep = ",\n" + deeper
@@ -116,16 +114,9 @@ def _flat_blocks(items: Sequence, nulls: bool = False) -> Iterator[str]:
         yield "\x1f".join(map(_JSON_FLOATS.get, cells := text.split("\x1f"), cells)) if nulls else text
 
 
-def _json_cells(labels: Sequence) -> list[str]:
-    """Each label's JSON text, from one call of the C encoder per block."""
-    return [cell for block in _flat_blocks(labels) for cell in block.split("\x1f")]
-
-
-def _json_floats(values: list[float]) -> Iterator[str]:
-    """Each value as json.dumps writes it once ±inf is None: its repr, or
-    null or NaN."""
-    texts = list(map(repr, values))
-    return map(_JSON_FLOATS.get, texts, texts)
+def _json_cells(items: Sequence, nulls: bool = False) -> list[str]:
+    """Each item's JSON text, from one call of the C encoder per block, ±inf as null with ``nulls``."""
+    return [cell for block in _flat_blocks(items, nulls) for cell in block.split("\x1f")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -741,7 +732,7 @@ class RunReport:
         return json.loads(self.to_json())
 
     def _doc(self) -> dict:
-        # the report's JSON document, each value in data rendering itself with ±inf as null
+        # the report's JSON document, before ±inf is written as null
         w = self.witness
         witness = None if w is None else {
             "cycle": list(w.cycle),
@@ -756,7 +747,7 @@ class RunReport:
             "metrics": dict(self.metrics),
             "inputs": dict(self.inputs),
             "labels": self.labels,
-            "data": {k: partial(_json_chunks, v, nulls=True) for k, v in self.data.items()},
+            "data": self.data,
         }
 
     def to_json(self) -> str:
@@ -770,7 +761,7 @@ class RunReport:
         """The text of :meth:`to_json` (``fmt`` "json") or :meth:`to_text`
         in pieces, row blocks, flat lists and labels one block at a time."""
         if fmt == "json":
-            yield from _json_chunks(self._doc())
+            yield from _json_chunks(self._doc(), nulls=True)
             return
         yield f"arbx {self.command}\nverdict: {self.verdict}"
         if (w := self.witness) is not None:

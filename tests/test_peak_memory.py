@@ -217,6 +217,20 @@ def test_a_small_budget_keeps_the_verdict_and_the_witness(monkeypatch):
     assert not check_no_arbitrage(bad).ok
 
 
+def test_check_of_a_grid_whose_chords_all_tie_peaks_linear_in_goods_and_edges():
+    # on a tree of zero log quotes, every chord quoted +1e-3 forward and
+    # -1e-3 back: each chord is a witness candidate and climbs, in batches;
+    # all in one batch it peaked at 29 MB, about 430 B per good and edge
+    g = _grid(150)
+    _, chords, _, _ = _chords(g)
+    v = np.zeros(g._edge_count)
+    v[chords], v[g._lo.size + chords] = 1e-3, -1e-3
+    result, peak = _peak(check_no_arbitrage, LogRateMatrix._of(g, v))
+    assert not result.ok and result.witness.log_gain == 1e-3 == result.max_abs_log_gain
+    assert result.cycles_checked == 2 * g._lo.size - g.n + 1 == 66_901
+    assert peak <= 128 * (g.n + g._lo.size), peak / (g.n + g._lo.size)
+
+
 # --- the adjacency, placed by counting, against the sorted keys
 
 

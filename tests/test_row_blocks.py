@@ -112,6 +112,32 @@ def test_to_dict_writes_infinities_as_none_and_keeps_nan():
     assert rows.tolist()[1] == ["b", "a", math.inf]
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("inf", [math.inf, -math.inf])
+def test_an_infinity_anywhere_in_the_data_is_written_as_null(inf):
+    # inside a dict, inside a list, in a row block's value column, as a
+    # scalar, and in a caller's metric: the JSON report holds no Infinity
+    g = arbx.new_graph(2, [(1, 2)])
+    rows = arbx_io._rate_rows(np.array([2.0, inf]), g, ("a", "b"))
+    data = {"gains": {"cycle": inf, "deeper": {"flat": [1.0, inf]}}, "flat": [0.5, inf], "rates": rows, "scalar": inf}
+    report = RunReport("perturb", "ok", None, {"wait_ms": math.inf}, {}, ("a", "b"), data)
+    doc = json.loads(report.to_json(), parse_constant=_refuse)
+    assert doc == report.to_dict()
+    assert doc["metrics"] == {"wait_ms": None}
+    assert doc["data"] == {
+        "gains": {"cycle": None, "deeper": {"flat": [1.0, None]}},
+        "flat": [0.5, None],
+        "rates": [["a", "b", 2.0], ["b", "a", None]],
+        "scalar": None,
+    }
+    # the text report writes the values themselves
+    text = report.to_text()
+    assert f"\n  b,a,{inf:.6g}\n" in text and f"\nscalar: {inf:.6g}\n" in text and "wait_ms=inf" in text
+
+
 # --- the traced peak: one block plus O(n + E) bytes
 
 N, SEED = 17_000, 1  # pa m=3: 50,994 pairs, 101,988 directed rows
