@@ -343,23 +343,14 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _csr(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     """(indptr, nbrs, pair): row v, ``nbrs[indptr[v]:indptr[v + 1]]``, lists
     v's neighbours over the distinct 0-based pairs (a[k], b[k]) ascending;
-    ``pair`` places each slot's step in the list a -> b, then b -> a. Built
-    only where the pairs can span n vertices, so n * n stays in int64."""
-    upper, lower = np.bincount(a, minlength=n), np.bincount(b, minlength=n)
+    ``pair`` places each slot's step in the list a -> b, then b -> a, the
+    pairs in any order: on up to 2^16 goods by two stable radix passes over
+    the 16-bit ends, above by an argsort of int64 keys. Built only where the
+    pairs can span n vertices, so n * n stays in int64."""
     indptr = np.zeros(n + 1, np.intp)
-    np.cumsum(upper + lower, out=indptr[1:])
-    if n <= 1 << 16 and (a < b).all() and _ascending(a, b).all():
-        # a graph's own pairs: row v lists its steps back to lower goods, then
-        # its steps forward, each in pair order. The forward steps of all rows
-        # are in that order already, and one stable sort of b as 16-bit
-        # numbers orders the backward ones; each step's slot is then counted
-        # from the rows before its own.
-        back = np.argsort(b.astype(np.uint16), kind="stable")
-        k = np.arange(a.size)
-        pair = np.empty(2 * a.size, np.intp)
-        pair[np.cumsum(lower)[a] + k] = k
-        pair[(np.cumsum(upper) - upper)[b[back]] + k] = back + a.size
-        del back, k
+    np.cumsum(np.bincount(a, minlength=n) + np.bincount(b, minlength=n), out=indptr[1:])
+    if n <= 1 << 16:
+        pair = np.lexsort((np.concatenate([b, a]).astype(np.uint16), np.concatenate([a, b]).astype(np.uint16)))
     else:
         pair = np.argsort(np.concatenate([a, b]).astype(np.int64, copy=False) * n + np.concatenate([b, a]))
     return indptr, np.concatenate([b, a])[pair], pair

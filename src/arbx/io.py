@@ -69,8 +69,6 @@ _Quotes = tuple[tuple[str, ...] | int, np.ndarray, np.ndarray]
 _FLAT = json.JSONEncoder(separators=("\x1f", ": ")).encode
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _BLOCK = 1024  # rows or list items encoded at a time
-# a C encoder's item where json.dumps writes null once ±inf is None
-_JSON_FLOATS = {"Infinity": "null", "-Infinity": "null"}
 
 
 def _json_text(value: object) -> str:
@@ -100,7 +98,7 @@ def _json_chunks(value: object, indent: str = "", nulls: bool = False) -> Iterat
         yield f"\n{indent}}}"
     elif type(value) in (list, tuple) and set(map(type, value)) <= _SCALARS:
         sep = ",\n" + deeper
-        for lead, block in zip(chain([f"[\n{deeper}"], repeat(sep)), _flat_blocks(value, nulls and type(value) is list)):
+        for lead, block in zip(chain([f"[\n{deeper}"], repeat(sep)), _flat_blocks(value, nulls)):
             yield lead + block.replace("\x1f", sep)
         yield f"\n{indent}]"
     else:
@@ -110,8 +108,8 @@ def _json_chunks(value: object, indent: str = "", nulls: bool = False) -> Iterat
 def _flat_blocks(items: Sequence, nulls: bool = False) -> Iterator[str]:
     """The C encoder's text of each _BLOCK items, brackets cut off, ±inf as null with ``nulls``."""
     for start in range(0, len(items), _BLOCK):
-        text = _FLAT(list(items[start : start + _BLOCK]))[1:-1]
-        yield "\x1f".join(map(_JSON_FLOATS.get, cells := text.split("\x1f"), cells)) if nulls else text
+        block = items[start : start + _BLOCK]
+        yield _FLAT(_inf_to_none(block) if nulls else list(block))[1:-1]
 
 
 def _json_cells(items: Sequence, nulls: bool = False) -> list[str]:
@@ -784,10 +782,13 @@ class RunReport:
 
 def _inf_to_none(value: object) -> object:
     # NaN is left as it is: it marks a fault, not a value past the float range.
+    # A tuple comes back as a list, which JSON writes the same way.
     if isinstance(value, float):
         return None if math.isinf(value) else value
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_inf_to_none(item) for item in value]
+    if isinstance(value, dict):
+        return {k: _inf_to_none(item) for k, item in value.items()}
     return value
 
 

@@ -15,6 +15,9 @@ tol * (1 +- 1e-6) and at 1%, on a chord and on a tree edge at good 1:
 - the result is the one that climbing every chord gives, field for field,
   the largest residual standing in for the largest gain on a consistent
   market.
+
+And on each consistent market, every price of ``price_vector`` lies within
+the rounding of its D additions down the tree of the exact sum of its steps.
 """
 
 import functools
@@ -23,7 +26,7 @@ import heapq
 import numpy as np
 import pytest
 
-from arbx import LogRateMatrix, check_no_arbitrage, generate_graph, new_graph, spanning_tree
+from arbx import LogRateMatrix, check_no_arbitrage, generate_graph, new_graph, price_vector, spanning_tree
 from arbx.exchange import _chord_gains
 from arbx.graph import _connected_tree
 from helpers import (
@@ -184,3 +187,23 @@ def test_the_planted_errors_reach_both_sides_of_tol():
             seen.add((where, size, check_no_arbitrage(e, TOL).ok))
     assert (None, 0.0, True) in seen
     assert ("chord", 0.01, False) in seen and ("tree", 0.01, False) in seen
+
+
+@pytest.mark.parametrize("name", MARKETS)
+def test_prices_against_exact_potentials(name):
+    # each good's price adds D steps at most, each rounding by at most
+    # u * max|p|; the exact price sums the steps of reference_bfs's tree
+    # from good 1 in units of 2**-1074, as exact_gains does
+    g, prices = MARKETS[name]
+    e = _sheet(g, prices, None, 0.0)
+    got = price_vector(e, 1).prices
+    edges, d, _ = _tree(g)
+    src, dst = g._edge_ends
+    value = dict(zip(zip((src + 1).tolist(), (dst + 1).tolist()), map(exact_units, e.values.tolist())))
+    exact = {1: 0}
+    for u, w in edges:
+        exact[w] = exact[u] + value[(u, w)]
+    assert len(exact) == g.n == len(got)
+    bound = d * exact_units(max(map(abs, got))) + 2**53  # 2**53 (u * D * max|p| + one unit), u = 2**-53
+    worst = max(abs(exact_units(p) - exact[v]) for v, p in enumerate(got, 1))
+    assert worst * 2**53 <= bound, (worst * 2**53 / bound, d)

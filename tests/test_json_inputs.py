@@ -40,7 +40,7 @@ from arbx.io import (
     save_graph,
     save_rates,
 )
-from helpers import reference_graph_text, reference_rate_rows, reference_rates_text
+from helpers import reference_csr, reference_graph_text, reference_rate_rows, reference_rates_text
 from test_cli_fuzz import graph_basis_delta
 
 DATA = Path(__file__).parent / "data"
@@ -307,6 +307,19 @@ def test_csr_matches_the_sorted_keys(name):
         lists.append((np.where(flip, g._hi[k], g._lo[k]), np.where(flip, g._lo[k], g._hi[k])))
     for a, b in lists:
         assert all(np.array_equal(x, y) for x, y in zip(_csr(g.n, a, b), _reference_csr(g.n, a, b)))
+
+
+@pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
+def test_csr_on_either_side_of_the_radix_sorts_last_good(n):
+    # 2^16 goods still fit the 16-bit radix passes; one more takes the int64
+    # keys, where good 65,537 would wrap to good 1 as a uint16
+    g = new_graph(n, [(v, v + 1) for v in range(1, n)])
+    rng = np.random.default_rng(n)
+    k, flip = rng.permutation(n - 1), rng.random(n - 1) < 0.5
+    entries = np.where(flip, g._hi[k], g._lo[k]), np.where(flip, g._lo[k], g._hi[k])
+    for a, b in ((g._lo, g._hi), entries):  # the graph's own pairs, then a basis's entry list
+        got, want = _csr(n, a, b), reference_csr(n, a, b)
+        assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(got, want))
 
 
 @pytest.mark.parametrize("name", sorted(set(CSR_GRAPHS) - {"pa", "path70k"}))  # dense references: n <= 600

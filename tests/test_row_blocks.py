@@ -138,6 +138,17 @@ def test_an_infinity_anywhere_in_the_data_is_written_as_null(inf):
     assert f"\n  b,a,{inf:.6g}\n" in text and f"\nscalar: {inf:.6g}\n" in text and "wait_ms=inf" in text
 
 
+def test_an_infinity_in_a_tuple_or_in_a_dict_inside_a_list_is_written_as_null():
+    # a flat tuple, a tuple that holds a list, and a dict inside a list all
+    # take the one rule; a tuple reads back as the list JSON writes for it
+    data = {"x": [{"y": math.inf}], "t": (1.0, -math.inf), "u": {"v": (math.inf, [math.inf])}}
+    report = RunReport("price", "ok", None, {}, {}, (), data)
+    doc = json.loads(report.to_json(), parse_constant=_refuse)
+    assert doc["data"] == report.to_dict()["data"] == {"x": [{"y": None}], "t": [1.0, None], "u": {"v": [None, [None]]}}
+    text = report.to_text()  # the text report writes inf
+    assert text.count("inf") == 4 and "null" not in text and "None" not in text
+
+
 # --- the traced peak: one block plus O(n + E) bytes
 
 N, SEED = 17_000, 1  # pa m=3: 50,994 pairs, 101,988 directed rows
