@@ -12,7 +12,6 @@ holds its own chord, so their rank is the chord count by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -33,6 +32,7 @@ from .graph import (
     MarketGraph,
     TreeArrays,
     _ArrayEquality,
+    _Record,
     _built_on_read,
     _climb,
     _connected_tree,
@@ -45,7 +45,6 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class BasisSpec(_ArrayEquality):
     """Ordered entry coordinates meant to determine a whole matrix.
 
@@ -83,8 +82,7 @@ class BasisSpec(_ArrayEquality):
 _built_on_read(BasisSpec, entries=lambda spec: tuple(zip(*spec._pairs.T.tolist())))
 
 
-@dataclass(frozen=True)
-class BasisAssignment:
+class BasisAssignment(_Record):
     """Log-domain values pinned at a spec's coordinates."""
 
     spec: BasisSpec
@@ -105,8 +103,7 @@ def _entry_values(spec: BasisSpec, values, owner: str, noun: str) -> tuple[float
     return vals
 
 
-@dataclass(frozen=True, eq=False)
-class EpsilonBasis:
+class EpsilonBasis(_Record, eq=False):
     """Unit-response matrices: the k-th has 1 at the k-th basis coordinate and
     0 at every other basis coordinate, exactly."""
 
@@ -114,8 +111,7 @@ class EpsilonBasis:
     matrices: tuple[LogRateMatrix, ...]
 
 
-@dataclass(frozen=True)
-class PriceVector:
+class PriceVector(_Record):
     """Potential representation: prices[j-1] - prices[i-1] recovers entry (i, j).
 
     The reference good has price exactly 0; choosing another reference shifts
@@ -126,11 +122,13 @@ class PriceVector:
     prices: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(map(float, self.prices))
-        object.__setattr__(self, "prices", vals)
-        object.__setattr__(self, "reference", _vertex(self.reference, len(vals), "reference"))
-        if vals[self.reference - 1] != 0.0:
+        prices = tuple(map(float, self.prices))
+        _set_fields(self, reference=_vertex(self.reference, len(prices), "reference"), prices=prices)._zero_at_reference()
+
+    def _zero_at_reference(self) -> PriceVector:
+        if self.prices[self.reference - 1] != 0.0:
             raise BadParamsError("the reference price must be exactly 0")
+        return self
 
 
 def canonical_basis(g: MarketGraph) -> BasisSpec:
@@ -297,7 +295,8 @@ def price_vector(e: LogRateMatrix, ref: int, tol: float = DEFAULT_TOL) -> PriceV
         raise NotArbitrageFreeError("matrix fails the arbitrage check")
     with np.errstate(invalid="ignore"):  # inf - inf, which PriceVector rejects
         prices = p - p[ref - 1]
-    return PriceVector(reference=ref, prices=tuple(prices.tolist()))
+    # the prices are floats already: built past the constructor, not converted again
+    return _set_fields(object.__new__(PriceVector), reference=ref, prices=tuple(prices.tolist()))._zero_at_reference()
 
 
 def matrix_from_prices(

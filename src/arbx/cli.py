@@ -13,7 +13,9 @@ script; :func:`main` runs one command and changes no process-wide state, so
 tests and library callers may call it in process. A ``cmd_*`` function
 returns its command's report: verdict, witness, labels, data, its own
 metrics (with the size of the market it read: ``n`` goods, ``edges`` and
-``chords``) and the digests of the files it read. :func:`main` times the
+``chords``) and the digests of the files it read; it imports the basis and
+dynamics layers itself if it calls them, so that a run loads only its own
+layers. :func:`main` times the
 call and adds to the metrics ``elapsed_ms``, the spans of the layers that
 ran (``parse_ms``, ``tree_ms``, ``check_ms``, ``write_ms``; see
 :mod:`arbx.spans`) and ``peak_rss_mb``, the process's own peak resident set
@@ -44,13 +46,6 @@ except ImportError:  # not on Windows
 
 import numpy as np
 
-from .basis import canonical_basis, complete, dimension, price_vector
-from .dynamics import (
-    _first_order_delta,
-    apply_exact,
-    build_operator,
-    propagate_log,
-)
 from .errors import ArbxError, BadParamsError
 from .exchange import (
     DEFAULT_TOL,
@@ -134,6 +129,7 @@ def cmd_oracle(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_complete(args: argparse.Namespace) -> RunReport:
+    from .basis import complete
     g = _load(args, "graph", _graph_of)
     assignment = _load(args, "basis", _basis_of, g, args.multiplicative)
     rates, dim = exp_of(complete(assignment)), assignment.spec.size
@@ -145,6 +141,7 @@ def cmd_complete(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_basis(args: argparse.Namespace) -> RunReport:
+    from .basis import canonical_basis
     g = _load(args, "graph", _graph_of)
     spec = canonical_basis(g)
     data = {"entries": _Rows(spec._pairs.T - 1, range(1, g.n + 1), np.arange(spec.size))}
@@ -152,12 +149,14 @@ def cmd_basis(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_dim(args: argparse.Namespace) -> RunReport:
+    from .basis import dimension
     g = _load(args, "graph", _graph_of)
     dim = dimension(g)
     return _report(args, _index_labels(g.n), {"dimension": dim}, dimension=dim, **_sizes(g))
 
 
 def cmd_price(args: argparse.Namespace) -> RunReport:
+    from .basis import price_vector
     rates = _rates(args)
     ref = rates.index_of(args.ref)
     prices = price_vector(log_of(rates.matrix), ref, tol=args.tol).prices
@@ -168,6 +167,7 @@ def cmd_price(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_perturb(args: argparse.Namespace) -> RunReport:
+    from .dynamics import _first_order_delta, apply_exact, build_operator, propagate_log
     rates = _rates(args)
     pert = _load(args, "delta", _perturbation_of, rates.matrix.graph)
     d_log = propagate_log(build_operator(pert.spec), pert)

@@ -9,17 +9,15 @@ unit responses, computed in O(n + edge count) without forming any of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import BasisSpec, _complete, _entry_values
 from .errors import GraphMismatchError, NotArbitrageFreeError, SpecMismatchError
 from .exchange import DEFAULT_TOL, LogRateMatrix, RateMatrix, _dense, check_no_arbitrage, exp_of
+from .graph import _Record
 
 
-@dataclass(frozen=True)
-class PerturbationVector:
+class PerturbationVector(_Record):
     """Per-coordinate log-domain shifts of a basis assignment."""
 
     spec: BasisSpec
@@ -29,8 +27,7 @@ class PerturbationVector:
         object.__setattr__(self, "deltas", _entry_values(self.spec, self.deltas, "perturbation", "deltas"))
 
 
-@dataclass(frozen=True, eq=False)
-class PerturbationOperator:
+class PerturbationOperator(_Record, eq=False):
     """Linear map from basis-coordinate deltas to a full matrix delta.
 
     The map is completion over ``spec``, so the k-th unit vector maps to the

@@ -15,7 +15,6 @@ is the dense n x n view, built only when a caller asks for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -83,13 +82,12 @@ def _dense(g: MarketGraph, values: np.ndarray, fill: float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class _EdgeMatrix(_Record):
+class _EdgeMatrix(_Record, eq=False):
     """One value per directed edge of ``graph``, in edge-id order, in a
-    read-only array the matrix owns."""
+    read-only array the matrix owns; its repr leaves the values out."""
 
     graph: MarketGraph
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
 
     # each subclass sets _FILL, what a coordinate without an edge reads, and
     # _check(arr), which rejects values the matrix may not hold
@@ -101,6 +99,9 @@ class _EdgeMatrix(_Record):
         self._check(arr)
         _require_fill(graph, arr, self._FILL)
         _set_fields(self, graph=graph, values=arr[graph._edge_ends])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(graph={self.graph!r})"
 
     @classmethod
     def _of(cls, graph: MarketGraph, values: np.ndarray):
@@ -241,16 +242,14 @@ def cycle_gain(r: RateMatrix, walk: Sequence[int]) -> float:
     return gain
 
 
-@dataclass(frozen=True)
-class PairViolation:
+class PairViolation(_Record):
     """One failed antisymmetry condition; ``pair`` is normalized (i, j), i <= j."""
 
     pair: tuple[int, int]
     residual: float
 
 
-@dataclass(frozen=True)
-class ArbitrageWitness:
+class ArbitrageWitness(_Record):
     """A closed walk whose log gain exceeds the tolerance of the check that found it.
 
     ``multiplicative_gain`` is ``math.inf`` when the gain exceeds the float range.
@@ -267,8 +266,7 @@ def _witness(cycle: Sequence[int], gain: float) -> ArbitrageWitness:
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """Outcome of an arbitrage check; truthy exactly when consistent."""
 
     ok: bool

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import random
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cached_property
+from inspect import Parameter, Signature, get_annotations
 from itertools import chain
 from operator import attrgetter
 from operator import index as _int
@@ -123,7 +123,7 @@ def _set_fields(record, **fields):
 
 
 def _built_on_read(cls: type, **builds: Callable) -> None:
-    """Each named field of the dataclass ``cls`` is built by its function on
+    """Each named field of the record ``cls`` is built by its function on
     first read and kept, unless ``__init__`` stored a value that shadows it."""
     for name, build in builds.items():
         prop = cached_property(build)
@@ -131,17 +131,62 @@ def _built_on_read(cls: type, **builds: Callable) -> None:
         setattr(cls, name, prop)
 
 
+def _refuse(verb: str) -> Callable:
+    """The frozen guard's ``__setattr__`` or ``__delattr__``."""
+    def guard(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot {verb} field {name!r}")
+    return guard
+
+
 class _Record:
-    """A frozen record built from checked arrays. Its pickle leaves out what
-    it cached on first read, and is restored through :func:`_set_fields`,
-    so that the copy's arrays are read-only as the original's are."""
+    """A record of the fields its class annotates, in order. Such a subclass
+    gets its ``__match_args__``; unless its body defines one, a constructor,
+    with its ``__signature__``, that takes the fields by position or keyword
+    and then runs ``__post_init__``; with ``eq``, unless it defines or
+    inherits an equality, equality and (if ``frozen``) hashing by the
+    fields' values; and, if ``frozen``, a guard against assigning or
+    deleting attributes. A subclass that annotates nothing is the record it
+    extends. The pickle leaves out what was cached on first read and is
+    restored through :func:`_set_fields`, so that the copy's arrays are
+    read-only as the original's are."""
+
+    def __init_subclass__(cls, frozen: bool = True, eq: bool = True) -> None:
+        super().__init_subclass__()
+        fields = tuple(get_annotations(cls))
+        if not fields:
+            return
+        cls._FIELDS = cls.__match_args__ = fields
+        size, post_init = len(fields), getattr(cls, "__post_init__", None)
+        signature = Signature([Parameter(f, Parameter.POSITIONAL_OR_KEYWORD) for f in fields])
+
+        def __init__(self, *args, **kwargs) -> None:
+            # all the fields by position, or all by keyword in order, in one
+            # update; any other call is bound by the signature, which raises
+            # TypeError on a missing, extra or repeated argument
+            if not kwargs and len(args) == size:
+                self.__dict__.update(zip(fields, args))
+            elif not args and tuple(kwargs) == fields:
+                self.__dict__.update(kwargs)
+            else:
+                self.__dict__.update(signature.bind(*args, **kwargs).arguments)
+            if post_init is not None:
+                post_init(self)
+
+        if "__init__" not in vars(cls):
+            cls.__init__, cls.__signature__ = __init__, signature
+        if eq and cls.__eq__ is object.__eq__:
+            values = attrgetter(*fields)
+            cls.__eq__ = lambda self, other: values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+            cls.__hash__ = (lambda self: hash(values(self))) if frozen else None
+        if frozen:
+            cls.__setattr__, cls.__delattr__ = _refuse("assign to"), _refuse("delete")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._FIELDS)})"
 
     def __getstate__(self) -> dict:
         cls = type(self)
-        return {
-            k: v for k, v in vars(self).items()
-            if k in cls.__dataclass_fields__ or type(getattr(cls, k, None)) is not cached_property
-        }
+        return {k: v for k, v in vars(self).items() if k in cls._FIELDS or type(getattr(cls, k, None)) is not cached_property}
 
     def __setstate__(self, state: dict) -> None:
         _set_fields(self, **state)
@@ -152,7 +197,7 @@ class _ArrayEquality(_Record):
     allowed), arrays by their values: no public tuple is built to compare
     two records."""
 
-    _KEY: tuple[str, ...] = ()
+    _KEY = ()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -165,7 +210,6 @@ class _ArrayEquality(_Record):
         return hash(tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values))
 
 
-@dataclass(frozen=True, eq=False)
 class MarketGraph(_ArrayEquality):
     """Undirected market graph on goods 1..n.
 
@@ -287,8 +331,7 @@ class MarketGraph(_ArrayEquality):
 _built_on_read(MarketGraph, edges=lambda g: frozenset(chain(g.simple_edges, zip(g.loops, g.loops))))
 
 
-@dataclass(frozen=True, eq=False)
-class SpanningTree:
+class SpanningTree(_Record, eq=False):
     """Rooted spanning tree; ``tree_edges`` are (parent, child) in discovery order.
 
     ``parent`` is a read-only copy of the mapping passed in.
@@ -444,8 +487,7 @@ def _climb(t: TreeArrays, values: np.ndarray) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
-class FundamentalCycle:
+class FundamentalCycle(_Record):
     """One chord plus the unique tree path closing it.
 
     ``cycle`` starts and ends at the chord's lower endpoint and traverses the

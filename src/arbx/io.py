@@ -17,28 +17,28 @@ every other file goes to json.loads. The object or the error is the same.
 from __future__ import annotations
 
 import codecs
-import csv
 import hashlib
 import json
 import math
 import re
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import partial
 from io import BytesIO, TextIOWrapper
 from itertools import chain, islice, permutations, repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .basis import BasisAssignment, BasisSpec
-from .dynamics import PerturbationVector
 from .errors import BadParamsError, NotConnectedError, ParseError, ReciprocalConflictError
 from .exchange import DEFAULT_TOL, ArbitrageWitness, RateMatrix, require_tol
-from .graph import MarketGraph, _ArrayEquality, _built_on_read, _set_fields, _spans, is_connected, new_graph
+from .graph import MarketGraph, _ArrayEquality, _built_on_read, _Record, _set_fields, _spans, is_connected, new_graph
+
+if TYPE_CHECKING:  # imported by the readers that build them, so that a command loads only its layers
+    from .basis import BasisAssignment, BasisSpec
+    from .dynamics import PerturbationVector
 
 # A canonical rates file: the bare header (a BOM allowed), then one or more
 # rows of two 1-based indices, each exactly its digits, and a rate that
@@ -117,8 +117,7 @@ def _json_cells(items: Sequence, nulls: bool = False) -> list[str]:
     return [cell for block in _flat_blocks(items, nulls) for cell in block.split("\x1f")]
 
 
-@dataclass(frozen=True, eq=False)
-class _Rows:
+class _Rows(_Record, eq=False):
     """Read-only report rows [labels[i], labels[j]] or [labels[i], labels[j],
     value] over arrays, read _BLOCK rows at a time, so that no list per row
     is held: ``columns`` are the 0-based i and j and maybe the float values,
@@ -276,7 +275,6 @@ def save_graph(path: str | Path, g: MarketGraph) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True, eq=False)
 class RatesFile(_ArrayEquality):
     """Parsed rates CSV: the matrix, the label table, and which directed
     entries were filled in as exact reciprocals rather than quoted.
@@ -315,6 +313,7 @@ def _quote_rows(path: str | Path, data: bytes) -> Iterator[tuple[int, str, str, 
     walk of the csv reader. Rows end at CR, LF or CRLF outside quotes; blank
     ones are skipped, and the first row of another width, with an empty src
     or dst, or rejected by csv is an error."""
+    import csv
     _decode(path, data)  # a byte that is not UTF-8 is the first error; the reader decodes a chunk at a time
     reader = csv.reader(TextIOWrapper(BytesIO(data), "utf-8-sig", newline=""))
     try:
@@ -641,6 +640,7 @@ def save_rates(path: str | Path, r: RateMatrix, labels: Sequence[str] | None = N
     """Write every edge's quotes as CSV: both directions per pair, loops once,
     rendered from the rate arrays a block at a time and one list of label
     cells, a rate as its repr, which is how the csv writer renders a float."""
+    import csv
     # a row of the label and an empty cell renders the label as inside a quote row
     cells: list[str] = []
     write = csv.writer(SimpleNamespace(write=lambda row: cells.append(row[:-2])), lineterminator="\n").writerows
@@ -664,6 +664,7 @@ def load_basis(
 
 def _basis_of(path: str | Path, data: bytes | list[bytes], graph: MarketGraph, multiplicative: bool) -> BasisAssignment:
     """:func:`load_basis` of the file's bytes ``data`` (see :func:`_taken`)."""
+    from .basis import BasisAssignment, BasisSpec
     doc = _read_json(path, _taken(data), "basis", ("entries", "values"))
     spec = _int_pairs(path, doc["entries"], "entries", lambda e: BasisSpec(graph=graph, entries=e))
     values = _numbers(path, doc, "values", spec, "entries")
@@ -685,6 +686,8 @@ def load_perturbation(path: str | Path, graph: MarketGraph) -> PerturbationVecto
 
 def _perturbation_of(path: str | Path, data: bytes | list[bytes], graph: MarketGraph) -> PerturbationVector:
     """:func:`load_perturbation` of the file's bytes ``data`` (see :func:`_taken`)."""
+    from .basis import BasisSpec
+    from .dynamics import PerturbationVector
     doc = _read_json(path, _taken(data), "perturbation", ("basis", "deltas"))
     basis = doc["basis"]
     if not isinstance(basis, dict) or "entries" not in basis:
@@ -705,8 +708,7 @@ def _numbers(path: str | Path, doc: dict, key: str, spec: BasisSpec, entries: st
     return list(map(float, raw))
 
 
-@dataclass
-class RunReport:
+class RunReport(_Record, frozen=False):
     """Uniform machine- and human-readable record of one CLI run."""
 
     command: str
@@ -774,7 +776,7 @@ class RunReport:
             elif all(isinstance(item, list) for item in value):
                 yield f"\n{key}:" + "".join("\n  " + ",".join(map(_cell, item)) for item in value)
             else:
-                yield from _spaced(key, map(_num, value))
+                yield from _spaced(key, map(_cell, value))
         yield from _spaced("labels", (f"{_cell(lab)}={k}" for k, lab in enumerate(self.labels, 1)))
         yield from _spaced("metrics", (f"{k}={_num(v)}" for k, v in sorted(self.metrics.items())))
         yield from _spaced("inputs", (f"{k}={v}" for k, v in sorted(self.inputs.items())))
@@ -799,12 +801,14 @@ def _num(v: object) -> str:
 
 
 def _cell(v: object) -> str:
-    """A label or row cell of the text report: a number by :func:`_num`, a
-    string as it is or, where it holds a space, a comma, "=", a double quote,
-    CR or LF, as a CSV cell (in double quotes, each inner one doubled)."""
-    if not isinstance(v, str):
+    """A label, row cell or list item of the text report: a number by
+    :func:`_num`, any other value as its str, as it is or, where that holds a
+    space, a comma, "=", a double quote, CR or LF, as a CSV cell (in double
+    quotes, each inner one doubled), so that a dict or a list is one cell."""
+    if isinstance(v, (int, float)):
         return _num(v)
-    return '"' + v.replace('"', '""') + '"' if re.search('[ ,="\r\n]', v) else v
+    text = str(v)
+    return '"' + text.replace('"', '""') + '"' if re.search('[ ,="\r\n]', text) else text
 
 
 def _spaced(key: str, texts: Iterator[str]) -> Iterator[str]:

@@ -269,7 +269,7 @@ def test_fast_path_is_taken(tmp_path):
 
 
 def _reference_csr(n, a, b):
-    # every step sorted by (source, target) key, as before the radix placement
+    # every step sorted by (source, target) key, as `_csr` orders them: by a lexsort up to 2^16 goods, an argsort above
     src, dst = np.concatenate([a, b]), np.concatenate([b, a])
     pair = np.argsort(src.astype(np.int64) * n + dst)
     indptr = np.zeros(n + 1, np.intp)

@@ -231,7 +231,7 @@ def test_check_of_a_grid_whose_chords_all_tie_peaks_linear_in_goods_and_edges():
     assert peak <= 128 * (g.n + g._lo.size), peak / (g.n + g._lo.size)
 
 
-# --- the adjacency, placed by counting, against the sorted keys
+# --- the adjacency of `_csr` (a lexsort up to 2^16 goods, an argsort above) against the sorted keys
 
 
 @pytest.mark.parametrize("name", ["path70000", "pa100000"])

@@ -4,6 +4,7 @@ with a traced peak of one block plus O(n + E) bytes; and the CLI fixes that
 ride along (digit-limit errors end in a report, one tree search per
 ``complete``)."""
 
+import csv
 import json
 import math
 import os
@@ -285,3 +286,12 @@ def test_complete_searches_one_tree(tmp_path):
         report = cmd_complete(build_parser().parse_args(argv))
     assert calls == [g.n]
     assert report.metrics["dimension"] == g.n - 1 == spec.size
+
+
+def test_a_dict_list_or_tuple_list_item_is_one_cell_of_the_text_report():
+    # the line parts back into its items, each written as the text report
+    # writes it, infinities as inf
+    items = [{"y": math.inf}, [1.0, "a b"], (2, -math.inf), 0.5, "p q"]
+    text = RunReport("price", "ok", None, {}, {}, (), {"x": items}).to_text()
+    line = next(line for line in text.splitlines() if line.startswith("x: "))
+    assert next(csv.reader([line[3:]], delimiter=" ")) == ["{'y': inf}", "[1.0, 'a b']", "(2, -inf)", "0.5", "p q"]

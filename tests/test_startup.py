@@ -195,3 +195,34 @@ class TestProgramEntry:
     def test_console_script_is_run(self):
         pyproject = (SRC.parent / "pyproject.toml").read_text()
         assert re.search(r'^arbx = "arbx\.cli:run"$', pyproject, re.MULTILINE)
+
+
+class TestLayersLoaded:
+    """A command loads only the layers it calls: importing the CLI loads no
+    dataclasses, no csv and neither basis nor dynamics, ``check`` loads
+    neither layer, and ``price`` loads basis but not dynamics."""
+
+    MODULES = ("dataclasses", "csv", "arbx.basis", "arbx.dynamics")
+
+    def loaded(self, *argv):
+        # the watched modules in sys.modules of a child that imported the CLI and ran argv
+        code = (
+            "import json, sys\n"
+            "from arbx.cli import main\n"
+            "if sys.argv[1:]:\n"
+            "    main(sys.argv[1:])\n"
+            f"print(json.dumps([m for m in {self.MODULES!r} if m in sys.modules]))\n"
+        )
+        proc = child(["-c", code], *argv)
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_import(self):
+        assert self.loaded() == set()
+
+    def test_check(self):
+        assert not self.loaded("check", "--rates", str(DATA / "triangle_ok.csv")) & {"arbx.basis", "arbx.dynamics"}
+
+    def test_price(self):
+        loaded = self.loaded("price", "--rates", str(DATA / "triangle_labeled.csv"), "--ref", "USD")
+        assert "arbx.basis" in loaded and "arbx.dynamics" not in loaded
