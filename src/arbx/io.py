@@ -17,7 +17,6 @@ every other file goes to json.loads. The object or the error is the same.
 from __future__ import annotations
 
 import codecs
-import hashlib
 import json
 import math
 import re
@@ -27,7 +26,6 @@ from functools import partial
 from io import BytesIO, TextIOWrapper
 from itertools import chain, islice, permutations, repeat
 from pathlib import Path
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -152,6 +150,7 @@ class _Rows(_Record, eq=False):
 
 
 def _digest(data: bytes) -> str:
+    import hashlib  # OpenSSL's module, loaded by the commands that digest their inputs
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
@@ -638,17 +637,13 @@ def _rate_rows(values: np.ndarray, graph: MarketGraph, labels: Sequence[str]) ->
 
 def save_rates(path: str | Path, r: RateMatrix, labels: Sequence[str] | None = None) -> None:
     """Write every edge's quotes as CSV: both directions per pair, loops once,
-    rendered from the rate arrays a block at a time and one list of label
-    cells, a rate as its repr, which is how the csv writer renders a float."""
-    import csv
-    # a row of the label and an empty cell renders the label as inside a quote row
-    cells: list[str] = []
-    write = csv.writer(SimpleNamespace(write=lambda row: cells.append(row[:-2])), lineterminator="\n").writerows
-    write((lab, "") for lab in labels or map(str, range(1, r.n + 1)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("src,dst,rate")
-        fh.writelines(_rate_rows(r.values, r.graph, cells)._render(lambda cells: cells, "\n", ",", "", partial(map, repr)))
-        fh.write("\n")
+    rendered from the rate arrays a block at a time and one table of label
+    cells, a label as the csv writer writes it and a rate as its repr (see
+    :mod:`arbx._repr`)."""
+    from ._repr import rate_lines
+    with open(path, "wb") as fh:
+        fh.write(b"src,dst,rate\n")
+        fh.writelines(rate_lines(r, labels or r.n))
 
 
 def load_basis(

@@ -200,9 +200,12 @@ class TestProgramEntry:
 class TestLayersLoaded:
     """A command loads only the layers it calls: importing the CLI loads no
     dataclasses, no csv and neither basis nor dynamics, ``check`` loads
-    neither layer, and ``price`` loads basis but not dynamics."""
+    neither layer, and ``price`` loads basis but not dynamics. Only
+    ``complete`` loads the rates writer, and with index labels no csv; no
+    command loads ``numpy.ma``, and ``gen``, which digests nothing, no
+    ``hashlib``."""
 
-    MODULES = ("dataclasses", "csv", "arbx.basis", "arbx.dynamics")
+    MODULES = ("dataclasses", "csv", "arbx.basis", "arbx.dynamics", "arbx._repr", "numpy.ma", "hashlib")
 
     def loaded(self, *argv):
         # the watched modules in sys.modules of a child that imported the CLI and ran argv
@@ -221,8 +224,30 @@ class TestLayersLoaded:
         assert self.loaded() == set()
 
     def test_check(self):
-        assert not self.loaded("check", "--rates", str(DATA / "triangle_ok.csv")) & {"arbx.basis", "arbx.dynamics"}
+        loaded = self.loaded("check", "--rates", str(DATA / "triangle_ok.csv"))
+        assert not loaded & {"arbx.basis", "arbx.dynamics", "arbx._repr", "numpy.ma"}
 
     def test_price(self):
         loaded = self.loaded("price", "--rates", str(DATA / "triangle_labeled.csv"), "--ref", "USD")
-        assert "arbx.basis" in loaded and "arbx.dynamics" not in loaded
+        assert "arbx.basis" in loaded and not loaded & {"arbx.dynamics", "arbx._repr", "numpy.ma"}
+
+    @pytest.mark.parametrize("command", ["basis", "dim"])
+    def test_graph_commands(self, command):
+        assert not self.loaded(command, "--graph", str(DATA / "k3.json")) & {"arbx._repr", "numpy.ma"}
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_perturb(self, exact, tmp_path):
+        delta = tmp_path / "delta.json"
+        delta.write_text(json.dumps({"basis": {"entries": [[1, 2], [1, 3]]}, "deltas": [0.25, -0.1]}))
+        loaded = self.loaded("perturb", "--rates", str(DATA / "triangle_ok.csv"), "--delta", str(delta), *exact)
+        assert not loaded & {"arbx._repr", "numpy.ma"}
+
+    def test_complete_with_index_labels(self, tmp_path):
+        basis = tmp_path / "basis.json"
+        basis.write_text(json.dumps({"entries": [[1, 2], [1, 3]], "values": [0.5, -40.0]}))
+        loaded = self.loaded("complete", "--graph", str(DATA / "k3.json"), "--basis", str(basis), "--out", str(tmp_path / "r.csv"))
+        assert "arbx._repr" in loaded and not loaded & {"csv", "numpy.ma"}
+
+    def test_gen(self, tmp_path):
+        loaded = self.loaded("gen", "--kind", "pa", "--n", "30", "--m", "2", "--seed", "1", "--out", str(tmp_path / "g.json"))
+        assert not loaded & {"hashlib", "arbx._repr", "numpy.ma"}
