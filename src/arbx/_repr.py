@@ -16,12 +16,16 @@ if TYPE_CHECKING:
 
 _LOW, _FF = np.uint64(0xFFFFFFFF), (1 << 64) - 1
 # by 2 e + (c == 0), e a double's biased exponent: k = floor(log10 2^q) (Giulietti's constant; of 3/4 2^q
-# where uneven: c = 2^52 with a gap below half the one above), h, c's implicit bit and uneven; g1, g0 by k
+# where uneven: c = 2^52 with a gap below half the one above), h, c's implicit bit and uneven
 _e, _uneven = np.arange(4096) >> 1, np.arange(4096) & (np.arange(4096) > 3)
 _k = ((np.maximum(_e, 1) - 1075) * 661971961083 - _uneven * 274743187321) >> 41
 _KH = np.stack([_k, np.maximum(_e, 1) - 1073 + (-_k * 913124641741 >> 38), _e > 0, _uneven]).astype(np.int16)
-_G, _BUILT = np.zeros((2, 617), np.uint64), np.zeros(617, bool)  # built on first use
 del _e, _uneven, _k
+# by k + 324: g = floor(10^-k 2^-r) + 1 with r = floor(log2 10^-k) - 125, 126 bits, as g >> 63 and its low 63 bits
+_g = [(10**-k >> r if r >= 0 else 10**-k << -r) + 1 if k <= 0 else (1 << -r) // 10**k + 1
+      for k in range(-324, 293) for r in [(-k * 913124641741 >> 38) - 125]]
+_G = np.array([[g >> 63 for g in _g], [g & (1 << 63) - 1 for g in _g]], np.uint64)
+del _g
 _TENS = 10 ** np.arange(18, dtype=np.uint64)
 # by a position p of 24 digits (25: past them), for each of their three words: the bytes before p set
 _LEAD = np.array([[(1 << 8 * min(max(p - j, 0), 8)) - 1 for j in (0, 8, 16)] for p in range(26)], np.uint64)
@@ -42,11 +46,6 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = bits & np.uint64((1 << 52) - 1)
     k, h, hidden, uneven = np.take(_KH, (bits >> 52 << 1 | (c == 0)).astype(np.intp), axis=1)
     at = k + 324
-    if not _BUILT[at].all():
-        for i in np.unique(at[~_BUILT[at]], return_index=True)[0].tolist():  # not np.unique(x): it loads numpy.ma
-            r = (-(i - 324) * 913124641741 >> 38) - 125  # floor(log2 10^-k) - 125
-            g = (10 ** max(324 - i, 0) << max(-r, 0)) // (10 ** max(i - 324, 0) << max(r, 0)) + 1
-            _G[:, i], _BUILT[i] = (g >> 63, g & (1 << 63) - 1), True
     c |= hidden.astype(np.uint64) << 52
     tiny = c < 3
     c[tiny] *= np.uint64(10)
@@ -99,8 +98,9 @@ def rate_words(x: np.ndarray, words: np.ndarray) -> None:
     whole = ~sci & (e >= 0)  # an integer, written with ".0"
     d *= np.take(_TENS, e * whole)
     after = np.where(sci, count - 1, np.maximum(-e, 0))  # the digits after the point
-    top, low = d // 10**16, d % 10**16
-    chars = _ascii(np.stack([top, low // 10**8, low % 10**8], axis=1))
+    top = d // 10**16  # a remainder as x - x // y * y: % by a scalar takes several times as long
+    mid = (d - top * 10**16) // 10**8
+    chars = _ascii(np.stack([top, mid, d - top * 10**16 - mid * 10**8], axis=1))
     cut = 24 - after + (sci & (count == 1))  # no point after a lone digit before "e"
     lead = np.take(_LEAD, cut, axis=0)
     start = 24 - np.maximum(np.where(whole, point, count), after + 1)  # d's digits, or "0" and zeros
@@ -109,41 +109,43 @@ def rate_words(x: np.ndarray, words: np.ndarray) -> None:
     words[:, 6] = np.take(_TAILS, np.where(sci, point + 323, 633 + whole))
 
 
-def rate_lines(r: RateMatrix, labels: Sequence[str] | int) -> Iterator[bytes]:
-    """The rows of ``save_rates``, about 2,048 at a time: a label is its csv
-    cell, or with ``labels`` the count of goods its index, and a comma, each
-    cell one or more words whose 0xFF bytes are left out."""
+def rate_lines(r: RateMatrix, labels: Sequence[str] | None) -> Iterator[bytes]:
+    """The rows of ``save_rates``, 2,048 at a time, each the words of its two
+    label cells and their commas, as many as the cells take, then its rate's
+    seven; 0xFF bytes are left out. A label's cell is the csv writer's, an
+    index's (``labels`` None) its digits."""
     from .io import _BLOCK, _rate_rows
-    if isinstance(labels, int):
-        i = np.arange(1, labels + 1, dtype=np.uint64)
-        size = np.searchsorted(_TENS, i, "right")
-        digits = _ascii(np.stack([i // 10**8, i % 10**8], axis=1)) | np.take(_LEAD[:, :2], 16 - size, axis=0)
-        text = digits.tobytes().translate(None, b"\xff")
+    if labels is None:
+        cells = list(map(str, range(1, r.n + 1)))
     else:
         import csv
         # a row of the label and an empty cell renders the label as inside a quote row
-        cells: list[str] = []
+        cells = []
         csv.writer(SimpleNamespace(write=lambda row: cells.append(row[:-2])), lineterminator="\n").writerows((lab, "") for lab in labels)
-        text, size = "".join(cells).encode(), np.fromiter(map(len, map(str.encode, cells)), np.int64, len(cells))
-        del cells
+    text, size = "".join(cells).encode(), np.fromiter(map(len, map(str.encode, cells)), np.int64, len(cells))
+    del cells
     count = (size >> 3) + 1
     first = np.cumsum(count) - count
     cell = np.repeat(np.arange(len(size)), count)  # the cell of each word, and its bytes from the word on
     left = size[cell] - (np.arange(len(cell)) - first[cell]) * 8
-    words = np.full((len(cell) + 1, 8), 0xFF, np.uint8)  # and a word of 0xFF at the end
-    words[:-1][np.arange(8) < left[:, None]] = np.frombuffer(text, np.uint8)
-    words[:-1][np.arange(8) == left[:, None]] = 44
-    words, wide = words.view(np.uint64)[:, 0], np.arange(int(count.max()))
+    words = np.full((len(cell), 8), 0xFF, np.uint8)
+    words[np.arange(8) < left[:, None]] = np.frombuffer(text, np.uint8)
+    words[np.arange(8) == left[:, None]] = 44
+    words = words.view(np.uint64)[:, 0]
     del text, cell, left
     rows = _rate_rows(r.values, r.graph, ())
-    step = max(1, 18 * _BLOCK // (2 * wide.size + 7))
-    block = bytearray(8 * step * (2 * wide.size + 7))  # the rows of a block, translated without a copy
-    for at in range(0, len(rows.order), step):
-        src, dst, rates = (column[rows.order[at : at + step]] for column in rows.columns)
-        if len(src) < step:
-            block = bytearray(8 * len(src) * (2 * wide.size + 7))
-        ends, out = np.stack([src, dst], axis=1)[:, :, None], np.frombuffer(block, np.uint64).reshape(len(src), -1)
-        out[:, : 2 * wide.size] = np.take(words, np.where(wide < count[ends], first[ends] + wide, -1)).reshape(len(src), -1)
-        rate_words(rates, out[:, 2 * wide.size :])
-        del out
+    for at in range(0, len(rows.order), 2 * _BLOCK):
+        src, dst, rates = (column[rows.order[at : at + 2 * _BLOCK]] for column in rows.columns)
+        texts = np.empty((len(src), 7), np.uint64)
+        rate_words(rates, texts)
+        ends = np.stack([src, dst], axis=1).ravel()
+        span = count[ends]
+        cell = np.repeat(np.arange(len(ends)), span)  # the cell of each label word
+        word = np.arange(len(cell))
+        place = word + 7 * (cell >> 1)  # after the label and rate words of the rows before
+        block = bytearray(8 * (len(cell) + 7 * len(src)))  # the rows of a block, translated without a copy
+        out, rate = np.frombuffer(block, np.uint64), np.ones(len(block) >> 3, bool)
+        out[place], rate[place] = words[word + (first[ends] + span - np.cumsum(span))[cell]], False
+        out[rate] = texts.ravel()
+        del out, texts, cell, word, place, rate
         yield block.translate(None, b"\xff")

@@ -638,12 +638,12 @@ def _rate_rows(values: np.ndarray, graph: MarketGraph, labels: Sequence[str]) ->
 def save_rates(path: str | Path, r: RateMatrix, labels: Sequence[str] | None = None) -> None:
     """Write every edge's quotes as CSV: both directions per pair, loops once,
     rendered from the rate arrays a block at a time and one table of label
-    cells, a label as the csv writer writes it and a rate as its repr (see
-    :mod:`arbx._repr`)."""
+    cells, a label as the csv writer writes it (without labels, each good's
+    index) and a rate as its repr (see :mod:`arbx._repr`)."""
     from ._repr import rate_lines
     with open(path, "wb") as fh:
         fh.write(b"src,dst,rate\n")
-        fh.writelines(rate_lines(r, labels or r.n))
+        fh.writelines(rate_lines(r, labels or None))
 
 
 def load_basis(

@@ -66,8 +66,9 @@ def test_integers_and_short_decimals():
     assert_repr([1.0, 10.0, 100.0, 2.5, 0.5, 1500.0, 1e15 + 2, 4.8277156324652856e16, 907306321823538.25])
 
 
-# labels that hold NUL, an empty cell, csv specials and cells of one to four words
-LABELS = ["\x00", "", '"', ",", "\r", "\n", "\x1f", "a\x00b", "1234567", "12345678", "é" * 8, "€" * 5 + "x" * 16]
+# labels that hold NUL, an empty cell, csv specials, cells of one to four
+# words and one of 5,001 words among them
+LABELS = ["\x00", "", '"', ",", "\r", "\n", "\x1f", "a\x00b", "1234567", "12345678", "é" * 8, "€" * 5 + "x" * 16, "y" * 40_000]
 
 
 @pytest.mark.parametrize("labels", [LABELS, None])

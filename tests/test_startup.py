@@ -2,6 +2,7 @@
 guard that keeps that default sound (arbx makes no BLAS call)."""
 
 import ast
+import functools
 import gc
 import importlib
 import json
@@ -197,28 +198,35 @@ class TestProgramEntry:
         assert re.search(r'^arbx = "arbx\.cli:run"$', pyproject, re.MULTILINE)
 
 
+def watched(modules, code, *argv):
+    """Those of ``modules`` in sys.modules of a child that ran ``code`` on argv."""
+    proc = child(["-c", f"import json, sys\n{code}print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"], *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@functools.cache
+def numpy_loads(modules):
+    """Those of ``modules`` that ``import numpy`` alone loads: numpy 1.x
+    imports numpy.ma itself, and hashlib through numpy.random and secrets."""
+    return watched(modules, "import numpy\n")
+
+
 class TestLayersLoaded:
     """A command loads only the layers it calls: importing the CLI loads no
     dataclasses, no csv and neither basis nor dynamics, ``check`` loads
     neither layer, and ``price`` loads basis but not dynamics. Only
     ``complete`` loads the rates writer, and with index labels no csv; no
     command loads ``numpy.ma``, and ``gen``, which digests nothing, no
-    ``hashlib``."""
+    ``hashlib``. A module that ``import numpy`` loads by itself is not the
+    command's, and is not counted."""
 
     MODULES = ("dataclasses", "csv", "arbx.basis", "arbx.dynamics", "arbx._repr", "numpy.ma", "hashlib")
 
     def loaded(self, *argv):
-        # the watched modules in sys.modules of a child that imported the CLI and ran argv
-        code = (
-            "import json, sys\n"
-            "from arbx.cli import main\n"
-            "if sys.argv[1:]:\n"
-            "    main(sys.argv[1:])\n"
-            f"print(json.dumps([m for m in {self.MODULES!r} if m in sys.modules]))\n"
-        )
-        proc = child(["-c", code], *argv)
-        assert proc.returncode == 0, proc.stderr
-        return set(json.loads(proc.stdout.splitlines()[-1]))
+        # the watched modules in sys.modules of a child that imported the CLI
+        # and ran argv, less those that import numpy alone loads
+        return watched(self.MODULES, "from arbx.cli import main\nif sys.argv[1:]:\n    main(sys.argv[1:])\n", *argv) - numpy_loads(self.MODULES)
 
     def test_import(self):
         assert self.loaded() == set()
