@@ -42,11 +42,13 @@ if TYPE_CHECKING:  # imported by the readers that build them, so that a command 
 # rows of two 1-based indices, each exactly its digits, and a rate that
 # float() reads, written with digits and ".eE+-" only, each row ending in
 # "\n" but for the last. _quote_block reads it a block of rows at a time in
-# C passes, the csv tokenizer any other file.
+# C passes, the csv tokenizer any other file; a block whose every row is
+# "i,j,a.b\n", as every written sheet's are, by one layout of its marks.
 _CANONICAL_HEADER = b"src,dst,rate\n"
 _SCAN = 1 << 16  # bytes a block of rows reaches before its last row ends
 _RUN = 18  # digits that np.fromstring reads into an int64 without saturating
-_POW10 = np.array([10**f for f in range(_RUN + 1)]).astype(np.longdouble)  # exact from int64
+_TENS = 10 ** np.arange(_RUN + 1, dtype=np.int64)  # each exact in the long doubles below
+_PLAIN = np.frombuffer(b",,.\n", np.uint32)[0]  # a plain row's bytes other than digits
 # a long double of 64 (x87) or 113 (IEEE quad) significand bits holds every
 # _RUN-digit integer and 10^f up to 10^27, so that their quotient rounds once
 _EXACT_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
@@ -390,7 +392,8 @@ def _canonical_quotes(held: list[bytes]) -> _Quotes | None:
     lo = start + len(_CANONICAL_HEADER)
     if not data.startswith(_CANONICAL_HEADER, start) or data[lo : lo + 1] in (b"", b"\n"):
         return None  # no first row
-    count = data.count(b"\n", lo) + (data[-1] != 10)
+    lines = np.frombuffer(data, np.uint8)
+    count = sum(int(np.count_nonzero(lines[k : k + _SCAN] == 10)) for k in range(lo, len(data), _SCAN)) + (data[-1] != 10)
     keys, rates = np.empty(count, np.int64), np.empty(count)
     # as in the label table, the indices must name every good up to the
     # largest; past twice the row count some surely do not, so no wider
@@ -415,7 +418,7 @@ def _canonical_quotes(held: list[bytes]) -> _Quotes | None:
     if not quoted[1 : top + 1].all() or repeats.size:
         return None
     held.clear()
-    del data
+    del data, lines
     return int(top), keys, rates[order]
 
 
@@ -423,64 +426,96 @@ def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, 
     """The src, dst and rate columns of the whole rows ``data[lo:hi]``, or
     None if a row is not canonical or an index is wider than ``wide``.
 
-    The bytes other than digits place every field, so its width is known
-    before one np.fromstring pass over one copy of the rows reads each row
-    as three runs of at most _RUN digits, which it cannot saturate: the
-    indices, and a plain rate ``a.b`` as the integer N of its digits, its a
-    moved one byte on over its point; a rate of any other form reads 0. A
-    plain rate is N / 10^f, f the digits of b, and both are exact in a long
-    double (see _EXACT_QUOTIENT): their quotient v is rounded once, and x =
-    float64(v) once more. Rounding is monotone and every float64 midpoint
-    is a long double, so v is on the same side of each midpoint as N / 10^f,
-    or on one: x is float()'s value unless v is a midpoint, where v - x is
-    half the gap to x's neighbour and 2v - x (exact) is that neighbour, a
-    float64 other than x. Such a rate, one of another form, and any where
-    no long double is exact, goes to float() on its own bytes."""
+    The bytes other than digits, the marks, place every field, so its width
+    is known before one np.fromstring pass over one copy of the rows reads
+    each field as a run of at most _RUN digits, which it cannot saturate. A
+    plain block, every row's marks ",,.\n" and both parts of its rate a.b
+    digits, reads its marks as one (rows, 4) array, and each rate as the
+    integers a and b, N = a 10^f + b, f the digits of b: a part past _RUN
+    digits, or an N that may pass 10^_RUN, sends the row to float(). In
+    any other block each row's marks are searched, and a plain rate of at
+    most _RUN digits reads as the integer N of its digits, its a moved one
+    byte on over its point; a rate of any other form reads 0. A plain rate
+    is N / 10^f, and both are exact in a long double (see _EXACT_QUOTIENT):
+    their quotient v is rounded once, and x = float64(v) once more. Rounding
+    is monotone and every float64 midpoint is a long double, so v is on the
+    same side of each midpoint as N / 10^f, or on one: x is float()'s value
+    unless v is a midpoint, where v - x is half the gap to x's neighbour and
+    2v - x (exact) is that neighbour, a float64 other than x. Such a rate,
+    one of another form, and any where no long double is exact, goes to
+    float() on its own bytes."""
     buf = np.frombuffer(data, np.uint8, hi - lo, lo)
     at = np.flatnonzero((buf < 48) | (buf > 57))
     kind = buf[at]
-    if data[hi - 1] != 10:  # the file's last row, without its newline
-        at, kind = np.append(at, hi - lo), np.append(kind, np.uint8(10))
-    # each row's marks: its two commas, its only ones, then its rate's, then its end
-    end = np.flatnonzero(kind == 10)
-    first = np.concatenate([[0], end[:-1] + 1])
-    if kind.tobytes().translate(None, b",\n.eE+-") or (end - first < 2).any():
-        return None
-    if np.count_nonzero(kind == 44) != 2 * end.size or (kind[first] != 44).any() or (kind[first + 1] != 44).any():
-        return None
-    plain = (end - first == 3) & (kind[first + 2] == 46)
-    c1, c2, point, end = at[first], at[first + 1], at[first + 2], at[end]
-    del at, kind, first
+    plain_block = data[hi - 1] == 10 and kind.size % 4 == 0 and _EXACT_QUOTIENT and (kind.view(np.uint32) == _PLAIN).all()
+    if plain_block:  # each row's two commas, its point and its end
+        c1, c2, point, end = at.reshape(-1, 4).T
+        plain_block = (point - c2 > 1).all() and (end - point > 1).all()
+    if not plain_block:
+        if data[hi - 1] != 10:  # the file's last row, without its newline
+            at, kind = np.append(at, hi - lo), np.append(kind, np.uint8(10))
+        # each row's marks: its two commas, its only ones, then its rate's, then its end
+        end = np.flatnonzero(kind == 10)
+        first = np.concatenate([[0], end[:-1] + 1])
+        if kind.tobytes().translate(None, b",\n.eE+-") or (end - first < 2).any():
+            return None
+        if np.count_nonzero(kind == 44) != 2 * end.size or (kind[first] != 44).any() or (kind[first + 1] != 44).any():
+            return None
+        plain = (end - first == 3) & (kind[first + 2] == 46)
+        c1, c2, point, end = at[first], at[first + 1], at[first + 2], at[end]
+        del first
+    del at, kind
     start = np.concatenate([[0], end[:-1] + 1])
     widths = np.concatenate([c1 - start, c2 - c1 - 1])  # the indices': 1 to wide digits, no leading 0
     if widths.min() < 1 or widths.max() > wide or (buf[start] == 48).any() or (buf[c1 + 1] == 48).any():
         return None
     if (end - c2 < 2).any():  # an empty rate
         return None
-    f, run = end - point - 1, end - c2 - 2  # a plain rate's digits after its point, and all of them
-    plain &= (run > 0) & (run <= _RUN) & _EXACT_QUOTIENT
+    f = end - point - 1  # a plain rate's digits after its point
     del c1, start, widths
     # the rows' fields parted by commas and spaces, then a NUL to end the last, as in bytes
     text = np.append(buf[: end[-1]], np.uint8(0))
     text[end[:-1]] = 44
-    moved = _spans((c2 + 1)[plain], (point - c2 - 1)[plain])
-    text[moved + 1] = text[moved]
-    text[c2 + 1] = np.where(plain, 32, 48)
-    text[_spans((c2 + 2)[~plain], run[~plain])] = 32
-    del point, run, moved
-    runs = np.fromstring(text[:-1], np.int64, sep=",")
+    if plain_block:
+        text[point] = 44
+        whole = point - c2 - 1
+        fast = (whole <= _RUN) & (f <= _RUN)
+        if not fast.all():  # a part past _RUN digits reads 0
+            for s, w in ((c2 + 1, whole), (point + 1, f)):
+                s, w = s[w > _RUN], w[w > _RUN]
+                text[_spans(s + 1, w - 1)] = 32
+                text[s] = 48
+            f[~fast] = 0
+        c2, end = c2.copy(), end.copy()  # the rates' ends, kept once the marks are freed
+        del point, whole
+        i, j, n, b = np.fromstring(text[:-1], np.int64, sep=",").reshape(-1, 4).T
+        fast &= n < _TENS[_RUN - f]  # so that N < 10^_RUN; any other N is not read
+        n *= _TENS[f]
+        n += b
+        del b
+    else:
+        run = end - c2 - 2  # all of a plain rate's digits
+        fast = plain & (run > 0) & (run <= _RUN) & _EXACT_QUOTIENT
+        moved = _spans((c2 + 1)[fast], (point - c2 - 1)[fast])
+        text[moved + 1] = text[moved]
+        text[c2 + 1] = np.where(fast, 32, 48)
+        text[_spans((c2 + 2)[~fast], run[~fast])] = 32
+        f[~fast] = 0
+        del plain, point, run, moved
+        i, j, n = np.fromstring(text[:-1], np.int64, sep=",").reshape(-1, 3).T
     del text
-    v = runs[2::3].astype(np.longdouble)
-    v /= _POW10[np.where(plain, f, 0)]
+    # N / 10^f: 10^f, and each float64 compared with v, taken to a long double exactly
+    v = n.astype(np.longdouble)
+    v /= _TENS[f]
+    del f
     rates = v.astype(np.float64)
-    x = v - rates  # exact
-    v += x  # 2v - x
-    slow = np.flatnonzero(~plain | (x != 0) & (v.astype(np.float64).astype(np.longdouble) == v))
+    v += v - rates  # 2v - x, exact; x itself only where v is x
+    slow = np.flatnonzero(~fast | (v != rates) & (v.astype(np.float64) == v))
     try:
         rates[slow] = [float(data[lo + a + 1 : lo + b]) for a, b in zip(c2[slow].tolist(), end[slow].tolist())]
     except ValueError:  # not a number
         return None
-    return runs[0::3], runs[1::3], rates
+    return i, j, rates
 
 
 def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:

@@ -305,6 +305,17 @@ CANONICAL = {
     "rate 2e-05": "src,dst,rate\n1,2,2e-05\n2,3,7\n",
     "a conflict": "src,dst,rate\n1,2,2\n2,1,0.4\n",
     "disconnected": "src,dst,rate\n1,2,2\n3,4,2\n",
+    # a block ends at the first row end past 64 KiB: the first one here is
+    # plain, and the second holds an exponent-form and an integer rate
+    "a plain block, then one with 2.5e-3 and 7": "src,dst,rate\n"
+    + "".join(f"{k},{k + 1},1.25\n" for k in range(1, 6001))
+    + "6001,6002,2.5e-3\n6002,6003,7\n6003,6004,1.25\n",
+    "a plain last row without its newline": "src,dst,rate\n1,2,2.5\n2,3,0.5\n3,4,1.0",
+    "rate 00.5 among plain rates": "src,dst,rate\n1,2,00.5\n2,3,1.25\n",
+    "rates 5. and .5 among plain rates": "src,dst,rate\n1,2,5.\n2,3,.5\n3,4,1.25\n",
+    "parts of 18 and 19 digits": "src,dst,rate\n1,2,123456789012345678.5\n2,3,1234567890123456789.5\n"
+    "3,4,0.123456789012345678\n4,5,0.1234567890123456789\n5,6,1.123456789012345678\n6,7,999999999999999999.99\n",
+    "rate 0.0 and 17 digits": "src,dst,rate\n1,2,0.012345678901234567\n2,3,1.5\n",
 }
 
 
@@ -323,6 +334,9 @@ def test_canonical_markets_are_identical(tmp_path, no_tokenizer, seed):
 
 NEAR_MISSES = {
     "leading zero": "src,dst,rate\n01,2,2\n2,3,3\n",
+    # five rows: indices of two digits are read
+    "src with a leading zero among plain rates": "src,dst,rate\n1,2,2.5\n02,3,3.5\n3,4,1.5\n4,5,1.5\n5,6,1.5\n",
+    "dst with a leading zero among plain rates": "src,dst,rate\n1,2,2.5\n2,03,3.5\n3,4,1.5\n4,5,1.5\n5,6,1.5\n",
     "plus sign": "src,dst,rate\n+1,2,2\n2,3,3\n",
     "space": "src,dst,rate\n1, 2,2\n2,3,3\n",
     "tab": "src,dst,rate\n1,2,2\t\n2,3,3\n",
@@ -624,6 +638,14 @@ def test_only_rates_of_another_form_go_to_float(tmp_path, no_tokenizer, float_ca
     rows = [f"{k},{k + 1},{text(k, a)}\n{k + 1},{k},{text(k, b)}" for k, (a, b) in enumerate(pairs, 1)]
     assert_same(_write(tmp_path, "src,dst,rate\n" + "\n".join(rows) + "\n"), tol=1e-5)
     assert len(float_calls) == 2 * (299 // 7) and all(b"e" in t for t in float_calls)
+
+
+def test_plain_rates_of_17_digits_after_0_0_skip_float(tmp_path, no_tokenizer, float_calls):
+    # 0.0 and 17 significant digits: a run of 19 digits, but a = 0 and b of 18
+    rng = random.Random(17)
+    rows = [f"{k},{k + 1},0.0{rng.randrange(10**16, 10**17)}\n" for k in range(1, 300)]
+    assert_same(_write(tmp_path, "src,dst,rate\n" + "".join(rows)))
+    assert float_calls == []
 
 
 def test_no_digit_run_past_int64_reaches_fromstring(tmp_path, monkeypatch):
