@@ -305,9 +305,19 @@ def run() -> None:
     The objects made by the imports live until the exit, so they are moved
     out of the collector's reach first: otherwise every full collection of
     the run, and the one at exit, walks numpy's and arbx's import heap.
+    An OSError past :func:`main`, which reports each command's own, comes
+    from writing the report: exit 1, quietly on a closed pipe, else with one line.
     """
     gc.freeze()
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the interpreter's last flush
+        if not isinstance(exc, BrokenPipeError):
+            print(f"arbx: cannot write the report: {exc}", file=sys.stderr)
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

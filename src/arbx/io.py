@@ -42,8 +42,8 @@ if TYPE_CHECKING:  # imported by the readers that build them, so that a command 
 # rows of two 1-based indices, each exactly its digits, and a rate that
 # float() reads, written with digits and ".eE+-" only, each row ending in
 # "\n" but for the last. _quote_block reads it a block of rows at a time in
-# C passes, the csv tokenizer any other file; a block whose every row is
-# "i,j,a.b\n", as every written sheet's are, by one layout of its marks.
+# C passes, each rate a.b as two integers and any other by float(); the csv
+# tokenizer reads any other file.
 _CANONICAL_HEADER = b"src,dst,rate\n"
 _SCAN = 1 << 16  # bytes a block of rows reaches before its last row ends
 _RUN = 18  # digits that np.fromstring reads into an int64 without saturating
@@ -428,30 +428,27 @@ def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, 
 
     The bytes other than digits, the marks, place every field, so its width
     is known before one np.fromstring pass over one copy of the rows reads
-    each field as a run of at most _RUN digits, which it cannot saturate. A
-    plain block, every row's marks ",,.\n" and both parts of its rate a.b
-    digits, reads its marks as one (rows, 4) array, and each rate as the
-    integers a and b, N = a 10^f + b, f the digits of b: a part past _RUN
-    digits, or an N that may pass 10^_RUN, sends the row to float(). In
-    any other block each row's marks are searched, and a plain rate of at
-    most _RUN digits reads as the integer N of its digits, its a moved one
-    byte on over its point; a rate of any other form reads 0. A plain rate
-    is N / 10^f, and both are exact in a long double (see _EXACT_QUOTIENT):
-    their quotient v is rounded once, and x = float64(v) once more. Rounding
-    is monotone and every float64 midpoint is a long double, so v is on the
-    same side of each midpoint as N / 10^f, or on one: x is float()'s value
-    unless v is a midpoint, where v - x is half the gap to x's neighbour and
-    2v - x (exact) is that neighbour, a float64 other than x. Such a rate,
-    one of another form, and any where no long double is exact, goes to
-    float() on its own bytes."""
+    each field as a run of at most _RUN digits, which it cannot saturate.
+    The marks reshape to (rows, 4) where every row's are ",,.\n", as in each
+    written sheet, and are searched row by row in any other block. A rate
+    a.b with those marks and 1 to _RUN digits in each part, where a long
+    double is exact (see _EXACT_QUOTIENT), gets a comma over its point and
+    reads as two integers, N = a 10^f + b, f the digits of b; any other rate
+    is written as one field, 0. Where N < 10^_RUN, N and 10^f are exact in
+    the long double: their quotient v is rounded once, and x = float64(v)
+    once more. Rounding is monotone and every float64 midpoint is a long
+    double, so v is on the same side of each midpoint as N / 10^f, or on
+    one: x is float()'s value unless v is a midpoint, where v - x is half
+    the gap to x's neighbour and 2v - x (exact) is that neighbour, a float64
+    other than x. Such a rate, and every other, goes to float() on its own
+    bytes."""
     buf = np.frombuffer(data, np.uint8, hi - lo, lo)
     at = np.flatnonzero((buf < 48) | (buf > 57))
     kind = buf[at]
-    plain_block = data[hi - 1] == 10 and kind.size % 4 == 0 and _EXACT_QUOTIENT and (kind.view(np.uint32) == _PLAIN).all()
-    if plain_block:  # each row's two commas, its point and its end
-        c1, c2, point, end = at.reshape(-1, 4).T
-        plain_block = (point - c2 > 1).all() and (end - point > 1).all()
-    if not plain_block:
+    if data[hi - 1] == 10 and kind.size % 4 == 0 and (kind.view(np.uint32) == _PLAIN).all():
+        c1, c2, point, end = at.reshape(-1, 4).T  # each row's two commas, its point and its end
+        fast = True  # every row's marks are ",,.\n"
+    else:
         if data[hi - 1] != 10:  # the file's last row, without its newline
             at, kind = np.append(at, hi - lo), np.append(kind, np.uint8(10))
         # each row's marks: its two commas, its only ones, then its rate's, then its end
@@ -461,8 +458,8 @@ def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, 
             return None
         if np.count_nonzero(kind == 44) != 2 * end.size or (kind[first] != 44).any() or (kind[first + 1] != 44).any():
             return None
-        plain = (end - first == 3) & (kind[first + 2] == 46)
-        c1, c2, point, end = at[first], at[first + 1], at[first + 2], at[end]
+        fast = (end - first == 3) & (kind[first + 2] == 46)  # the rows whose marks are ",,.\n"
+        c1, c2, point, end = at[first], at[first + 1], at[first + 2], at[end]  # a row with no point: its end
         del first
     del at, kind
     start = np.concatenate([[0], end[:-1] + 1])
@@ -471,39 +468,31 @@ def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, 
         return None
     if (end - c2 < 2).any():  # an empty rate
         return None
-    f = end - point - 1  # a plain rate's digits after its point
-    del c1, start, widths
+    whole, f = point - c2 - 1, end - point - 1  # the digits of a and of b
+    fast = fast & (np.minimum(whole, f) > 0) & (np.maximum(whole, f) <= _RUN) & _EXACT_QUOTIENT
     # the rows' fields parted by commas and spaces, then a NUL to end the last, as in bytes
     text = np.append(buf[: end[-1]], np.uint8(0))
     text[end[:-1]] = 44
-    if plain_block:
-        text[point] = 44
-        whole = point - c2 - 1
-        fast = (whole <= _RUN) & (f <= _RUN)
-        if not fast.all():  # a part past _RUN digits reads 0
-            for s, w in ((c2 + 1, whole), (point + 1, f)):
-                s, w = s[w > _RUN], w[w > _RUN]
-                text[_spans(s + 1, w - 1)] = 32
-                text[s] = 48
-            f[~fast] = 0
-        c2, end = c2.copy(), end.copy()  # the rates' ends, kept once the marks are freed
-        del point, whole
-        i, j, n, b = np.fromstring(text[:-1], np.int64, sep=",").reshape(-1, 4).T
-        fast &= n < _TENS[_RUN - f]  # so that N < 10^_RUN; any other N is not read
-        n *= _TENS[f]
-        n += b
-        del b
-    else:
-        run = end - c2 - 2  # all of a plain rate's digits
-        fast = plain & (run > 0) & (run <= _RUN) & _EXACT_QUOTIENT
-        moved = _spans((c2 + 1)[fast], (point - c2 - 1)[fast])
-        text[moved + 1] = text[moved]
-        text[c2 + 1] = np.where(fast, 32, 48)
-        text[_spans((c2 + 2)[~fast], run[~fast])] = 32
+    every = fast.all()
+    text[point if every else point[fast]] = 44
+    del c1, start, widths, whole, point
+    if not every:  # any other rate: a 0, then spaces
+        text[c2[~fast] + 1] = 48
+        text[_spans((c2 + 2)[~fast], (end - c2 - 2)[~fast])] = 32
         f[~fast] = 0
-        del plain, point, run, moved
-        i, j, n = np.fromstring(text[:-1], np.int64, sep=",").reshape(-1, 3).T
+    c2, end = c2.copy(), end.copy()  # the rates' ends, kept once the marks are freed
+    fields = np.fromstring(text[:-1], np.int64, sep=",")
     del text
+    if every:
+        i, j, n, b = fields.reshape(-1, 4).T
+    else:  # each row's fields from its first: four in a fast row, three in any other, the last its 0
+        first = np.cumsum(3 + fast) - 3 - fast
+        i, j, n, b = fields[first], fields[first + 1], fields[first + 2], fields[first + 2 + fast]
+        del fields, first
+    fast &= n < _TENS[_RUN - f]  # so that N < 10^_RUN; any other N is not read
+    n *= _TENS[f]
+    n += b
+    del b
     # N / 10^f: 10^f, and each float64 compared with v, taken to a long double exactly
     v = n.astype(np.longdouble)
     v /= _TENS[f]

@@ -13,11 +13,17 @@ import arbx
 DATA = Path(__file__).parent / "data"
 
 
-def _cli(*argv):
-    """Run the CLI in a child with warnings at their defaults."""
+def _env():
+    # the child imports this arbx
     src = str(Path(arbx.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli(*argv):
+    """Run the CLI in a child with warnings at their defaults."""
+    env = _env()
     env.pop("PYTHONWARNINGS", None)
     return subprocess.run(
         [
@@ -123,3 +129,43 @@ def test_oracle_on_a_ring_of_1500_goods_ends_in_a_report(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["verdict"] == "ok" and doc["metrics"]["cycles_checked"] == n + 1
+
+
+def _module_cli(*argv, stdout):
+    """``python -m arbx.cli`` in a child, the program entry the console script runs."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "arbx.cli", *map(str, argv), "--format", "json"],
+        stdout=stdout, stderr=subprocess.PIPE, env=_env(),
+    )
+
+
+@pytest.fixture(scope="module")
+def tree_graph(tmp_path_factory):
+    # its basis report, 275 KB, is more than a pipe holds
+    from arbx import generate_graph
+    from arbx.io import save_graph
+
+    path = tmp_path_factory.mktemp("graph") / "tree.json"
+    save_graph(path, generate_graph("tree", 5000, seed=1))
+    return path
+
+
+def test_a_report_into_a_closed_pipe_ends_quietly(tree_graph):
+    proc = _module_cli("basis", "--graph", tree_graph, stdout=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""  # no traceback
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("graph", ["k4.json", "tree"])
+def test_a_report_onto_a_full_device_ends_in_one_line(tree_graph, graph):
+    with open("/dev/full", "wb") as full:
+        proc = _module_cli("basis", "--graph", tree_graph if graph == "tree" else DATA / graph, stdout=full)
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+    assert stderr.decode() == "arbx: cannot write the report: [Errno 28] No space left on device\n"

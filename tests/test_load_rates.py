@@ -608,6 +608,9 @@ RATE_TEXTS = st.one_of(
 # on x87 the last two read wrongly if a quotient rounded onto a midpoint went on to float64
 FIXED_TEXTS = ["9007199254740993", "9007199254740993.0", "0.30000000000000004", ".5", "5.", "1.e5"]
 FIXED_TEXTS += ["94.3362381326613999", "91.8095376814758950"]
+# a 0.0 rate of 17 digits, parts of 18 and 19 digits and an N at 10^20: "1.e5" keeps them off the plain path
+FIXED_TEXTS += ["0.012345678901234567", "123456789012345678.5", "1234567890123456789.5", "0.123456789012345678"]
+FIXED_TEXTS += ["0.1234567890123456789", "999999999999999999.99"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -646,6 +649,16 @@ def test_plain_rates_of_17_digits_after_0_0_skip_float(tmp_path, no_tokenizer, f
     rows = [f"{k},{k + 1},0.0{rng.randrange(10**16, 10**17)}\n" for k in range(1, 300)]
     assert_same(_write(tmp_path, "src,dst,rate\n" + "".join(rows)))
     assert float_calls == []
+
+
+def test_plain_rates_of_17_digits_after_0_0_skip_float_beside_an_exponent(tmp_path, no_tokenizer, float_calls):
+    # the one rate in e-notation sends the block off the plain path; the
+    # others still read as a = 0 and an 18-digit b, and only it goes to float()
+    rng = random.Random(101)
+    rows = [f"{k},{k + 1},0.0{rng.randrange(10**16, 10**17)}\n" for k in range(1, 300)]
+    rows[150] = "151,152,2.5e-3\n"
+    assert_same(_write(tmp_path, "src,dst,rate\n" + "".join(rows)))
+    assert float_calls == [b"2.5e-3"]
 
 
 def test_no_digit_run_past_int64_reaches_fromstring(tmp_path, monkeypatch):
