@@ -7,12 +7,12 @@ imports this module."""
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .exchange import RateMatrix
+    from .io import _Rows
 
 _LOW, _FF = np.uint64(0xFFFFFFFF), (1 << 64) - 1
 # by 2 e + (c == 0), e a double's biased exponent: k = floor(log10 2^q) (Giulietti's constant; of 3/4 2^q
@@ -109,19 +109,18 @@ def rate_words(x: np.ndarray, words: np.ndarray) -> None:
     words[:, 6] = np.take(_TAILS, np.where(sci, point + 323, 633 + whole))
 
 
-def rate_lines(r: RateMatrix, labels: Sequence[str] | None) -> Iterator[bytes]:
-    """The rows of ``save_rates``, 2,048 at a time, each the words of its two
-    label cells and their commas, as many as the cells take, then its rate's
-    seven; 0xFF bytes are left out. A label's cell is the csv writer's, an
-    index's (``labels`` None) its digits."""
-    from .io import _BLOCK, _rate_rows
-    if labels is None:
-        cells = list(map(str, range(1, r.n + 1)))
+def rate_lines(rows: _Rows, step: int) -> Iterator[bytes]:
+    """The lines of the quote ``rows``, ``step`` at a time, each the words of
+    its two label cells and their commas, as many as the cells take, then its
+    rate's seven; 0xFF bytes are left out. A label's cell is the csv writer's,
+    an index's (``rows.labels`` a range) its digits."""
+    if isinstance(rows.labels, range):
+        cells = list(map(str, rows.labels))
     else:
         import csv
         # a row of the label and an empty cell renders the label as inside a quote row
         cells = []
-        csv.writer(SimpleNamespace(write=lambda row: cells.append(row[:-2])), lineterminator="\n").writerows((lab, "") for lab in labels)
+        csv.writer(SimpleNamespace(write=lambda row: cells.append(row[:-2])), lineterminator="\n").writerows((lab, "") for lab in rows.labels)
     text, size = "".join(cells).encode(), np.fromiter(map(len, map(str.encode, cells)), np.int64, len(cells))
     del cells
     count = (size >> 3) + 1
@@ -133,9 +132,8 @@ def rate_lines(r: RateMatrix, labels: Sequence[str] | None) -> Iterator[bytes]:
     words[np.arange(8) == left[:, None]] = 44
     words = words.view(np.uint64)[:, 0]
     del text, cell, left
-    rows = _rate_rows(r.values, r.graph, ())
-    for at in range(0, len(rows.order), 2 * _BLOCK):
-        src, dst, rates = (column[rows.order[at : at + 2 * _BLOCK]] for column in rows.columns)
+    for at in range(0, len(rows.order), step):
+        src, dst, rates = (column[rows.order[at : at + step]] for column in rows.columns)
         texts = np.empty((len(src), 7), np.uint64)
         rate_words(rates, texts)
         ends = np.stack([src, dst], axis=1).ravel()

@@ -31,9 +31,7 @@ from .graph import (
     ORACLE_MAX_VERTICES,
     MarketGraph,
     TreeArrays,
-    _ArrayEquality,
     _Record,
-    _built_on_read,
     _climb,
     _connected_tree,
     _set_fields,
@@ -45,7 +43,7 @@ from .graph import (
 )
 
 
-class BasisSpec(_ArrayEquality):
+class BasisSpec(_Record):
     """Ordered entry coordinates meant to determine a whole matrix.
 
     A spec is just a record; :func:`is_basis` decides validity. It holds its
@@ -65,6 +63,10 @@ class BasisSpec(_ArrayEquality):
             raise fault
         _set_fields(self, _pairs=pairs)
 
+    @cached_property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self._pairs.T.tolist()))
+
     @property
     def size(self) -> int:
         return len(self._pairs)
@@ -79,9 +81,6 @@ class BasisSpec(_ArrayEquality):
         return found[0], found[1]._replace(depth=None, to_parent=None)
 
 
-_built_on_read(BasisSpec, entries=lambda spec: tuple(zip(*spec._pairs.T.tolist())))
-
-
 class BasisAssignment(_Record):
     """Log-domain values pinned at a spec's coordinates."""
 
@@ -89,7 +88,7 @@ class BasisAssignment(_Record):
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _entry_values(self.spec, self.values, "basis", "values"))
+        _set_fields(self, values=_entry_values(self.spec, self.values, "basis", "values"))
 
 
 def _entry_values(spec: BasisSpec, values, owner: str, noun: str) -> tuple[float, ...]:

@@ -205,6 +205,10 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
+    # argparse drops an OSError from writing the help; run() reports it
+    def print_help(self, file=None) -> None:
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="arbx", description="No-arbitrage exchange-rate toolkit")
@@ -306,7 +310,7 @@ def run() -> None:
     out of the collector's reach first: otherwise every full collection of
     the run, and the one at exit, walks numpy's and arbx's import heap.
     An OSError past :func:`main`, which reports each command's own, comes
-    from writing the report: exit 1, quietly on a closed pipe, else with one line.
+    from writing the report or the help: exit 1, quiet on a closed pipe, else one line.
     """
     gc.freeze()
     try:

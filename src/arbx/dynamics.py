@@ -14,7 +14,7 @@ import numpy as np
 from .basis import BasisSpec, _complete, _entry_values
 from .errors import GraphMismatchError, NotArbitrageFreeError, SpecMismatchError
 from .exchange import DEFAULT_TOL, LogRateMatrix, RateMatrix, _dense, check_no_arbitrage, exp_of
-from .graph import _Record
+from .graph import _Record, _set_fields
 
 
 class PerturbationVector(_Record):
@@ -24,7 +24,7 @@ class PerturbationVector(_Record):
     deltas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "deltas", _entry_values(self.spec, self.deltas, "perturbation", "deltas"))
+        _set_fields(self, deltas=_entry_values(self.spec, self.deltas, "perturbation", "deltas"))
 
 
 class PerturbationOperator(_Record, eq=False):

@@ -122,15 +122,6 @@ def _set_fields(record, **fields):
     return record
 
 
-def _built_on_read(cls: type, **builds: Callable) -> None:
-    """Each named field of the record ``cls`` is built by its function on
-    first read and kept, unless ``__init__`` stored a value that shadows it."""
-    for name, build in builds.items():
-        prop = cached_property(build)
-        prop.__set_name__(cls, name)
-        setattr(cls, name, prop)
-
-
 def _refuse(verb: str) -> Callable:
     """The frozen guard's ``__setattr__`` or ``__delattr__``."""
     def guard(self, name: str, *value) -> None:
@@ -142,13 +133,16 @@ class _Record:
     """A record of the fields its class annotates, in order. Such a subclass
     gets its ``__match_args__``; unless its body defines one, a constructor,
     with its ``__signature__``, that takes the fields by position or keyword
-    and then runs ``__post_init__``; with ``eq``, unless it defines or
-    inherits an equality, equality and (if ``frozen``) hashing by the
-    fields' values; and, if ``frozen``, a guard against assigning or
-    deleting attributes. A subclass that annotates nothing is the record it
-    extends. The pickle leaves out what was cached on first read and is
-    restored through :func:`_set_fields`, so that the copy's arrays are
-    read-only as the original's are."""
+    and then runs ``__post_init__``; and, if ``frozen``, a guard against
+    assigning or deleting attributes. A subclass that annotates nothing is
+    the record it extends. Records compare and hash by the attributes named
+    in ``_KEY``, the fields unless the class sets it (dotted names allowed,
+    arrays by value, each item first by identity as in a tuple), by
+    identity with ``eq=False``, and are unhashable unless ``frozen``. A
+    derived field is a ``cached_property`` of the class body, shadowed by a
+    value the constructor stores. The pickle leaves out what was cached on
+    first read and is restored through :func:`_set_fields`, so that the
+    copy's arrays are read-only as the original's are."""
 
     def __init_subclass__(cls, frozen: bool = True, eq: bool = True) -> None:
         super().__init_subclass__()
@@ -156,6 +150,7 @@ class _Record:
         if not fields:
             return
         cls._FIELDS = cls.__match_args__ = fields
+        cls._KEY = vars(cls).get("_KEY", fields)
         size, post_init = len(fields), getattr(cls, "__post_init__", None)
         signature = Signature([Parameter(f, Parameter.POSITIONAL_OR_KEYWORD) for f in fields])
 
@@ -174,12 +169,22 @@ class _Record:
 
         if "__init__" not in vars(cls):
             cls.__init__, cls.__signature__ = __init__, signature
-        if eq and cls.__eq__ is object.__eq__:
-            values = attrgetter(*fields)
-            cls.__eq__ = lambda self, other: values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
-            cls.__hash__ = (lambda self: hash(values(self))) if frozen else None
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        elif not frozen:
+            cls.__hash__ = None
         if frozen:
             cls.__setattr__, cls.__delattr__ = _refuse("assign to"), _refuse("delete")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = ((attrgetter(k)(self), attrgetter(k)(other)) for k in self._KEY)
+        return self is other or all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b) for a, b in pairs)
+
+    def __hash__(self) -> int:
+        values = (attrgetter(k)(self) for k in self._KEY)
+        return hash(tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._FIELDS)})"
@@ -192,25 +197,7 @@ class _Record:
         _set_fields(self, **state)
 
 
-class _ArrayEquality(_Record):
-    """Equality and hashing over the attributes ``_KEY`` (dotted names
-    allowed), arrays by their values: no public tuple is built to compare
-    two records."""
-
-    _KEY = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        pairs = ((attrgetter(k)(self), attrgetter(k)(other)) for k in self._KEY)
-        return self is other or all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
-
-    def __hash__(self) -> int:
-        values = (attrgetter(k)(self) for k in self._KEY)
-        return hash(tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values))
-
-
-class MarketGraph(_ArrayEquality):
+class MarketGraph(_Record):
     """Undirected market graph on goods 1..n.
 
     ``edges`` holds normalized pairs (i, j) with i <= j; a pair with i == j
@@ -249,6 +236,10 @@ class MarketGraph(_ArrayEquality):
         ascending, all in 0..n-1. Nothing is checked or sorted again, and
         :attr:`edges` is built only when first read."""
         return _set_fields(object.__new__(cls), n=n, _lo=lo, _hi=hi, _loop_array=loops)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(chain(self.simple_edges, zip(self.loops, self.loops)))
 
     @cached_property
     def simple_edges(self) -> tuple[Edge, ...]:
@@ -328,9 +319,6 @@ class MarketGraph(_ArrayEquality):
             return False
 
 
-_built_on_read(MarketGraph, edges=lambda g: frozenset(chain(g.simple_edges, zip(g.loops, g.loops))))
-
-
 class SpanningTree(_Record, eq=False):
     """Rooted spanning tree; ``tree_edges`` are (parent, child) in discovery order.
 
@@ -342,7 +330,7 @@ class SpanningTree(_Record, eq=False):
     tree_edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
+        _set_fields(self, parent=MappingProxyType(dict(self.parent)))
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled; rebuild from a plain copy

@@ -22,7 +22,7 @@ import math
 import re
 import warnings
 from contextlib import suppress
-from functools import partial
+from functools import cached_property, partial
 from io import BytesIO, TextIOWrapper
 from itertools import chain, islice, permutations, repeat
 from pathlib import Path
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BadParamsError, NotConnectedError, ParseError, ReciprocalConflictError
 from .exchange import DEFAULT_TOL, ArbitrageWitness, RateMatrix, require_tol
-from .graph import MarketGraph, _ArrayEquality, _built_on_read, _Record, _set_fields, _spans, is_connected, new_graph
+from .graph import MarketGraph, _Record, _set_fields, _spans, is_connected, new_graph
 
 if TYPE_CHECKING:  # imported by the readers that build them, so that a command loads only its layers
     from .basis import BasisAssignment, BasisSpec
@@ -276,7 +276,7 @@ def save_graph(path: str | Path, g: MarketGraph) -> None:
         fh.write("\n")
 
 
-class RatesFile(_ArrayEquality):
+class RatesFile(_Record):
     """Parsed rates CSV: the matrix, the label table, and which directed
     entries were filled in as exact reciprocals rather than quoted.
 
@@ -294,14 +294,15 @@ class RatesFile(_ArrayEquality):
     def __post_init__(self) -> None:
         _set_fields(self, _filled_ends=np.array(self.filled, np.int64).reshape(-1, 2).T - 1)
 
+    @cached_property
+    def filled(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*np.add(self._filled_ends, 1).tolist()))
+
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label) + 1
         except ValueError:
             raise ParseError(f"unknown label {label!r}") from None
-
-
-_built_on_read(RatesFile, filled=lambda rates: tuple(zip(*np.add(rates._filled_ends, 1).tolist())))
 
 
 def _index_labels(n: int) -> tuple[str, ...]:
@@ -667,7 +668,7 @@ def save_rates(path: str | Path, r: RateMatrix, labels: Sequence[str] | None = N
     from ._repr import rate_lines
     with open(path, "wb") as fh:
         fh.write(b"src,dst,rate\n")
-        fh.writelines(rate_lines(r, labels or None))
+        fh.writelines(rate_lines(_rate_rows(r.values, r.graph, labels or range(1, r.n + 1)), 2 * _BLOCK))
 
 
 def load_basis(

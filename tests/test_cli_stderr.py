@@ -169,3 +169,16 @@ def test_a_report_onto_a_full_device_ends_in_one_line(tree_graph, graph):
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
     assert stderr.decode() == "arbx: cannot write the report: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["arbx", "check"])
+def test_a_help_onto_a_full_device_ends_in_one_line(argv, unbuffered):
+    # unbuffered, the write fails inside argparse; buffered, at the flush
+    env = _env()
+    env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "arbx.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.stderr.decode() == "arbx: cannot write the report: [Errno 28] No space left on device\n"
+    assert proc.returncode == 1
