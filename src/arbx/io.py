@@ -20,6 +20,7 @@ import codecs
 import json
 import math
 import re
+import sys
 import warnings
 from contextlib import suppress
 from functools import cached_property, partial
@@ -69,6 +70,7 @@ _Quotes = tuple[tuple[str, ...] | int, np.ndarray, np.ndarray]
 _FLAT = json.JSONEncoder(separators=("\x1f", ": ")).encode
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _BLOCK = 1024  # rows or list items encoded at a time
+_OWN_SHA256_BELOW = 920_000  # bytes: where _digest's two SHA-256s take a CLI run the same time
 
 
 def _json_text(value: object) -> str:
@@ -152,12 +154,20 @@ class _Rows(_Record, eq=False):
 
 
 def _digest(data: bytes) -> str:
-    import hashlib  # OpenSSL's module, loaded by the commands that digest their inputs
+    # A CLI run digests each input once, then exits. After numpy 2, OpenSSL's hashlib loads in
+    # 3-4 ms and 3.5 MB, then hashes 1 ms/MB; CPython's own SHA-256 (_sha2 from 3.12, _sha256
+    # before) loads in 0.3 ms and hashes 4-7 ms/MB. Below the break-even it digests unless hashlib is loaded.
+    if len(data) < _OWN_SHA256_BELOW and "hashlib" not in sys.modules:
+        for name in ("_sha2", "_sha256"):
+            with suppress(ImportError):
+                return "sha256:" + __import__(name).sha256(data).hexdigest()
+    import hashlib
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def file_digest(path: str | Path) -> str:
-    return _digest(Path(path).read_bytes())
+    import hashlib  # a library process loads OpenSSL's module once, then hashes 4-7x faster
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _read_bytes(path: str | Path) -> bytes:

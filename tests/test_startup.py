@@ -218,10 +218,11 @@ class TestLayersLoaded:
     neither layer, and ``price`` loads basis but not dynamics. Only
     ``complete`` loads the rates writer, and with index labels no csv; no
     command loads ``numpy.ma``, and ``gen``, which digests nothing, no
-    ``hashlib``. A module that ``import numpy`` loads by itself is not the
-    command's, and is not counted."""
+    ``hashlib``; an input below ``io._OWN_SHA256_BELOW`` bytes loads no
+    OpenSSL ``_hashlib``. A module that ``import numpy`` loads by itself is
+    not the command's, and is not counted."""
 
-    MODULES = ("dataclasses", "csv", "arbx.basis", "arbx.dynamics", "arbx._repr", "numpy.ma", "hashlib")
+    MODULES = ("dataclasses", "csv", "arbx.basis", "arbx.dynamics", "arbx._repr", "numpy.ma", "hashlib", "_hashlib")
 
     def loaded(self, *argv):
         # the watched modules in sys.modules of a child that imported the CLI
@@ -259,3 +260,29 @@ class TestLayersLoaded:
     def test_gen(self, tmp_path):
         loaded = self.loaded("gen", "--kind", "pa", "--n", "30", "--m", "2", "--seed", "1", "--out", str(tmp_path / "g.json"))
         assert not loaded & {"hashlib", "arbx._repr", "numpy.ma"}
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--rates", str(DATA / "triangle_ok.csv")),
+        ("price", "--rates", str(DATA / "triangle_labeled.csv"), "--ref", "USD"),
+        ("basis", "--graph", str(DATA / "k3.json")),
+        ("dim", "--graph", str(DATA / "k3.json")),
+        ("complete", "--graph", str(DATA / "k3.json"), "--basis", "BASIS", "--out", "OUT"),
+        ("perturb", "--rates", str(DATA / "triangle_ok.csv"), "--delta", "DELTA"),
+        ("perturb", "--rates", str(DATA / "triangle_ok.csv"), "--delta", "DELTA", "--exact"),
+    ])
+    def test_inputs_below_the_threshold_load_no_openssl(self, argv, tmp_path):
+        files = {"BASIS": tmp_path / "basis.json", "DELTA": tmp_path / "delta.json", "OUT": tmp_path / "r.csv"}
+        files["BASIS"].write_text(json.dumps({"entries": [[1, 2], [1, 3]], "values": [0.5, -40.0]}))
+        files["DELTA"].write_text(json.dumps({"basis": {"entries": [[1, 2], [1, 3]]}, "deltas": [0.25, -0.1]}))
+        loaded = self.loaded(*(str(files.get(a, a)) for a in argv))
+        assert not loaded & {"hashlib", "_hashlib"}
+
+    def test_a_sheet_of_the_threshold_loads_openssl(self, tmp_path):
+        from arbx.io import _OWN_SHA256_BELOW
+
+        sheet = tmp_path / "path.csv"
+        # a path of goods, each pair quoted one way: rows of 8 to 16 bytes, 1.2 MiB in all
+        sheet.write_text("src,dst,rate\n" + "".join(f"{i},{i + 1},1.5\n" for i in range(1, _OWN_SHA256_BELOW // 12)))
+        assert sheet.stat().st_size >= _OWN_SHA256_BELOW
+        code = "from arbx.cli import main\nmain(sys.argv[1:])\n"
+        assert "_hashlib" in watched(self.MODULES, code, "check", "--rates", str(sheet), "--format", "json")
