@@ -11,16 +11,16 @@ main`` alike.
 :func:`run` is the program entry of ``python -m arbx.cli`` and the ``arbx``
 script; :func:`main` runs one command and changes no process-wide state, so
 tests and library callers may call it in process. A ``cmd_*`` function
-returns its command's report: verdict, witness, labels, data, its own
-metrics (with the size of the market it read: ``n`` goods, ``edges`` and
-``chords``) and the digests of the files it read; it imports the basis and
-dynamics layers itself if it calls them, so that a run loads only its own
-layers. :func:`main` times the
-call and adds to the metrics ``elapsed_ms``, the spans of the layers that
-ran (``parse_ms``, ``tree_ms``, ``check_ms``, ``write_ms``; see
-:mod:`arbx.spans`) and ``peak_rss_mb``, the process's own peak resident set
-so far (``ru_maxrss``, or ``VmHWM`` where Linux shows it and it is
-smaller), where the ``resource`` module exists.
+returns its command's report: verdict, witness, labels (a named sheet's;
+none where goods are named by index), data, its own metrics (with the size
+of the market it read: ``n`` goods, ``edges`` and ``chords``) and the
+digests of the files it read; it imports the basis and dynamics layers
+itself if it calls them, so that a run loads only its own layers.
+:func:`main` times the call and adds to the metrics ``elapsed_ms``, the
+spans of the layers that ran (``parse_ms``, ``tree_ms``, ``check_ms``,
+``write_ms``; see :mod:`arbx.spans`) and ``peak_rss_mb``, the process's own
+peak resident set so far (``ru_maxrss``, or ``VmHWM`` where Linux shows it
+and it is smaller), where the ``resource`` module exists.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import errno
 import gc
 import re
 import sys
@@ -66,7 +67,6 @@ from .io import (
     _Rows,
     _digest,
     _graph_of,
-    _index_labels,
     _perturbation_of,
     _rates_of,
     _read_bytes,
@@ -114,7 +114,7 @@ def _check(args: argparse.Namespace, check: Callable[..., CheckResult], **option
         result = check(log_of(rates.matrix), tol=args.tol, **options)
     filled = rates._filled_ends
     return _report(
-        args, rates.labels, {"filled_reciprocals": _Rows(filled, range(1, rates.matrix.n + 1), np.arange(filled[0].size))},
+        args, rates._names, {"filled_reciprocals": _Rows(filled, range(1, rates.matrix.n + 1), np.arange(filled[0].size))},
         "ok" if result.ok else "violation", result.witness, **_sizes(rates.matrix.graph),
         cycles_checked=result.cycles_checked, max_abs_log_gain=result.max_abs_log_gain,
     )
@@ -137,7 +137,7 @@ def cmd_complete(args: argparse.Namespace) -> RunReport:
     with span("write_ms"):
         save_rates(args.out, rates)
     data = {"out": str(args.out), "rows": g._edge_count}
-    return _report(args, _index_labels(g.n), data, dimension=dim, **_sizes(g))
+    return _report(args, (), data, dimension=dim, **_sizes(g))
 
 
 def cmd_basis(args: argparse.Namespace) -> RunReport:
@@ -145,14 +145,14 @@ def cmd_basis(args: argparse.Namespace) -> RunReport:
     g = _load(args, "graph", _graph_of)
     spec = canonical_basis(g)
     data = {"entries": _Rows(spec._pairs.T - 1, range(1, g.n + 1), np.arange(spec.size))}
-    return _report(args, _index_labels(g.n), data, dimension=spec.size, **_sizes(g))
+    return _report(args, (), data, dimension=spec.size, **_sizes(g))
 
 
 def cmd_dim(args: argparse.Namespace) -> RunReport:
     from .basis import dimension
     g = _load(args, "graph", _graph_of)
     dim = dimension(g)
-    return _report(args, _index_labels(g.n), {"dimension": dim}, dimension=dim, **_sizes(g))
+    return _report(args, (), {"dimension": dim}, dimension=dim, **_sizes(g))
 
 
 def cmd_price(args: argparse.Namespace) -> RunReport:
@@ -163,7 +163,7 @@ def cmd_price(args: argparse.Namespace) -> RunReport:
     data = {"reference": args.ref, "prices_log": list(prices)}
     # inf past the float range, written as null in JSON
     data["prices_multiplicative"] = [_exp_or_inf(p) for p in prices]
-    return _report(args, rates.labels, data, **_sizes(rates.matrix.graph))
+    return _report(args, rates._names, data, **_sizes(rates.matrix.graph))
 
 
 def cmd_perturb(args: argparse.Namespace) -> RunReport:
@@ -187,7 +187,7 @@ def cmd_perturb(args: argparse.Namespace) -> RunReport:
         src, dst = (rates.labels[end[k]] for end in rows.columns[:2])
         raise BadParamsError(f"first-order rate {src}->{dst} is {updated[k].item()!r}, not positive; use --exact")
     data = {"mode": "exact" if args.exact else "first-order", "rates": rows}
-    return _report(args, rates.labels, data, basis_size=pert.spec.size, max_abs_log_delta=max_abs, **_sizes(rates.matrix.graph))
+    return _report(args, rates._names, data, basis_size=pert.spec.size, max_abs_log_delta=max_abs, **_sizes(rates.matrix.graph))
 
 
 def cmd_gen(args: argparse.Namespace) -> RunReport:
@@ -195,7 +195,7 @@ def cmd_gen(args: argparse.Namespace) -> RunReport:
     with span("write_ms"):
         save_graph(args.out, g)
     data = {"out": str(args.out), "kind": args.kind, "n": g.n, "seed": args.seed}
-    return _report(args, _index_labels(g.n), data, edge_count=g._lo.size + g._loop_array.size)
+    return _report(args, (), data, edge_count=g._lo.size + g._loop_array.size)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,16 +264,9 @@ def main(argv: list[str] | None = None) -> int:
             report = args.func(args)
         report.metrics.update(spans, elapsed_ms=(time.perf_counter() - t0) * 1000.0, **_peak_rss(_status()))
     except (ArbxError, OverflowError, OSError, MemoryError) as exc:
-        report = RunReport(
-            command=args.command,
-            verdict="error",
-            witness=None,
-            metrics={},
-            inputs={},
-            labels=(),
-            # MemoryError() carries no text; the type name stands in for it
-            data={"error": type(exc).__name__, "message": str(exc) or type(exc).__name__},
-        )
+        # MemoryError() carries no text; the type name stands in for it
+        data = {"error": type(exc).__name__, "message": str(exc) or type(exc).__name__}
+        report = RunReport(args.command, "error", None, {}, {}, (), data)  # no metrics, inputs or labels
     sys.stdout.writelines(report._chunks(args.format))
     sys.stdout.write("\n")
     return _EXIT[report.verdict]
@@ -309,15 +302,19 @@ def run() -> None:
     The objects made by the imports live until the exit, so they are moved
     out of the collector's reach first: otherwise every full collection of
     the run, and the one at exit, walks numpy's and arbx's import heap.
-    An OSError past :func:`main`, which reports each command's own, comes
-    from writing the report or the help: exit 1, quiet on a closed pipe, else one line.
+    An OSError past :func:`main`, which reports each command's own, comes from
+    writing the report or the help, or from fd 1 closed, where no command runs:
+    exit 1, quiet on a closed pipe, else one line.
     """
     gc.freeze()
     try:
+        if sys.stdout is None:  # fd 1 closed: a file the command opened could take it
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code = main()
         sys.stdout.flush()
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the interpreter's last flush
+        if sys.stdout is not None:  # for the interpreter's last flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
             print(f"arbx: cannot write the report: {exc}", file=sys.stderr)
         code = 1

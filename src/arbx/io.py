@@ -5,8 +5,8 @@ Rates CSV convention: header ``src,dst,rate``; a row means one unit of
 ``src`` buys ``rate`` units of ``dst``, which is matrix entry (src, dst).
 Worked example: the row ``EUR,USD,1.25`` sets entry (EUR, USD) = 1.25, the
 price of one euro in dollars. Columns may use 1-based integer indices or
-arbitrary string labels; labels get indices in sorted order and the table is
-echoed in every report.
+arbitrary string labels; labels get indices in sorted order, and a report
+lists the table unless the goods are named by their indices.
 
 Graph, basis and perturbation JSON laid out as ``save_graph``, the CLI's
 reports and ``json.dumps`` lay them out (keys in either order, spaces and
@@ -59,9 +59,9 @@ _EXACT_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
 # and each sum rounds by u (Higham, 2nd ed., §4.2); closer to tol, math.log judges.
 _LOG_BAND = 2.0**-48  # 32u
 
-# the label table (or the count of goods named by their indices), the keys
-# of _quote_keys ascending, the rates in that order
-_Quotes = tuple[tuple[str, ...] | int, np.ndarray, np.ndarray]
+# the label table (empty where the goods are named by their indices), the
+# count of goods, the keys of _quote_keys ascending, the rates in that order
+_Quotes = tuple[tuple[str, ...], int, np.ndarray, np.ndarray]
 
 
 # json's C encoder, the one json.dumps takes only without an indent. Its item
@@ -292,8 +292,9 @@ class RatesFile(_Record):
 
     The filled entries' 0-based ends are a (2, k) array, ``_filled_ends``,
     from which the loader builds ``filled`` when it is first read, as
-    :attr:`MarketGraph.edges` is built; a file constructed directly stores
-    ``filled`` as given. Files compare by labels, graph, rates and fills."""
+    :attr:`MarketGraph.edges` is built, and the labels from its table
+    ``_names``, "1" to "n" where that is empty; a file constructed directly
+    stores both as given. Files compare by labels, graph, rates and fills."""
 
     matrix: RateMatrix
     labels: tuple[str, ...]
@@ -302,22 +303,23 @@ class RatesFile(_Record):
     _KEY = ("labels", "matrix.graph", "matrix.values", "_filled_ends")
 
     def __post_init__(self) -> None:
-        _set_fields(self, _filled_ends=np.array(self.filled, np.int64).reshape(-1, 2).T - 1)
+        _set_fields(self, _filled_ends=np.array(self.filled, np.int64).reshape(-1, 2).T - 1, _names=self.labels)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return self._names or tuple(map(str, range(1, self.matrix.n + 1)))
 
     @cached_property
     def filled(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(*np.add(self._filled_ends, 1).tolist()))
 
     def index_of(self, label: str) -> int:
-        try:
+        try:  # without names the labels are "1" to "n"; int() refuses a label past its digit limit
+            if not self._names and label.isascii() and label.isdigit() and label[0] != "0" and int(label) <= self.matrix.n:
+                return int(label)
             return self.labels.index(label) + 1
         except ValueError:
             raise ParseError(f"unknown label {label!r}") from None
-
-
-def _index_labels(n: int) -> tuple[str, ...]:
-    """The labels of n goods named by their 1-based indices."""
-    return tuple(map(str, range(1, n + 1)))
 
 
 def _quote_rows(path: str | Path, data: bytes) -> Iterator[tuple[int, str, str, str]]:
@@ -430,7 +432,7 @@ def _canonical_quotes(held: list[bytes]) -> _Quotes | None:
         return None
     held.clear()
     del data, lines
-    return int(top), keys, rates[order]
+    return (), int(top), keys, rates[order]
 
 
 def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -519,9 +521,8 @@ def _quote_block(data: bytes, lo: int, hi: int, wide: int) -> tuple[np.ndarray, 
 
 
 def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
-    """The label table, the quote keys of :func:`_key_order` ascending and
-    the rates in that order, read through the csv tokenizer, which raises
-    every error of the rows, the labels and the rates."""
+    """The :data:`_Quotes` of a file read through the csv tokenizer, which
+    raises every error of the rows, the labels and the rates."""
     src, dst, rates, junk = _rate_columns(path, data)
     labels, to_index = _label_table(path, {*src, *dst})
     i, j = (np.fromiter(map(to_index, column), np.int64, len(column)) for column in (src, dst))
@@ -541,7 +542,7 @@ def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
         if tiny[k]:
             raise ParseError(f"{where}: rate {text} is too small: its reciprocal overflows")
         raise ParseError(f"{where}: duplicate quote {a}->{b}")
-    return labels, keys, rates[order]
+    return () if to_index is int else labels, len(labels), keys, rates[order]
 
 
 def _label_table(path: str | Path, tokens: set[str]) -> tuple[tuple[str, ...], Callable[[str], int]]:
@@ -552,7 +553,7 @@ def _label_table(path: str | Path, tokens: set[str]) -> tuple[tuple[str, ...], C
         # quoted: say so before a label per index, or int() of a longer token
         if max(map(len, tokens)) > len(str(len(tokens))) or (n := max(map(int, tokens))) > len(tokens):
             raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
-        return _index_labels(n), int
+        return tuple(map(str, range(1, n + 1))), int
     labels = tuple(sorted(tokens))
     position = {lab: k + 1 for k, lab in enumerate(labels)}
     return labels, position.__getitem__
@@ -589,10 +590,8 @@ def _rates_of(path: str | Path, held: list[bytes], tol: float) -> RatesFile:
     ``tol`` checked. Each array is dropped once read: the bytes once parsed,
     then the quote keys, so that the graph is searched beside only the edge
     values, the filled entries and a labelled file's label table."""
-    # the label table, or the count of a canonical file's goods, labelled last
-    names, keys, rates = _canonical_quotes(held) or _tokenized_quotes(path, held.pop())
-    n, width = names if type(names) is int else len(names), _key_width(len(keys))
-    labels = lambda: _index_labels(n) if type(names) is int else names
+    names, n, keys, rates = _canonical_quotes(held) or _tokenized_quotes(path, held.pop())
+    width = _key_width(len(keys))
 
     # the quotes by pair (lo, hi) ascending; a pair quoted both ways is its
     # lo -> hi quote followed by its hi -> lo one
@@ -602,7 +601,7 @@ def _rates_of(path: str | Path, held: list[bytes], tol: float) -> RatesFile:
     first[1:] = keys[1:] != keys[:-1]
     k = _first_conflict(rates, first, tol)
     if k is not None:
-        a, b = (labels()[v] for v in divmod(int(keys[k]), width))
+        a, b = (names[v] if names else str(v + 1) for v in divmod(int(keys[k]), width))
         raise ReciprocalConflictError(
             f"{path}: quotes {a}->{b} and {b}->{a} multiply to {rates.item(k - 1) * rates.item(k):.12g}, not 1"
         )
@@ -632,7 +631,7 @@ def _rates_of(path: str | Path, held: list[bytes], tol: float) -> RatesFile:
     if not is_connected(graph):
         raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
     matrix = RateMatrix._of(graph, values)
-    return _set_fields(object.__new__(RatesFile), matrix=matrix, labels=labels(), _filled_ends=filled)
+    return _set_fields(object.__new__(RatesFile), matrix=matrix, _filled_ends=filled, _names=names)
 
 
 def _first_conflict(rates: np.ndarray, first: np.ndarray, tol: float) -> int | None:

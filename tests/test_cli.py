@@ -468,11 +468,18 @@ class TestReports:
                 key: "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest() for key, path in inputs.items()
             }
 
+    def _assert_golden(self, capsys, sheet):
+        # the report, the run metrics dropped, byte for byte as its golden file
+        _, doc = run_json(capsys, "check", "--rates", str(DATA / f"{sheet}.csv"))
+        golden = (GOLDEN / f"check_{sheet}.json").read_text()
+        assert json.dumps(steady(doc), indent=2, sort_keys=True) + "\n" == golden
+
     def test_golden_check_report(self, capsys):
-        _, doc = run_json(capsys, "check", "--rates", str(DATA / "triangle_ok.csv"))
-        steady(doc)
-        golden = json.loads((GOLDEN / "check_triangle_ok.json").read_text())
-        assert doc == golden
+        # an index market lists no labels
+        self._assert_golden(capsys, "triangle_ok")
+
+    def test_golden_labeled_check_report(self, capsys):
+        self._assert_golden(capsys, "triangle_labeled")
 
     @pytest.mark.parametrize("sheet", [
         'src,dst,rate\n"a\nb",c,2\nc,"a\nb",0.5\n',

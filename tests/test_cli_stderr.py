@@ -1,7 +1,9 @@
 """The CLI writes its report to stdout and nothing to stderr, errors included."""
 
+import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -182,3 +184,23 @@ def test_a_help_onto_a_full_device_ends_in_one_line(argv, unbuffered):
         proc = subprocess.run([sys.executable, "-m", "arbx.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
     assert proc.stderr.decode() == "arbx: cannot write the report: [Errno 28] No space left on device\n"
     assert proc.returncode == 1
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="no POSIX shell to close fd 1")
+@pytest.mark.parametrize("command", ["check", "help", "complete"])
+def test_a_closed_stdout_ends_in_one_line(tmp_path, command):
+    # run as `arbx ... >&-`: no report or help can be written, and no command
+    # runs, so no file it would write takes the free fd 1
+    out = tmp_path / "out.csv"
+    argv = {
+        "check": ["check", "--rates", DATA / "triangle_ok.csv"],
+        "help": ["--help"],
+        "complete": ["complete", "--graph", DATA / "k3.json", "--basis", DATA / "k3_basis_mult.json", "--multiplicative", "--out", out],
+    }[command]
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "arbx.cli", *map(str, argv)],
+        stderr=subprocess.PIPE, env=_env(), timeout=60,
+    )
+    assert proc.stderr.decode() == f"arbx: cannot write the report: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+    assert proc.returncode == 1
+    assert not out.exists()

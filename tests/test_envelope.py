@@ -112,10 +112,24 @@ def test_every_command_reports_its_envelope(capsys, monkeypatch, tmp_path):
         if SIZES.keys() <= metrics:
             assert {k: doc["metrics"][k] for k in SIZES} == SIZES, argv
         assert set(doc["data"]) == data, argv
+        assert doc["labels"] == [], argv  # each market here names its goods by index
         assert sorted(reads) == sorted(inputs.values()), argv
         assert doc["inputs"] == {
             key: "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest() for key, path in inputs.items()
         }
+
+
+def test_only_a_sheet_of_named_goods_lists_its_labels(capsys, tmp_path):
+    # an index sheet lists none, whichever reader took it, in either format
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text(TRIANGLE.read_text().replace(",", ", "))
+    labeled, delta = DATA / "triangle_labeled.csv", str(_delta(tmp_path))
+    for sheet, ref, labels in ((TRIANGLE, "1", []), (spaced, "1", []), (labeled, "GBP", ["EUR", "GBP", "USD"])):
+        for argv in (["check"], ["oracle"], ["price", "--ref", ref], ["perturb", "--delta", delta, "--exact"]):
+            argv = [*argv, "--rates", str(sheet)]
+            assert _main_json(capsys, argv)[1]["labels"] == labels, argv
+            main(argv)
+            assert ("\nlabels: " in capsys.readouterr().out) == bool(labels), argv
 
 
 def test_text_report_lists_the_same_metrics(capsys, tmp_path):

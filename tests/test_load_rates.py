@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 import arbx.io
 from arbx import complete, exp_of, generate_graph
-from arbx.errors import ArbxError
-from arbx.io import load_rates, save_rates
+from arbx.errors import ArbxError, ParseError
+from arbx.io import RatesFile, load_rates, save_rates
 from helpers import random_assignment, reference_load_rates, same_bits
 from test_cli_fuzz import rates_csv
 
@@ -696,3 +696,33 @@ def test_canonical_markets_without_an_exact_long_double(tmp_path, no_tokenizer, 
 @pytest.mark.parametrize("loops", [False, True])
 def test_saved_index_sheets_without_an_exact_long_double(tmp_path, no_tokenizer, float_only, kind, loops):
     test_saved_index_sheets_take_the_column_path(tmp_path, None, kind, loops)
+
+
+# --- goods named by their indices: their labels built only when read
+
+INDEX_SHEETS = {
+    "canonical": "".join(f"{v},{v + 1},2\n" for v in range(1, 12)),
+    "tokenized": "".join(f"{v}, {v + 1},2\n" for v in range(1, 12)),
+}
+
+
+@pytest.mark.parametrize("rows", INDEX_SHEETS.values(), ids=INDEX_SHEETS.keys())
+def test_index_of_an_index_sheet_matches_its_label_table(tmp_path, rows):
+    # a label that is an index is its digits: ASCII, no leading 0, at most n;
+    # any other is looked up in the table, with the same error text
+    path = _write(tmp_path, "src,dst,rate\n" + rows)
+    built = load_rates(path)
+    n = built.matrix.n
+    table = RatesFile(matrix=built.matrix, labels=tuple(map(str, range(1, n + 1))), filled=built.filled)
+    rates = load_rates(path)
+    for label in ("1", str(n)):
+        assert rates.index_of(label) == table.index_of(label) == int(label)
+    assert "labels" not in vars(rates)
+    for label in ("0", "01", str(n + 1), "+1", " 1", "1.0", "", "١", "1" * 25):
+        errors = []
+        for loaded in (load_rates(path), table):
+            with pytest.raises(ParseError) as exc:
+                loaded.index_of(label)
+            errors.append(str(exc.value))
+        assert errors == [f"unknown label {label!r}"] * 2
+    assert rates.labels == table.labels and rates == table and hash(rates) == hash(table)
