@@ -289,13 +289,17 @@ def price_vector(e: LogRateMatrix, ref: int, tol: float = DEFAULT_TOL) -> PriceV
     change of reference moves all prices by the same constant.
     """
     ref = _vertex(ref, e.graph.n, "reference vertex")
+    # the prices are floats already: built past the constructor, not converted again
+    return _set_fields(object.__new__(PriceVector), reference=ref, prices=tuple(_prices(e, ref, tol).tolist()))._zero_at_reference()
+
+
+def _prices(e: LogRateMatrix, ref: int, tol: float) -> np.ndarray:
+    """:func:`price_vector`'s prices as an array, ``ref`` a vertex of ``e``'s graph."""
     result, p = _check(e, tol)  # the check's potentials are the prices
     if not result.ok:
         raise NotArbitrageFreeError("matrix fails the arbitrage check")
     with np.errstate(invalid="ignore"):  # inf - inf, which PriceVector rejects
-        prices = p - p[ref - 1]
-    # the prices are floats already: built past the constructor, not converted again
-    return _set_fields(object.__new__(PriceVector), reference=ref, prices=tuple(prices.tolist()))._zero_at_reference()
+        return p - p[ref - 1]
 
 
 def matrix_from_prices(

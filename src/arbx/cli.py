@@ -63,6 +63,7 @@ from .io import (
     RatesFile,
     RunReport,
     _basis_of,
+    _Floats,
     _rate_rows,
     _Rows,
     _digest,
@@ -156,13 +157,11 @@ def cmd_dim(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_price(args: argparse.Namespace) -> RunReport:
-    from .basis import price_vector
+    from .basis import _prices
     rates = _rates(args)
-    ref = rates.index_of(args.ref)
-    prices = price_vector(log_of(rates.matrix), ref, tol=args.tol).prices
-    data = {"reference": args.ref, "prices_log": list(prices)}
-    # inf past the float range, written as null in JSON
-    data["prices_multiplicative"] = [_exp_or_inf(p) for p in prices]
+    # made from the array as rendered (finite logs: the reference price is 0); exp past the float range is inf, null in JSON
+    prices = _prices(log_of(rates.matrix), rates.index_of(args.ref), args.tol)
+    data = {"reference": args.ref, "prices_log": _Floats(prices, float), "prices_multiplicative": _Floats(prices, _exp_or_inf)}
     return _report(args, rates._names, data, **_sizes(rates.matrix.graph))
 
 

@@ -27,7 +27,7 @@ from functools import cached_property, partial
 from io import BytesIO, TextIOWrapper
 from itertools import chain, islice, permutations, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,7 +70,7 @@ _Quotes = tuple[tuple[str, ...], int, np.ndarray, np.ndarray]
 _FLAT = json.JSONEncoder(separators=("\x1f", ": ")).encode
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _BLOCK = 1024  # rows or list items encoded at a time
-_OWN_SHA256_BELOW = 920_000  # bytes: where _digest's two SHA-256s take a CLI run the same time
+_OWN_SHA256_BELOW = 2_000_000  # bytes: below it the own SHA-256 adds at most 5% to a cold CLI run's time
 
 
 def _json_text(value: object) -> str:
@@ -82,8 +82,8 @@ def _json_chunks(value: object, indent: str = "", nulls: bool = False) -> Iterat
     """:func:`_json_text` in pieces, with ``indent`` before every line but
     the first, a :class:`_Rows` block one block at a time as its list form
     with ±inf as null, and with ``nulls`` the value, and each value of a
-    dict, as :func:`_inf_to_none` maps it. A flat list is encoded by the C
-    encoder a block at a time and laid out by replacing its separators; a
+    dict, as :func:`_inf_to_none` maps it. A flat list or :class:`_Floats` is
+    encoded by the C encoder a block at a time, laid out by replacing its separators; a
     dict with string keys recurses, any other value goes to json.dumps."""
     deeper = indent + "  "
     if type(value) is _Rows:
@@ -98,7 +98,7 @@ def _json_chunks(value: object, indent: str = "", nulls: bool = False) -> Iterat
             yield f"{sep}{deeper}{_FLAT(k)}: "
             yield from _json_chunks(value[k], deeper, nulls)
         yield f"\n{indent}}}"
-    elif type(value) in (list, tuple) and set(map(type, value)) <= _SCALARS:
+    elif type(value) is _Floats or type(value) in (list, tuple) and set(map(type, value)) <= _SCALARS:
         sep = ",\n" + deeper
         for lead, block in zip(chain([f"[\n{deeper}"], repeat(sep)), _flat_blocks(value, nulls)):
             yield lead + block.replace("\x1f", sep)
@@ -107,11 +107,11 @@ def _json_chunks(value: object, indent: str = "", nulls: bool = False) -> Iterat
         yield json.dumps(_inf_to_none(value) if nulls else value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
-def _flat_blocks(items: Sequence, nulls: bool = False) -> Iterator[str]:
+def _flat_blocks(items: Iterable, nulls: bool = False) -> Iterator[str]:
     """The C encoder's text of each _BLOCK items, brackets cut off, ±inf as null with ``nulls``."""
-    for start in range(0, len(items), _BLOCK):
-        block = items[start : start + _BLOCK]
-        yield _FLAT(_inf_to_none(block) if nulls else list(block))[1:-1]
+    items = iter(items)
+    while block := list(islice(items, _BLOCK)):
+        yield _FLAT(_inf_to_none(block) if nulls else block)[1:-1]
 
 
 def _json_cells(items: Sequence, nulls: bool = False) -> list[str]:
@@ -153,10 +153,20 @@ class _Rows(_Record, eq=False):
         return rows
 
 
+class _Floats(_Record, eq=False):
+    """A report's flat list: ``f`` of each float of the array ``values``, made _BLOCK at a time."""
+
+    values: np.ndarray
+    f: Callable[[float], float]
+
+    def __iter__(self) -> Iterator[float]:
+        return chain.from_iterable(map(self.f, self.values[k : k + _BLOCK].tolist()) for k in range(0, self.values.size, _BLOCK))
+
+
 def _digest(data: bytes) -> str:
     # A CLI run digests each input once, then exits. After numpy 2, OpenSSL's hashlib loads in
     # 3-4 ms and 3.5 MB, then hashes 1 ms/MB; CPython's own SHA-256 (_sha2 from 3.12, _sha256
-    # before) loads in 0.3 ms and hashes 4-7 ms/MB. Below the break-even it digests unless hashlib is loaded.
+    # before) loads in 0.3 ms and hashes 5-8 ms/MB: it digests below the bound unless hashlib is loaded.
     if len(data) < _OWN_SHA256_BELOW and "hashlib" not in sys.modules:
         for name in ("_sha2", "_sha256"):
             with suppress(ImportError):
@@ -294,16 +304,17 @@ class RatesFile(_Record):
     from which the loader builds ``filled`` when it is first read, as
     :attr:`MarketGraph.edges` is built, and the labels from its table
     ``_names``, "1" to "n" where that is empty; a file constructed directly
-    stores both as given. Files compare by labels, graph, rates and fills."""
+    stores both, and no table for "1" to "n". Files compare by table, graph, rates and fills."""
 
     matrix: RateMatrix
     labels: tuple[str, ...]
     filled: tuple[tuple[int, int], ...]
 
-    _KEY = ("labels", "matrix.graph", "matrix.values", "_filled_ends")
+    _KEY = ("_names", "matrix.graph", "matrix.values", "_filled_ends")
 
     def __post_init__(self) -> None:
-        _set_fields(self, _filled_ends=np.array(self.filled, np.int64).reshape(-1, 2).T - 1, _names=self.labels)
+        names = () if self.labels == tuple(map(str, range(1, self.matrix.n + 1))) else self.labels
+        _set_fields(self, _filled_ends=np.array(self.filled, np.int64).reshape(-1, 2).T - 1, _names=names)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -524,7 +535,7 @@ def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
     """The :data:`_Quotes` of a file read through the csv tokenizer, which
     raises every error of the rows, the labels and the rates."""
     src, dst, rates, junk = _rate_columns(path, data)
-    labels, to_index = _label_table(path, {*src, *dst})
+    names, to_index = _label_table(path, tokens := {*src, *dst}, index_labels=False)
     i, j = (np.fromiter(map(to_index, column), np.int64, len(column)) for column in (src, dst))
     keys = _quote_keys(_key_width(len(i)), i, j)
     order, repeats = _key_order(keys, (keys[1:] > keys[:-1]).all())
@@ -542,18 +553,18 @@ def _tokenized_quotes(path: str | Path, data: bytes) -> _Quotes:
         if tiny[k]:
             raise ParseError(f"{where}: rate {text} is too small: its reciprocal overflows")
         raise ParseError(f"{where}: duplicate quote {a}->{b}")
-    return () if to_index is int else labels, len(labels), keys, rates[order]
+    return names, len(tokens), keys, rates[order]
 
 
-def _label_table(path: str | Path, tokens: set[str]) -> tuple[tuple[str, ...], Callable[[str], int]]:
+def _label_table(path: str | Path, tokens: set[str], index_labels: bool = True) -> tuple[tuple[str, ...], Callable[[str], int]]:
     if all(t.isascii() and t.isdigit() for t in tokens):
         if any(t.startswith("0") for t in tokens):
             raise ParseError(f"{path}: integer vertex indices are 1-based")
-        # an index beyond the count of distinct tokens names a good never
-        # quoted: say so before a label per index, or int() of a longer token
+        # an index beyond the count of distinct tokens names a good never quoted (else
+        # they are 1 to that count): say so before a label per index, or int() of a longer token
         if max(map(len, tokens)) > len(str(len(tokens))) or (n := max(map(int, tokens))) > len(tokens):
             raise NotConnectedError(f"{path}: the quoted pairs do not connect every good")
-        return tuple(map(str, range(1, n + 1))), int
+        return tuple(map(str, range(1, n + 1))) if index_labels else (), int  # no labels for the loader
     labels = tuple(sorted(tokens))
     position = {lab: k + 1 for k, lab in enumerate(labels)}
     return labels, position.__getitem__
@@ -800,7 +811,7 @@ class RunReport(_Record, frozen=False):
             if type(value) is _Rows:
                 yield f"\n{key}:"
                 yield from value._render(lambda labels: list(map(_cell, labels)), "\n  ", ",", "", partial(map, _num))
-            elif not isinstance(value, list):
+            elif not isinstance(value, (list, _Floats)):
                 yield f"\n{key}: {_num(value)}"
             elif all(isinstance(item, list) for item in value):
                 yield f"\n{key}:" + "".join("\n  " + ",".join(map(_cell, item)) for item in value)

@@ -726,3 +726,17 @@ def test_index_of_an_index_sheet_matches_its_label_table(tmp_path, rows):
             errors.append(str(exc.value))
         assert errors == [f"unknown label {label!r}"] * 2
     assert rates.labels == table.labels and rates == table and hash(rates) == hash(table)
+
+
+@pytest.mark.parametrize("kind", INDEX_SHEETS)
+def test_an_index_sheet_compares_and_hashes_without_its_labels(tmp_path, monkeypatch, kind):
+    # files compare by their label table, which a sheet of indices leaves
+    # empty; the tokenizer counts such a sheet's goods without a label each
+    path = _write(tmp_path, "src,dst,rate\n" + INDEX_SHEETS[kind])
+    tables, table_of = [], arbx.io._label_table
+    monkeypatch.setattr(arbx.io, "_label_table", lambda *args, **kw: tables.append(table_of(*args, **kw)) or tables[-1])
+    a, b = load_rates(path), load_rates(path)
+    assert a == b and hash(a) == hash(b) and a._names == ()
+    assert "labels" not in vars(a) and "labels" not in vars(b)
+    assert [labels for labels, _ in tables] == ([] if kind == "canonical" else [(), ()])
+    assert a.labels == tuple(map(str, range(1, 13)))

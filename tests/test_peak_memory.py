@@ -329,3 +329,34 @@ def test_save_rates_of_quoted_labels_is_csv_writers_text_at_every_block(tmp_path
     for labels in (QUOTED, tuple(QUOTED), None):
         save_rates(tmp_path / "r.csv", r, labels)
         assert (tmp_path / "r.csv").read_bytes() == reference_rates_text(r, labels).encode("utf-8")
+
+
+def test_price_renders_its_prices_from_the_array_as_its_lists_would(tmp_path):
+    # a path of 20,000 goods quoted at 2: from the middle good the
+    # multiplicative prices run from 0.0 up to past the float range (null)
+    from arbx import price_vector
+    from arbx.cli import build_parser
+
+    n, ref = 20_000, 10_000
+    path = tmp_path / "path.csv"
+    path.write_text("src,dst,rate\n" + "".join(f"{v},{v + 1},2\n" for v in range(1, n)))
+    args = build_parser().parse_args(["price", "--rates", str(path), "--ref", str(ref)])
+    args.func(args)  # modules and caches of a first run are not the run's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = args.func(args)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    prices = price_vector(log_of(load_rates(path).matrix), ref).prices
+    lists = {"reference": str(ref), "prices_log": list(prices), "prices_multiplicative": [exchange._exp_or_inf(p) for p in prices]}
+    as_lists = RunReport(report.command, report.verdict, None, report.metrics, report.inputs, report.labels, lists)
+    assert report.to_json() == as_lists.to_json() and report.to_text() == as_lists.to_text()
+    assert "null" in report.to_json() and " inf " in report.to_text()
+    # the report holds the price array (8 B a good), where its two lists of
+    # floats held 54 B a good here
+    assert held <= 8 * n + 16_384, held / n
+    for fmt in ("json", "text"):
+        _, peak = _peak(lambda: sum(map(len, report._chunks(fmt))))
+        assert peak <= 256 * arbx_io._BLOCK, (fmt, peak)

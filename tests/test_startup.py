@@ -286,3 +286,23 @@ class TestLayersLoaded:
         assert sheet.stat().st_size >= _OWN_SHA256_BELOW
         code = "from arbx.cli import main\nmain(sys.argv[1:])\n"
         assert "_hashlib" in watched(self.MODULES, code, "check", "--rates", str(sheet), "--format", "json")
+
+    def test_a_k250_sheet_loads_no_openssl(self, tmp_path):
+        # dense_check's market, 62,250 quotes in about 1.6 MB, is digested by
+        # CPython's own SHA-256, to the same text as hashlib's
+        import hashlib
+
+        from arbx import exp_of, generate_graph
+        from arbx.io import save_rates
+        from helpers import random_log_matrix
+
+        sheet = tmp_path / "k250.csv"
+        save_rates(sheet, exp_of(random_log_matrix(generate_graph("complete", 250), 3)))
+        assert sheet.stat().st_size > 1_500_000
+        code = "from arbx.cli import main\nmain(sys.argv[1:])\n"
+        proc = child(["-c", f"import json, sys\n{code}print(json.dumps([m for m in {self.MODULES!r} if m in sys.modules]))\n"],
+                     "check", "--rates", str(sheet), "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        *report, modules = proc.stdout.splitlines()
+        assert not set(json.loads(modules)) - numpy_loads(self.MODULES) & {"hashlib", "_hashlib"}
+        assert json.loads("\n".join(report))["inputs"]["rates"] == "sha256:" + hashlib.sha256(sheet.read_bytes()).hexdigest()
