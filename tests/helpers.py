@@ -4,6 +4,7 @@ Everything is seeded: the same seed always yields the same graph, assignment,
 or matrix, so failures reproduce.
 """
 
+import contextlib
 import csv
 import functools
 import io
@@ -598,3 +599,78 @@ def exact_gains(e):
         down[w] = down[u] + value[(u, w)]
         up[w] = up[u] + value[(w, u)]
     return [value[(k, m)] + (up[m] - up[top]) + (down[k] - down[top]) for k, m, top in cycles]
+
+
+# --- the CLI chain's markets, built through the CLI as a user builds them
+
+
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_json(text):
+    """``text`` read as strict JSON: NaN, Infinity and -Infinity, which
+    json.loads takes but JSON does not have, are refused."""
+    return json.loads(text, parse_constant=_not_json)
+
+
+def cli_json(*argv):
+    """(exit code, report) of ``arbx.cli.main`` run in this process on argv
+    in JSON; the report must be strict JSON."""
+    from arbx.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*map(str, argv), "--format", "json"])
+    return code, strict_json(out.getvalue())
+
+
+def cli_chain(d, name, *gen, values=lambda count: [0.01 * k for k in range(count)]):
+    """gen -> basis -> complete, each of which must report ok: gen's graph
+    (seed 1) in ``d/name.json``, the basis report's entries valued by
+    ``values`` in ``d/name_basis.json`` and the completed sheet in
+    ``d/name.csv``. Returns the three reports."""
+    graph, basis, rates = d / f"{name}.json", d / f"{name}_basis.json", d / f"{name}.csv"
+    reports = [cli_json("gen", *gen, "--seed", "1", "--out", graph), cli_json("basis", "--graph", graph)]
+    entries = reports[1][1]["data"]["entries"]
+    basis.write_text(json.dumps({"entries": entries, "values": values(len(entries))}))
+    reports.append(cli_json("complete", "--graph", graph, "--basis", basis, "--out", rates))
+    assert all(code == 0 and doc["verdict"] == "ok" for code, doc in reports), reports
+    strict_json(graph.read_text())
+    return [doc for _, doc in reports]
+
+
+def pa70k_chain(d):
+    """The chain on a pa market of 70,000 goods (m = 2), past the 2^16 goods
+    of the adjacency's 16-bit radix passes: ``d/pa70k.csv`` and its sources."""
+    return cli_chain(d, "pa70k", "--kind", "pa", "--n", "70000", "--m", "2",
+                     values=lambda count: [0.001 * (k % 997) for k in range(count)])
+
+
+def mispriced(rates, basis, out):
+    """``rates`` with one chord mispriced, written to ``out``: the first row
+    whose pair is no entry of ``basis`` names the chord (i, j), i < j; its
+    quote i -> j is scaled by 1.01 and j -> i by 1/1.01, so the reciprocals
+    still agree. Returns [i, j]."""
+    tree = {frozenset(e) for e in json.loads(Path(basis).read_text())["entries"]}
+    rows = list(csv.reader(Path(rates).read_text().splitlines()))
+    chord = next(sorted(map(int, r[:2])) for r in rows[1:] if frozenset(map(int, r[:2])) not in tree)
+    for r in rows[1:]:
+        if sorted(map(int, r[:2])) == chord:
+            r[2] = repr(float(r[2]) * 1.01 if int(r[0]) == chord[0] else float(r[2]) / 1.01)
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return chord
+
+
+def deep_ring(n=3000, skew=False):
+    """The sheet of a ring of ``n`` goods, its tree n/2 deep and one chord:
+    i.i.d. log prices p in +-2 (seed 1), each pair quoted both ways at
+    e^(p[j] - p[i]). With ``skew``, quote 1 -> 2 is scaled by 1.01 and
+    2 -> 1 by 1/1.01: a 1% error on the tree edge 1-2."""
+    rng = random.Random(1)
+    p = [rng.uniform(-2, 2) for _ in range(n + 1)]
+    pairs = sorted({(min(v, v % n + 1), max(v, v % n + 1)) for v in range(1, n + 1)})
+    scale = {(1, 2): 1.01, (2, 1): 1 / 1.01} if skew else {}
+    rows = (f"{i},{j},{math.exp(p[j] - p[i]) * scale.get((i, j), 1.0)!r}\n" for a, b in pairs for i, j in ((a, b), (b, a)))
+    return "src,dst,rate\n" + "".join(rows)

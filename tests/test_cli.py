@@ -15,7 +15,7 @@ import arbx
 from arbx import BadParamsError, canonical_basis, generate_graph, log_of, price_vector
 from arbx.cli import main
 from arbx.io import RunReport, load_graph, load_rates, save_graph, save_rates
-from helpers import steady
+from helpers import cli_chain, mispriced, steady
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -367,10 +367,17 @@ class TestGen:
 
 
 class TestOracleCommand:
-    def test_mirrors_check_exit_codes(self, capsys):
-        for rates, expected in [("triangle_ok.csv", 0), ("triangle_bad.csv", 2)]:
-            code_check, _ = run(capsys, "check", "--rates", str(DATA / rates))
-            code_oracle, _ = run(capsys, "oracle", "--rates", str(DATA / rates))
+    def test_mirrors_check_exit_codes(self, capsys, tmp_path):
+        # a triangle quoted one way round, and a complete market at the
+        # oracle's cap of 8 goods, consistent and with one chord mispriced
+        tri_ok, k8 = tmp_path / "tri_ok.csv", tmp_path / "k8.csv"
+        tri_ok.write_text("src,dst,rate\n1,2,2\n2,3,3\n3,1,0.16666666666666666\n")
+        cli_chain(tmp_path, "k8", "--kind", "complete", "--n", "8")
+        mispriced(k8, tmp_path / "k8_basis.json", tmp_path / "k8_bad.csv")
+        for rates, expected in [(DATA / "triangle_ok.csv", 0), (DATA / "triangle_bad.csv", 2),
+                                (tri_ok, 0), (k8, 0), (tmp_path / "k8_bad.csv", 2)]:
+            code_check, _ = run(capsys, "check", "--rates", str(rates))
+            code_oracle, _ = run(capsys, "oracle", "--rates", str(rates))
             assert code_check == code_oracle == expected
 
     def test_max_n_cap(self, capsys, tmp_path):

@@ -160,14 +160,6 @@ def test_a_command_called_alone_carries_no_elapsed_ms(capsys, tmp_path):
         assert alone == doc, argv
 
 
-def test_the_ci_workflow_names_the_run_metrics_once():
-    # its end-to-end steps drop the run metrics of the env entry RUN_METRICS
-    # wherever they compare two reports; no other line lists them all
-    lines = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text().splitlines()
-    named = [line for line in lines if all(key in line for key in RUN_METRICS)]
-    assert len(named) == 1 and named[0].split() == ["RUN_METRICS:", *RUN_METRICS]
-
-
 # --- RunReport.to_dict: infinities become None, in fresh lists
 
 CELLS = (

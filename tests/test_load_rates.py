@@ -11,8 +11,10 @@ same reference.
 
 import math
 import pickle
+import platform
 import random
 import re
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -673,6 +675,15 @@ def test_no_digit_run_past_int64_reaches_fromstring(tmp_path, monkeypatch):
     assert_same(_write(tmp_path, "src,dst,rate\n1,2,2.5\n2,10000000000000000000,3.5\n"))
     assert len(seen) == len(rates)
     assert max(len(run) for text in seen for run in re.findall(rb"[0-9]+", text)) <= 18
+
+
+def test_a_linux_long_double_is_exact():
+    # x87's 64 significand bits on x86-64, IEEE binary128 on aarch64, where
+    # the kernel divides plain rates in its 113-bit branch
+    nmant = {"x86_64": 63, "aarch64": 112}.get(platform.machine())
+    if sys.platform != "linux" or nmant is None:
+        pytest.skip("another platform's long double")
+    assert np.finfo(np.longdouble).nmant == nmant and arbx.io._EXACT_QUOTIENT
 
 
 @pytest.fixture

@@ -157,28 +157,37 @@ class TestProgramEntry:
         ("check", "--rates", str(DATA / "triangle_ok.csv")),
         ("check", "--rates", str(DATA / "triangle_bad.csv")),
         ("check", "--rates", str(DATA / "no_such_file.csv")),
+        # the CLI chain's runs on the pa50 fixture's files, {d}
+        ("gen", "--kind", "pa", "--n", "50", "--m", "3", "--seed", "1", "--out", "{d}/gen.json"),
+        ("basis", "--graph", "{d}/pa50.json"),
+        ("complete", "--graph", "{d}/pa50.json", "--basis", "{d}/pa50_basis.json", "--out", "{d}/complete.csv"),
+        ("price", "--rates", "{d}/pa50.csv", "--ref", "1"),
+        ("perturb", "--rates", "{d}/pa50.csv", "--delta", "{d}/delta.json", "--exact"),
+        ("dim", "--graph", "{d}/pa50.json"),
     ]
 
-    def test_main_in_process_freezes_nothing(self, capsys):
+    def test_main_in_process_freezes_nothing(self, capsys, pa50):
         from arbx.cli import main
 
         before = gc.get_freeze_count()
         for argv in self.ARGVS:
-            main([*argv, "--format", "json"])
+            main([*(a.format(d=pa50) for a in argv), "--format", "json"])
         capsys.readouterr()
         assert gc.get_freeze_count() == before
 
-    @pytest.mark.parametrize("argv, code", zip(ARGVS, (0, 2, 1)))
+    @pytest.mark.parametrize("argv, code", zip(ARGVS, (0, 2, 1, 0, 0, 0, 0, 0, 0)))
     @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_module_and_run_agree(self, argv, code, fmt):
-        runs = [
-            child(["-m", "arbx.cli"], *argv, "--format", fmt),
-            child(["-c", "from arbx.cli import run; run()"], *argv, "--format", fmt),
-        ]
+    def test_module_and_run_agree(self, argv, code, fmt, pa50):
+        # the same report and, from gen and complete, the same file byte for byte
+        argv = [a.format(d=pa50) for a in argv]
+        out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
         outs = []
-        for proc in runs:
+        for entry in (["-m", "arbx.cli"], ["-c", "from arbx.cli import run; run()"]):
+            if out:
+                out.unlink(missing_ok=True)
+            proc = child(entry, *argv, "--format", fmt)
             assert proc.returncode == code and proc.stderr == ""
-            outs.append(steady(proc.stdout))
+            outs.append((steady(proc.stdout), out and out.read_bytes()))
         assert outs[0] == outs[1]
 
     def test_run_freezes_and_keeps_exit_handlers(self):
@@ -234,7 +243,7 @@ class TestLayersLoaded:
 
     def test_check(self):
         loaded = self.loaded("check", "--rates", str(DATA / "triangle_ok.csv"))
-        assert not loaded & {"arbx.basis", "arbx.dynamics", "arbx._repr", "numpy.ma"}
+        assert not loaded & {"dataclasses", "csv", "arbx.basis", "arbx.dynamics", "arbx._repr", "numpy.ma"}
 
     def test_price(self):
         loaded = self.loaded("price", "--rates", str(DATA / "triangle_labeled.csv"), "--ref", "USD")
